@@ -58,7 +58,6 @@ from .roofline import (
     network_oi,
     network_point,
     quantize_profile,
-    ridge_point,
     roofline_series,
     theoretical_oi,
 )
@@ -68,10 +67,8 @@ from .sim import (
     SimEvent,
     SimResult,
     availability_factor,
-    composition,
     effective_rate,
     energy_and_efficiency,
-    gain_vs_best_single,
     load_scenario,
     rate_sum,
     simulate,

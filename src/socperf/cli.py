@@ -11,15 +11,21 @@ directory.
 """
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import dataset
 from .calibrate import calibrate
-from .emit import emit, emit_csv, emit_json, sig4
-from .errors import SocPerfError, UnsupportedFormat
+from .emit import (
+    emit_csv,
+    emit_json,
+    emit_svg_roofline,
+    roofline_rows_to_csv,
+    sig4,
+    sim_result_payload,
+    sim_result_to_csv,
+)
+from .errors import SocPerfError, UnknownComponent
 from .roofline import (
     RooflineModel,
     layer_points,
@@ -27,31 +33,11 @@ from .roofline import (
     network_point,
     roofline_series,
 )
-from .sim import Scenario, gain_vs_best_single, load_scenario, simulate
+from .sim import Scenario, load_scenario, simulate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
-
-
-@dataclass(frozen=True)
-class ReportRequest:
-    """A validated CLI invocation."""
-
-    command: str
-    inputs: tuple[str, ...]
-    output: Optional[str]
-    fmt: str
-
-    def __post_init__(self):
-        if self.fmt == "svg" and self.command != "roofline":
-            raise UnsupportedFormat(
-                f"svg output only applies to the roofline command, "
-                f"not {self.command!r}"
-            )
-        for path in self.inputs:
-            if not os.path.exists(path):
-                raise FileNotFoundError(path)
 
 
 def _parse_contention(text: Optional[str]) -> dict[str, float]:
@@ -92,8 +78,11 @@ def _cmd_roofline(args) -> bytes:
         points.append(network_point(profile, model))
     rows = roofline_series(
         model, points, log_spaced(args.oi_min, args.oi_max, args.samples))
-    title = f"{args.platform}/{args.component} roofline"
-    return emit(rows, args.format, title=title)
+    if args.format == "csv":
+        return roofline_rows_to_csv(rows)
+    if args.format == "json":
+        return emit_json(rows)
+    return emit_svg_roofline(rows, f"{args.platform}/{args.component} roofline")
 
 
 def _scenario_from_args(args) -> Scenario:
@@ -119,9 +108,20 @@ def _scenario_from_args(args) -> Scenario:
 
 
 def _cmd_simulate(args) -> bytes:
-    scenario = _scenario_from_args(args)
-    result = simulate(scenario)
-    return emit(result, args.format)
+    result = simulate(_scenario_from_args(args))
+    if args.format == "csv":
+        return sim_result_to_csv(result)
+    return emit_json(sim_result_payload(result))
+
+
+def _observed(obs: dataset.CoexecObservation) -> dict:
+    """Calibration target of a bundled observation."""
+    observed = {"throughput": obs.coexec_imgs_s}
+    if obs.composition_pct:
+        observed["composition"] = {
+            cid: pct / 100.0 for cid, pct in obs.composition_pct.items()
+        }
+    return observed
 
 
 def _cmd_calibrate(args) -> bytes:
@@ -130,9 +130,9 @@ def _cmd_calibrate(args) -> bytes:
     engaged = tuple(args.components.split(","))
     if args.target_throughput is not None:
         observed = {"throughput": args.target_throughput}
-        composition = _parse_contention(args.target_composition)
-        if composition:
-            observed["composition"] = composition
+        shares = _parse_contention(args.target_composition)
+        if shares:
+            observed["composition"] = shares
     else:
         obs = dataset.find_observation(args.platform, args.network, engaged)
         if obs is None:
@@ -140,11 +140,7 @@ def _cmd_calibrate(args) -> bytes:
                 f"no bundled observation for {args.network!r} on "
                 f"{args.platform!r} with {engaged}; pass --target-throughput"
             )
-        observed = {"throughput": obs.coexec_imgs_s}
-        if obs.composition_pct:
-            observed["composition"] = {
-                cid: pct / 100.0 for cid, pct in obs.composition_pct.items()
-            }
+        observed = _observed(obs)
     fit = calibrate(platform, network, observed, engaged, frames=args.frames)
     payload = {
         "platform": fit.platform_id,
@@ -159,17 +155,23 @@ def _cmd_calibrate(args) -> bytes:
         "throughput_imgs_per_s": fit.result.throughput,
         "composition": dict(sorted(fit.result.composition.items())),
     }
-    return emit(payload, args.format)
+    return emit_json(payload)
 
 
 def _throughput_table_rows(frames: int) -> list[dict]:
     platforms, networks = dataset.builtin_dataset()
-    comp_platform = {}
-    for platform in platforms:
-        for comp in platform.components:
-            comp_platform[comp.id] = platform
+    comp_platform = {comp.id: platform
+                     for platform in platforms for comp in platform.components}
+    by_id = {network.id: network for network in networks}
+    missing = ([nid for nid in dataset.TABLE1_NETWORK_ORDER if nid not in by_id]
+               + [cid for cid in dataset.TABLE1_COMPONENT_ORDER
+                  if cid not in comp_platform])
+    if missing:
+        raise UnknownComponent(
+            f"table 1 needs ids the dataset lacks: {', '.join(missing)}")
     rows = []
-    for network in networks:
+    for nid in dataset.TABLE1_NETWORK_ORDER:
+        network = by_id[nid]
         cells: dict[str, object] = {"network": network.id}
         for comp_id in dataset.TABLE1_COMPONENT_ORDER:
             if not network.supports(comp_id):
@@ -181,8 +183,7 @@ def _throughput_table_rows(frames: int) -> list[dict]:
                 platform, network)
             cells[comp_id] = float(sig4(result.throughput))
         rows.append(cells)
-    by_id = {row["network"]: row for row in rows}
-    return [by_id[nid] for nid in dataset.TABLE1_NETWORK_ORDER]
+    return rows
 
 
 def _cmd_tables(args) -> bytes:
@@ -193,19 +194,11 @@ def _cmd_tables(args) -> bytes:
             return emit_json(rows)
         return emit_csv(header, [[row[key] for key in header] for row in rows])
 
-    observations = dataset.observations_for_table(args.which)
-    if not observations:
-        raise SocPerfError(f"--which must be 1, 2, or 3, got {args.which}")
     rows = []
-    for obs in observations:
+    for obs in dataset.observations_for_table(args.which):
         platform = dataset.platform_by_id(obs.platform_id)
         network = dataset.network_by_id(obs.network_id)
-        observed = {"throughput": obs.coexec_imgs_s}
-        if obs.composition_pct:
-            observed["composition"] = {
-                cid: pct / 100.0 for cid, pct in obs.composition_pct.items()
-            }
-        fit = calibrate(platform, network, observed, obs.engaged,
+        fit = calibrate(platform, network, _observed(obs), obs.engaged,
                         frames=args.frames)
         best = network.rate(obs.best_single_id)
         gain_sim = 100.0 * (fit.result.throughput - best) / best
@@ -280,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-composition",
                    help="id=fraction[,id=fraction...] frame shares")
     p.add_argument("--frames", type=int, default=10000)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
+    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--out")
 
     p = sub.add_parser("tables", help="regenerate summary tables")
@@ -299,38 +292,17 @@ _HANDLERS = {
 }
 
 
-def run(request: ReportRequest, args) -> int:
-    """Execute a validated request; returns the process exit code."""
-    payload = _HANDLERS[request.command](args)
-    _write(payload, request.output)
-    return EXIT_OK
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        inputs = ()
-        if getattr(args, "scenario", None):
-            inputs = (args.scenario,)
-        request = ReportRequest(
-            command=args.command,
-            inputs=inputs,
-            output=args.out,
-            fmt=args.format,
-        )
-        return run(request, args)
-    except FileNotFoundError as exc:
-        print(f"socperf: cannot read {exc}", file=sys.stderr)
-        return EXIT_IO
-    except IsADirectoryError as exc:
-        print(f"socperf: cannot read {exc}", file=sys.stderr)
-        return EXIT_IO
+        _write(_HANDLERS[args.command](args), args.out)
     except (SocPerfError, ValueError) as exc:
         print(f"socperf: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"socperf: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ per-layer operation/byte tables and some board constants are marked as
 user-supplied estimates in the documents' notes fields.
 """
 
+import json
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -22,6 +23,7 @@ from .profiles import (
     Platform,
     load_network_profile,
     load_platform,
+    load_trace,
 )
 
 DATA_ENV_VAR = "SOCPERF_DATA"
@@ -40,16 +42,7 @@ TABLE1_COMPONENT_ORDER = ("a7", "a15", "t628", "a53", "a73", "g72", "npu")
 TABLE1_NETWORK_ORDER = ("alexnet", "googlenet", "mobilenet", "resnet50", "squeezenet")
 
 
-def _data_dir() -> Optional[str]:
-    path = os.environ.get(DATA_ENV_VAR)
-    if path:
-        return path
-    return None
-
-
 def _load_from_dir(path: str) -> tuple[list[Platform], list[NetworkProfile]]:
-    import json
-
     platforms: list[Platform] = []
     networks: list[NetworkProfile] = []
     for name in sorted(os.listdir(path)):
@@ -71,7 +64,7 @@ def builtin_dataset() -> tuple[list[Platform], list[NetworkProfile]]:
     Documents pass through the same loaders and validation as user files.
     With SOCPERF_DATA set, that directory is scanned instead.
     """
-    override = _data_dir()
+    override = os.environ.get(DATA_ENV_VAR)
     if override:
         return _load_from_dir(override)
     pkg = resources.files(__package__) / "data"
@@ -84,8 +77,6 @@ def builtin_dataset() -> tuple[list[Platform], list[NetworkProfile]]:
 
 def builtin_trace(name: str = "alexnet_a15_trace"):
     """Load a bundled counter trace by file stem."""
-    from .profiles import load_trace
-
     pkg = resources.files(__package__) / "data"
     return load_trace((pkg / f"{name}.json").read_text(encoding="utf-8"))
 

@@ -7,12 +7,10 @@ plain strings with no timestamps or generated ids.
 
 import json
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import UnsupportedFormat
 from .sim import SimResult
-
-FORMATS = ("csv", "json", "svg")
 
 ROOFLINE_CSV_HEADER = (
     "oi_flops_per_byte", "roofline_gops", "point_label", "point_oi",
@@ -96,17 +94,13 @@ def sim_result_payload(result: SimResult) -> dict:
 def sim_result_to_csv(result: SimResult) -> bytes:
     header = ("component", "frames", "share", "busy_s", "energy_j")
     rows = []
-    from .dataset import platform_by_id
-
-    platform = platform_by_id(result.scenario.platform_id)
     for comp_id in sorted(result.frames_per_component):
-        power = platform.component(comp_id).active_power_w
         rows.append([
             comp_id,
             result.frames_per_component[comp_id],
             result.composition[comp_id],
             result.busy_time_s[comp_id],
-            power * result.busy_time_s[comp_id],
+            result.energy_per_component_j[comp_id],
         ])
     rows.append([
         "total",
@@ -175,31 +169,3 @@ def emit_svg_roofline(rows: Sequence[dict], title: str,
         )
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
-
-
-def emit(payload, fmt: str, title: Optional[str] = None) -> bytes:
-    """Render a payload in the requested format.
-
-    Roofline series (lists of plot-table rows) support csv, json, and svg;
-    simulation results and generic table payloads support csv and json.
-    """
-    if fmt not in FORMATS:
-        raise UnsupportedFormat(f"unknown format {fmt!r}; expected {FORMATS}")
-    if isinstance(payload, SimResult):
-        if fmt == "json":
-            return emit_json(sim_result_payload(payload))
-        if fmt == "csv":
-            return sim_result_to_csv(payload)
-        raise UnsupportedFormat("simulation results render as csv or json, not svg")
-    if isinstance(payload, list) and payload and isinstance(payload[0], dict) \
-            and "oi_flops_per_byte" in payload[0]:
-        if fmt == "csv":
-            return roofline_rows_to_csv(payload)
-        if fmt == "json":
-            return emit_json(payload)
-        return emit_svg_roofline(payload, title or "roofline")
-    if fmt == "json":
-        return emit_json(payload)
-    if fmt == "csv" and isinstance(payload, dict) and "header" in payload:
-        return emit_csv(payload["header"], payload["rows"])
-    raise UnsupportedFormat(f"cannot render {type(payload).__name__} as {fmt}")

@@ -86,10 +86,6 @@ class ComponentSpec:
     def is_cpu(self) -> bool:
         return self.kind in CPU_KINDS
 
-    @property
-    def is_accelerator(self) -> bool:
-        return not self.is_cpu
-
 
 @dataclass(frozen=True)
 class Platform:
@@ -143,9 +139,6 @@ class Platform:
         raise UnknownComponent(
             f"platform {self.id!r} has no component {component_id!r}"
         )
-
-    def has_component(self, component_id: str) -> bool:
-        return any(c.id == component_id for c in self.components)
 
     def hosted_accelerators(self, cpu_id: str) -> tuple[str, ...]:
         """Ids of accelerators whose host_cluster is the given CPU cluster."""

@@ -45,6 +45,7 @@ class RooflineModel:
 
     @property
     def ridge_oi(self) -> float:
+        """OI at which the sloped roof meets the flat ceiling."""
         return self.ceiling_compute_gops / self.roof_bandwidth_gbs
 
     @classmethod
@@ -101,11 +102,6 @@ def empirical_oi(layer: LayerProfile) -> float:
 def attainable(model: RooflineModel, oi: float) -> float:
     """Maximum performance in GOPS/s the component allows at a given OI."""
     return min(model.ceiling_compute_gops, oi * model.roof_bandwidth_gbs)
-
-
-def ridge_point(model: RooflineModel) -> float:
-    """OI at which the sloped roof meets the flat ceiling."""
-    return model.ridge_oi
 
 
 def classify(model: RooflineModel, oi: float) -> str:

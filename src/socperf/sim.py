@@ -73,12 +73,13 @@ def load_scenario(source: Source) -> Scenario:
     """Parse a scenario document.
 
     Keys: platform, network, components[], frames, dispatch_overhead_s?,
-    contention{id: factor}?, jitter{seed, cv}?.
+    contention{id: factor}?, host_contention_default?, jitter{seed, cv}?.
     """
     doc = _read_document(source)
     body = doc.get("scenario", doc)
     try:
         jitter = body.get("jitter", {})
+        host_default = body.get("host_contention_default")
         return Scenario(
             platform_id=body["platform"],
             network_id=body["network"],
@@ -86,6 +87,7 @@ def load_scenario(source: Source) -> Scenario:
             frame_count=int(body["frames"]),
             dispatch_overhead_s=float(body.get("dispatch_overhead_s", 0.0)),
             contention={k: float(v) for k, v in body.get("contention", {}).items()},
+            host_contention_default=None if host_default is None else float(host_default),
             jitter_seed=jitter.get("seed"),
             jitter_cv=float(jitter.get("cv", 0.0)),
         )
@@ -144,6 +146,7 @@ class SimResult:
     frames_per_component: dict[str, int]
     composition: dict[str, float]
     busy_time_s: dict[str, float]
+    energy_per_component_j: dict[str, float]
     energy_j: float
     energy_efficiency: float
     reorder_high_water: int
@@ -291,6 +294,8 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
             f"frames released"
         )
 
+    energy_per_component = {
+        cid: platform.component(cid).active_power_w * busy[cid] for cid in order}
     energy, efficiency = energy_and_efficiency(busy, n_frames, platform)
     return SimResult(
         scenario=scenario,
@@ -299,20 +304,12 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
         frames_per_component=frames_done,
         composition={cid: frames_done[cid] / n_frames for cid in order},
         busy_time_s=busy,
+        energy_per_component_j=energy_per_component,
         energy_j=energy,
         energy_efficiency=efficiency,
         reorder_high_water=buffer.high_water,
         events=tuple(events) if events is not None else None,
     )
-
-
-def composition(result: SimResult) -> dict[str, float]:
-    """Fraction of the stream each component processed."""
-    total = sum(result.frames_per_component.values())
-    return {
-        cid: count / total
-        for cid, count in result.frames_per_component.items()
-    }
 
 
 def energy_and_efficiency(busy_time_s: dict[str, float], frame_count: int,
@@ -328,19 +325,3 @@ def energy_and_efficiency(busy_time_s: dict[str, float], frame_count: int,
         component = platform.component(comp_id)  # raises UnknownComponent
         energy += component.active_power_w * busy
     return energy, frame_count / energy
-
-
-def gain_vs_best_single(scenario: Scenario, platform: Optional[Platform] = None,
-                        network: Optional[NetworkProfile] = None) -> float:
-    """Throughput gain in percent over the best engaged component alone.
-
-    The baseline is the best measured isolated rate among the engaged
-    components, not its contention-scaled value.
-    """
-    if platform is None:
-        platform = platform_by_id(scenario.platform_id)
-    if network is None:
-        network = network_by_id(scenario.network_id)
-    result = simulate(scenario, platform, network)
-    best = max(network.rate(cid) for cid in scenario.engaged)
-    return 100.0 * (result.throughput - best) / best

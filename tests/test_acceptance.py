@@ -46,7 +46,6 @@ from socperf import (
     platform_by_id,
     quantize_profile,
     rate_sum,
-    ridge_point,
     simulate,
     theoretical_oi,
 )
@@ -243,7 +242,7 @@ def test_criterion_5_roofline_properties():
 
     exynos = PLATFORMS["exynos5422"]
     ridges = {
-        cid: ridge_point(RooflineModel.for_component(exynos.component(cid)))
+        cid: RooflineModel.for_component(exynos.component(cid)).ridge_oi
         for cid in ("t628", "a15", "a7")
     }
     # stated to three significant digits; compare at that precision and

@@ -1,12 +1,25 @@
 import json
+import re
+import shutil
 import subprocess
 import sys
+from dataclasses import replace
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from socperf import Scenario, UnsupportedFormat, network_by_id, platform_by_id, simulate
-from socperf.cli import ReportRequest, main
-from socperf.emit import emit, emit_csv, sig4
+from socperf import Scenario, network_by_id, platform_by_id, simulate
+from socperf.cli import build_parser, main
+from socperf.emit import (
+    emit_csv,
+    emit_json,
+    sig4,
+    sim_result_payload,
+    sim_result_to_csv,
+)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 EXYNOS_ALEXNET_ROW = ["1.1", "3.1", "7.8", "2.2", "7.6", "32.5", "32.5"]
 
@@ -198,15 +211,49 @@ def test_infeasible_target_is_validation_error(tmp_path):
     assert code == 1
 
 
-def test_missing_scenario_file_is_io_error(tmp_path):
-    code = main(["simulate", "--scenario", str(tmp_path / "absent.json"),
+def test_missing_scenario_file_is_io_error(tmp_path, capsys):
+    absent = tmp_path / "absent.json"
+    code = main(["simulate", "--scenario", str(absent),
                  "--out", str(tmp_path / "x")])
     assert code == 2
+    assert str(absent) in capsys.readouterr().err
 
 
 def test_unwritable_output_is_io_error(tmp_path):
     code = main(["tables", "--which", "1", "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_out_into_missing_directory_is_io_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code = main(["simulate", "--platform", "exynos5422", "--network",
+                 "alexnet", "--components", "a15", "--frames", "10",
+                 "--out", str(target)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(target) in err
+    assert "cannot read" not in err
+
+
+def test_calibrate_rejects_csv_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--platform", "kirin970", "--network", "alexnet",
+              "--components", "a53,a73,g72,npu", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+def test_tables_1_partial_data_dir_names_missing_ids(tmp_path, monkeypatch,
+                                                     capsys):
+    data = resources.files("socperf") / "data"
+    for name in ("exynos5422.json", "alexnet.json"):
+        shutil.copy(str(data / name), tmp_path / name)
+    monkeypatch.setenv("SOCPERF_DATA", str(tmp_path))
+    code = main(["tables", "--which", "1", "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "socperf: table 1 needs ids the dataset lacks: googlenet, mobilenet, "
+        "resnet50, squeezenet, a53, a73, g72, npu\n")
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -235,26 +282,47 @@ def test_console_entry_point_runs():
 
 # -- emit -------------------------------------------------------------------------
 
-def test_emit_sim_result_deterministic_and_formats():
+def test_emit_sim_result_deterministic_and_formats(tmp_path):
     platform = platform_by_id("exynos5422")
     network = network_by_id("alexnet")
     result = simulate(Scenario("exynos5422", "alexnet", ("a7", "a15"), 100),
                       platform, network)
-    assert emit(result, "json") == emit(result, "json")
-    assert emit(result, "csv").startswith(b"component,")
-    with pytest.raises(UnsupportedFormat):
-        emit(result, "svg")
-    with pytest.raises(UnsupportedFormat):
-        emit(result, "html")
+    assert (emit_json(sim_result_payload(result))
+            == emit_json(sim_result_payload(result)))
+    assert sim_result_to_csv(result).startswith(b"component,")
+    args = ["simulate", "--platform", "exynos5422", "--network", "alexnet",
+            "--components", "a7,a15", "--frames", "100",
+            "--out", str(tmp_path / "x")]
+    for fmt in ("svg", "html"):
+        with pytest.raises(SystemExit):
+            main(args + ["--format", fmt])
 
 
-def test_report_request_validation(tmp_path):
-    with pytest.raises(UnsupportedFormat):
-        ReportRequest("simulate", (), None, "svg")
-    with pytest.raises(FileNotFoundError):
-        ReportRequest("simulate", (str(tmp_path / "absent"),), None, "json")
-    ok = ReportRequest("roofline", (), None, "svg")
-    assert ok.fmt == "svg"
+def test_custom_platform_sim_result_csv():
+    platform = platform_by_id("exynos5422")
+    network = network_by_id("alexnet")
+    engaged = ("a7", "a15", "t628")
+    bundled = simulate(Scenario("exynos5422", "alexnet", engaged, 500),
+                       platform, network)
+    custom = simulate(Scenario("custom", "alexnet", engaged, 500),
+                      replace(platform, id="custom"), network)
+    assert sim_result_to_csv(custom) == sim_result_to_csv(bundled)
+
+
+def test_readme_commands_parse():
+    """Every socperf command of the README's "Command line" block parses."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Command line\s+```sh\n(.*?)```", text, re.S).group(1)
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("socperf "):
+            commands.append(line.split()[1:])
+    assert len(commands) >= 9
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
 
 
 def test_sig4_formatting():

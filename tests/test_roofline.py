@@ -22,7 +22,6 @@ from socperf import (
     network_point,
     platform_by_id,
     quantize_profile,
-    ridge_point,
     roofline_series,
     theoretical_oi,
 )
@@ -82,15 +81,15 @@ def test_attainable_known_values():
 
 
 def test_ridge_points_from_board_constants():
-    assert ridge_point(T628) == pytest.approx(57.6 / 6.15, rel=1e-15)
-    assert round(ridge_point(T628), 2) == 9.37
-    assert round(ridge_point(A15), 2) == 9.30
-    assert round(ridge_point(A7), 1) == 45.7
+    assert T628.ridge_oi == pytest.approx(57.6 / 6.15, rel=1e-15)
+    assert round(T628.ridge_oi, 2) == 9.37
+    assert round(A15.ridge_oi, 2) == 9.30
+    assert round(A7.ridge_oi, 1) == 45.7
 
 
 def test_ridge_equal_numbers_gives_one():
     model = RooflineModel("x", roof_bandwidth_gbs=7.5, ceiling_compute_gops=7.5)
-    assert ridge_point(model) == 1.0
+    assert model.ridge_oi == 1.0
     assert classify(model, 1.0) == "compute"  # tie goes to compute
 
 
@@ -121,7 +120,7 @@ def test_attainable_properties_random():
 def test_series_has_exact_knee():
     rows = roofline_series(T628, [], log_spaced(0.1, 100.0, 33))
     grid = [r for r in rows if r["point_label"] is None]
-    knee = [r for r in grid if r["oi_flops_per_byte"] == ridge_point(T628)]
+    knee = [r for r in grid if r["oi_flops_per_byte"] == T628.ridge_oi]
     assert len(knee) == 1
     assert knee[0]["roofline_gops"] == pytest.approx(57.6)
     # two-segment shape: slope then flat ceiling
@@ -129,7 +128,7 @@ def test_series_has_exact_knee():
         oi = row["oi_flops_per_byte"]
         expected = min(57.6, oi * 6.15)
         assert row["roofline_gops"] == pytest.approx(expected)
-        assert row["bound"] == ("memory" if oi < ridge_point(T628) else "compute")
+        assert row["bound"] == ("memory" if oi < T628.ridge_oi else "compute")
 
 
 def test_series_point_passthrough_and_errors():
