@@ -62,7 +62,6 @@ from .roofline import (
     theoretical_oi,
 )
 from .sim import (
-    ReorderBuffer,
     Scenario,
     SimEvent,
     SimResult,

@@ -9,7 +9,8 @@ against full simulation runs and reports the simulated residuals.
 
 Targets below the zero-overhead rate sum are always reachable; a target
 above it indicates inconsistent measurements and raises InfeasibleTarget
-instead of silently fitting.
+instead of silently fitting, as does a target that is not a finite
+positive throughput.
 
 Residuals are normalized so one unit equals 2% relative throughput error
 or 3 percentage points of composition error, and the search minimizes the
@@ -18,6 +19,7 @@ residual of the tightest scenario exactly on its error budget, while the
 minimax form centers it.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -88,6 +90,11 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
     search (accelerator factors stay pinned at 1.0).
     """
     target_throughput = float(observed["throughput"])
+    if not 0 < target_throughput < math.inf:
+        raise InfeasibleTarget(
+            f"target throughput must be finite and > 0 imgs/s, "
+            f"got {target_throughput!r}"
+        )
     target_composition = observed.get("composition")
     if target_composition is not None:
         target_composition = {k: float(v) for k, v in target_composition.items()}

@@ -40,20 +40,22 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 
-def _parse_contention(text: Optional[str]) -> dict[str, float]:
-    factors: dict[str, float] = {}
+def _parse_id_values(text: Optional[str], flag: str,
+                     form: str) -> dict[str, float]:
+    """Parse a flag value of comma-separated entries of the given form."""
+    values: dict[str, float] = {}
     if not text:
-        return factors
+        return values
     for item in text.split(","):
         if not item:
             continue
         name, _, value = item.partition("=")
         if not value:
             raise SocPerfError(
-                f"contention entries look like id=factor, got {item!r}"
+                f"{flag} entries look like {form}, got {item!r}"
             )
-        factors[name.strip()] = float(value)
-    return factors
+        values[name.strip()] = float(value)
+    return values
 
 
 def _write(payload: bytes, output: Optional[str]) -> None:
@@ -101,7 +103,8 @@ def _scenario_from_args(args) -> Scenario:
         engaged=tuple(args.components.split(",")),
         frame_count=args.frames,
         dispatch_overhead_s=args.overhead,
-        contention=_parse_contention(args.contention),
+        contention=_parse_id_values(args.contention, "--contention",
+                                    "id=factor"),
         jitter_seed=args.seed,
         jitter_cv=args.cv,
     )
@@ -130,7 +133,8 @@ def _cmd_calibrate(args) -> bytes:
     engaged = tuple(args.components.split(","))
     if args.target_throughput is not None:
         observed = {"throughput": args.target_throughput}
-        shares = _parse_contention(args.target_composition)
+        shares = _parse_id_values(args.target_composition,
+                                  "--target-composition", "id=fraction")
         if shares:
             observed["composition"] = shares
     else:
@@ -169,8 +173,11 @@ def _throughput_table_rows(frames: int) -> list[dict]:
     if missing:
         raise UnknownComponent(
             f"table 1 needs ids the dataset lacks: {', '.join(missing)}")
+    # The paper's networks in its order, then any other SOCPERF_DATA
+    # network by id.
+    extra = sorted(set(by_id) - set(dataset.TABLE1_NETWORK_ORDER))
     rows = []
-    for nid in dataset.TABLE1_NETWORK_ORDER:
+    for nid in dataset.TABLE1_NETWORK_ORDER + tuple(extra):
         network = by_id[nid]
         cells: dict[str, object] = {"network": network.id}
         for comp_id in dataset.TABLE1_COMPONENT_ORDER:

@@ -47,7 +47,8 @@ class UnsupportedPair(SocPerfError):
 
 
 class InfeasibleTarget(SocPerfError):
-    """A calibration target exceeds what the model can reach with zero overhead."""
+    """A calibration target is not a finite positive throughput, or exceeds
+    what the model can reach with zero overhead."""
 
 
 class UnsupportedFormat(SocPerfError):

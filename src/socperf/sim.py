@@ -24,7 +24,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .dataset import network_by_id, platform_by_id
 from .errors import MalformedDocument, UnknownComponent, UnsupportedPair
@@ -52,8 +52,10 @@ class Scenario:
             raise MalformedDocument("scenario engages a component twice")
         if not isinstance(self.frame_count, int) or self.frame_count <= 0:
             raise MalformedDocument("frame_count must be a positive integer")
-        if self.dispatch_overhead_s < 0:
-            raise MalformedDocument("dispatch_overhead_s must be >= 0")
+        if not 0 <= self.dispatch_overhead_s < math.inf:
+            raise MalformedDocument(
+                f"dispatch_overhead_s must be finite and >= 0, "
+                f"got {self.dispatch_overhead_s!r}")
         for comp_id, factor in self.contention.items():
             if not (0 < factor <= 1):
                 raise MalformedDocument(
@@ -65,8 +67,9 @@ class Scenario:
             raise MalformedDocument(
                 "host_contention_default must be in (0, 1]"
             )
-        if self.jitter_cv < 0:
-            raise MalformedDocument("jitter_cv must be >= 0")
+        if not 0 <= self.jitter_cv < math.inf:
+            raise MalformedDocument(
+                f"jitter_cv must be finite and >= 0, got {self.jitter_cv!r}")
 
 
 def load_scenario(source: Source) -> Scenario:
@@ -98,10 +101,12 @@ def load_scenario(source: Source) -> Scenario:
 class ReorderBuffer:
     """Holds out-of-order completions, releases the sequence 0,1,2,...
 
-    Occupancy is counted with the just-arrived frame included, so a frame
-    passing straight through still registers. high_water is the largest
-    occupancy seen; with components of very different speeds it grows well
-    beyond the component count while a slow frame blocks the head.
+    simulate applies this release rule inline; the class replays a
+    recorded completion order on its own. Occupancy is counted with the
+    just-arrived frame included, so a frame passing straight through still
+    registers. high_water is the largest occupancy seen; with components of
+    very different speeds it grows well beyond the component count while a
+    slow frame blocks the head.
     """
 
     __slots__ = ("next_expected", "held", "high_water")
@@ -128,8 +133,7 @@ class ReorderBuffer:
         return released
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     time: float
     kind: str  # claim | complete | release
     component_id: str
@@ -195,16 +199,6 @@ def rate_sum(scenario: Scenario, platform: Platform,
     )
 
 
-def _service_times(scenario: Scenario, platform: Platform,
-                   profile: NetworkProfile) -> dict[str, float]:
-    services = {}
-    for comp_id in scenario.engaged:
-        component = platform.component(comp_id)
-        rate = effective_rate(component, profile, scenario, platform)
-        services[comp_id] = 1.0 / rate
-    return services
-
-
 def simulate(scenario: Scenario, platform: Optional[Platform] = None,
              network: Optional[NetworkProfile] = None,
              record_events: bool = False) -> SimResult:
@@ -234,80 +228,105 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
                 f"contention factor given for {comp_id!r} which is not engaged"
             )
 
+    # Components are indexed by rank, their position in id order. Heap
+    # entries are (completion time, rank, frame); ranks are unique, so
+    # simultaneous completions pop in id order.
     order = sorted(scenario.engaged)
-    processing = _service_times(scenario, platform, network)  # may raise UnsupportedPair
+    rates = {  # may raise UnsupportedPair
+        cid: effective_rate(platform.component(cid), network, scenario, platform)
+        for cid in scenario.engaged}
+    processing = [1.0 / rates[cid] for cid in order]
     overhead = scenario.dispatch_overhead_s
-
-    jitter = None
-    if scenario.jitter_cv > 0:
-        jitter = random.Random(scenario.jitter_seed)
+    service = [base + overhead for base in processing]
+    jitter = scenario.jitter_cv > 0
+    if jitter:
+        lognormvariate = random.Random(scenario.jitter_seed).lognormvariate
         sigma = math.sqrt(math.log(1.0 + scenario.jitter_cv ** 2))
         mu = -0.5 * sigma * sigma
 
-    def draw_service(comp_id: str) -> float:
-        base = processing[comp_id]
-        if jitter is not None:
-            base *= jitter.lognormvariate(mu, sigma)
-        return base + overhead
-
     n_frames = scenario.frame_count
-    frames_done = {cid: 0 for cid in order}
-    busy = {cid: 0.0 for cid in order}
-    buffer = ReorderBuffer()
-    events: list[SimEvent] = [] if record_events else None
+    frames_done = [0] * len(order)
+    busy = [0.0] * len(order)
+    events: Optional[list[SimEvent]] = [] if record_events else None
 
-    heap: list[tuple[float, int, str, int]] = []
-    next_frame = 0
-    for rank, comp_id in enumerate(order):
-        if next_frame >= n_frames:
-            break
-        service = draw_service(comp_id)
-        busy[comp_id] += service
+    # Reorder buffer: done[f] flags a completed frame held behind the
+    # lowest unreleased frame next_expected; the spare last byte stays 0
+    # and stops the release scan.
+    done = bytearray(n_frames + 1)
+    next_expected = held = high_water = 0
+
+    # At time 0 the component of rank r claims frame r.
+    heap: list[tuple[float, int, int]] = []
+    for rank in range(min(len(order), n_frames)):
+        draw = (processing[rank] * lognormvariate(mu, sigma) + overhead
+                if jitter else service[rank])
+        busy[rank] += draw
         if events is not None:
-            events.append(SimEvent(0.0, "claim", comp_id, next_frame))
-        heapq.heappush(heap, (service, rank, comp_id, next_frame))
-        next_frame += 1
+            events.append(SimEvent(0.0, "claim", order[rank], rank))
+        heap.append((draw, rank, rank))
+    heapq.heapify(heap)
+    next_frame = len(heap)
 
-    makespan = 0.0
-    heappush, heappop = heapq.heappush, heapq.heappop
+    heapreplace, heappop = heapq.heapreplace, heapq.heappop
     while heap:
-        now, rank, comp_id, frame = heappop(heap)
-        makespan = now
-        frames_done[comp_id] += 1
+        now, rank, frame = heap[0]
+        frames_done[rank] += 1
         if events is not None:
-            events.append(SimEvent(now, "complete", comp_id, frame))
-            for seq in buffer.push(frame):
-                events.append(SimEvent(now, "release", comp_id, seq))
-        else:
-            buffer.push(frame)
-        if next_frame < n_frames:
-            service = draw_service(comp_id)
-            busy[comp_id] += service
+            events.append(SimEvent(now, "complete", order[rank], frame))
+        if frame == next_expected:
+            # occupancy counts the arriving head frame
+            if held >= high_water:
+                high_water = held + 1
+            nxt = frame + 1
+            while done[nxt]:
+                nxt += 1
+            held -= nxt - frame - 1
+            next_expected = nxt
             if events is not None:
-                events.append(SimEvent(now, "claim", comp_id, next_frame))
-            heappush(heap, (now + service, rank, comp_id, next_frame))
+                events.extend(SimEvent(now, "release", order[rank], seq)
+                              for seq in range(frame, nxt))
+        elif frame < next_expected or done[frame]:
+            raise MalformedDocument(f"frame {frame} completed twice")
+        else:
+            done[frame] = 1
+            held += 1
+            if held > high_water:
+                high_water = held
+        if next_frame < n_frames:
+            draw = (processing[rank] * lognormvariate(mu, sigma) + overhead
+                    if jitter else service[rank])
+            busy[rank] += draw
+            if events is not None:
+                events.append(SimEvent(now, "claim", order[rank], next_frame))
+            heapreplace(heap, (now + draw, rank, next_frame))
             next_frame += 1
+        else:
+            heappop(heap)
+    makespan = now  # the last completion
 
-    if buffer.next_expected != n_frames:
+    if next_expected != n_frames:
         raise MalformedDocument(
-            f"simulation ended with {buffer.next_expected} of {n_frames} "
+            f"simulation ended with {next_expected} of {n_frames} "
             f"frames released"
         )
 
+    frames_per_component = dict(zip(order, frames_done))
+    busy_time = dict(zip(order, busy))
     energy_per_component = {
-        cid: platform.component(cid).active_power_w * busy[cid] for cid in order}
-    energy, efficiency = energy_and_efficiency(busy, n_frames, platform)
+        cid: platform.component(cid).active_power_w * busy_time[cid]
+        for cid in order}
+    energy, efficiency = energy_and_efficiency(busy_time, n_frames, platform)
     return SimResult(
         scenario=scenario,
         makespan_s=makespan,
         throughput=n_frames / makespan,
-        frames_per_component=frames_done,
-        composition={cid: frames_done[cid] / n_frames for cid in order},
-        busy_time_s=busy,
+        frames_per_component=frames_per_component,
+        composition={cid: frames_per_component[cid] / n_frames for cid in order},
+        busy_time_s=busy_time,
         energy_per_component_j=energy_per_component,
         energy_j=energy,
         energy_efficiency=efficiency,
-        reorder_high_water=buffer.high_water,
+        reorder_high_water=high_water,
         events=tuple(events) if events is not None else None,
     )
 

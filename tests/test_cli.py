@@ -256,6 +256,70 @@ def test_tables_1_partial_data_dir_names_missing_ids(tmp_path, monkeypatch,
         "resnet50, squeezenet, a53, a73, g72, npu\n")
 
 
+def test_tables_1_prints_extra_networks_after_the_paper_rows(tmp_path,
+                                                             monkeypatch):
+    data = resources.files("socperf") / "data"
+    for item in data.iterdir():
+        if item.name.endswith(".json"):
+            shutil.copy(str(item), tmp_path / item.name)
+    doc = json.loads((data / "alexnet.json").read_text())
+    doc["network"]["id"] = "zzznet"
+    (tmp_path / "zzznet.json").write_text(json.dumps(doc))
+    monkeypatch.setenv("SOCPERF_DATA", str(tmp_path))
+    code, payload = run_cli(["tables", "--which", "1"], tmp_path, "t.csv")
+    assert code == 0
+    lines = payload.decode().strip().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "alexnet", "googlenet", "mobilenet", "resnet50", "squeezenet",
+        "zzznet"]
+    assert lines[-1].split(",")[1:] == EXYNOS_ALEXNET_ROW
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--overhead", "nan"), ("--overhead", "inf"),
+    ("--cv", "nan"), ("--cv", "inf"),
+])
+def test_non_finite_scenario_numbers_are_refused(tmp_path, capsys, flag,
+                                                 value):
+    out = tmp_path / "x.json"
+    code = main(["simulate", "--platform", "kirin970", "--network", "alexnet",
+                 "--components", "a53,npu", "--frames", "100", "--seed", "1",
+                 flag, value, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("socperf: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["0", "-5", "nan"])
+def test_calibrate_refuses_target_that_is_not_finite_and_positive(
+        tmp_path, capsys, target):
+    code = main(["calibrate", "--platform", "exynos5422", "--network",
+                 "alexnet", "--components", "a7,t628",
+                 f"--target-throughput={target}",
+                 "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("socperf: target throughput must be finite and > 0")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args,message", [
+    (["simulate", "--platform", "kirin970", "--network", "alexnet",
+      "--components", "a53,npu", "--contention", "a53"],
+     "socperf: --contention entries look like id=factor, got 'a53'\n"),
+    (["calibrate", "--platform", "exynos5422", "--network", "alexnet",
+      "--components", "a7,t628", "--target-throughput", "8.0",
+      "--target-composition", "a7"],
+     "socperf: --target-composition entries look like id=fraction, "
+     "got 'a7'\n"),
+])
+def test_malformed_entry_names_its_flag(tmp_path, capsys, args, message):
+    assert main(args + ["--out", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == message
+
+
 def test_byte_identical_reruns(tmp_path):
     _, first = run_cli(["tables", "--which", "1"], tmp_path, "a.csv")
     _, second = run_cli(["tables", "--which", "1"], tmp_path, "b.csv")

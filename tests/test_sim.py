@@ -5,7 +5,6 @@ import pytest
 
 from socperf import (
     MalformedDocument,
-    ReorderBuffer,
     Scenario,
     UnknownComponent,
     UnsupportedPair,
@@ -21,6 +20,7 @@ from socperf import (
     rate_sum,
     simulate,
 )
+from socperf.sim import ReorderBuffer
 
 EXYNOS = platform_by_id("exynos5422")
 KIRIN = platform_by_id("kirin970")
@@ -279,6 +279,31 @@ def test_jitter_seeded_and_in_order():
     assert releases == list(range(500))
 
 
+@pytest.mark.parametrize("overhead,makespan,busy,frames,high_water", [
+    (0.0, "66.85327031190056",
+     ("66.85327031190056", "66.78265763894622", "66.69524722914849",
+      "66.71348520735167"), (147, 510, 2173, 2170), 39),
+    (0.002, "70.74506255526205",
+     ("70.74506255526205", "70.63478180751945", "70.58158272228238",
+      "70.56482704909342"), (155, 528, 2157, 2160), 37),
+])
+def test_seeded_jitter_run_is_pinned(overhead, makespan, busy, frames,
+                                     high_water):
+    # Recorded before the event loop was rewritten around per-rank lists;
+    # any change in the order or the arithmetic of the jitter draws shows
+    # here, since jittered runs have no other golden value.
+    engaged = ("a53", "a73", "g72", "npu")
+    scenario = Scenario("kirin970", "alexnet", engaged, 5000,
+                        dispatch_overhead_s=overhead, jitter_seed=7,
+                        jitter_cv=0.1)
+    result = simulate(scenario, KIRIN, ALEXNET)
+    assert repr(result.makespan_s) == makespan
+    assert {cid: repr(t) for cid, t in result.busy_time_s.items()} == dict(
+        zip(engaged, busy))
+    assert result.frames_per_component == dict(zip(engaged, frames))
+    assert result.reorder_high_water == high_water
+
+
 def test_ties_resolve_by_component_id_order():
     platform = synthetic_platform([(2.0, 1.0), (2.0, 1.0)])
     network = synthetic_network([2.0, 2.0])
@@ -376,6 +401,31 @@ def test_reorder_buffer_rejects_duplicates():
     buffer.push(0)
     with pytest.raises(MalformedDocument):
         buffer.push(0)
+
+
+def test_simulate_releases_in_sequence_behind_slow_head():
+    # c0 serves a frame in 2.5 s and c1 in 0.25 s (rates 0.4 and 4, ratio
+    # 10); both are binary fractions, so every completion time is exact.
+    # c0 claims frame 0 at t = 0 and c1 completes frames 1..9 at 0.25k,
+    # all held. At t = 2.5 c0's frame 0 ties with c1's frame 10; c0 has
+    # the lower rank and pops first, so occupancy is 9 held + the arriving
+    # head = 10 and frames 0..9 are released together. Frame 10 then
+    # passes straight through. Each later 2.5 s round repeats this, and
+    # the last rounds hold fewer, so high water = 10.
+    platform = synthetic_platform([(0.4, 1.0), (4.0, 1.0)])
+    network = synthetic_network([0.4, 4.0])
+    result = simulate(Scenario("synth", "synthnet", ("c0", "c1"), 40),
+                      platform, network, record_events=True)
+    releases = [e for e in result.events if e.kind == "release"]
+    assert [e.frame for e in releases] == list(range(40))
+    head_done = next(e for e in result.events
+                     if e.kind == "complete" and e.frame == 0)
+    assert (head_done.time, head_done.component_id) == (2.5, "c0")
+    assert releases[0].time == head_done.time
+    burst = [(e.component_id, e.frame) for e in releases
+             if e.time == head_done.time]
+    assert burst == [("c0", frame) for frame in range(10)] + [("c1", 10)]
+    assert result.reorder_high_water == 10
 
 
 # -- energy ----------------------------------------------------------------------
