@@ -9,8 +9,8 @@ against full simulation runs and reports the simulated residuals.
 
 Targets below the zero-overhead rate sum are always reachable; a target
 above it indicates inconsistent measurements and raises InfeasibleTarget
-instead of silently fitting, as does a target that is not a finite
-positive throughput.
+instead of silently fitting. A target throughput must be finite and > 0,
+and a composition target maps engaged components to shares in [0, 1].
 
 Residuals are normalized so one unit equals 2% relative throughput error
 or 3 percentage points of composition error, and the search minimizes the
@@ -19,12 +19,11 @@ residual of the tightest scenario exactly on its error budget, while the
 minimax form centers it.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InfeasibleTarget
-from .profiles import NetworkProfile, Platform
+from .profiles import NetworkProfile, Platform, number, obj, one_of
 from .sim import Scenario, SimResult, simulate
 
 THROUGHPUT_SCALE = 0.02   # one residual unit = 2% relative throughput error
@@ -89,17 +88,15 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
     them, availability factors of the engaged CPU clusters join the
     search (accelerator factors stay pinned at 1.0).
     """
-    target_throughput = float(observed["throughput"])
-    if not 0 < target_throughput < math.inf:
-        raise InfeasibleTarget(
-            f"target throughput must be finite and > 0 imgs/s, "
-            f"got {target_throughput!r}"
-        )
+    engaged = tuple(engaged)
+    target_throughput = number(observed["throughput"], "target throughput", "")
     target_composition = observed.get("composition")
     if target_composition is not None:
-        target_composition = {k: float(v) for k, v in target_composition.items()}
+        target_composition = {
+            one_of(cid, engaged, "component", "target composition"):
+            number(share, cid, "target composition", high=1.0, include_low=True)
+            for cid, share in obj(target_composition, "composition", "target").items()}
 
-    engaged = tuple(engaged)
     rates = {cid: network.rate(cid) for cid in engaged}
     bound = sum(rates.values())
     if target_throughput > bound * (1.0 + 1e-9):
@@ -284,7 +281,7 @@ def _seed_factors(rates: dict[str, float], cpu_ids: list[str],
     factors = {}
     for cid in cpu_ids:
         share = target_composition.get(cid)
-        if share is None:
+        if not share:  # no target, or a zero share: no rate to invert
             factors[cid] = 1.0
             continue
         implied = target_throughput * share

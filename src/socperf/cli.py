@@ -50,11 +50,11 @@ def _parse_id_values(text: Optional[str], flag: str,
         if not item:
             continue
         name, _, value = item.partition("=")
-        if not value:
+        try:
+            values[name.strip()] = float(value)
+        except ValueError:
             raise SocPerfError(
-                f"{flag} entries look like {form}, got {item!r}"
-            )
-        values[name.strip()] = float(value)
+                f"{flag} entries look like {form}, got {item!r}") from None
     return values
 
 

@@ -11,74 +11,68 @@ per-layer operation/byte tables and some board constants are marked as
 user-supplied estimates in the documents' notes fields.
 """
 
-import json
 import os
 from dataclasses import dataclass
-from importlib import resources
 from typing import Optional
 
-from .errors import UnknownComponent
-from .profiles import (
-    NetworkProfile,
-    Platform,
-    load_network_profile,
-    load_platform,
-    load_trace,
-)
+from .errors import MalformedDocument, UnknownComponent
+from .profiles import (NetworkProfile, Platform, load_network_profile, load_platform,
+                       load_trace, obj, one_of, reads_document)
 
 DATA_ENV_VAR = "SOCPERF_DATA"
-
-_PLATFORM_FILES = ("exynos5422.json", "kirin970.json")
-_NETWORK_FILES = (
-    "alexnet.json",
-    "googlenet.json",
-    "mobilenet.json",
-    "resnet50.json",
-    "squeezenet.json",
-)
+_BUNDLED_DIR = os.path.join(os.path.dirname(__file__), "data")
+_DOCUMENT_KINDS = ("platform", "network", "trace")
 
 # Column order used by throughput tables: mid-range board then high-end board.
 TABLE1_COMPONENT_ORDER = ("a7", "a15", "t628", "a53", "a73", "g72", "npu")
 TABLE1_NETWORK_ORDER = ("alexnet", "googlenet", "mobilenet", "resnet50", "squeezenet")
 
 
-def _load_from_dir(path: str) -> tuple[list[Platform], list[NetworkProfile]]:
+@reads_document
+def _load_entry(doc):
+    """The platform or network of one data-directory document; None for a
+    counter trace, which the dataset does not hold. The kind is the
+    document's first key; its loader refuses any other key."""
+    kind = one_of(next(iter(obj(doc, "document", "")), None), _DOCUMENT_KINDS,
+                  "document kind", "")
+    if kind == "platform":
+        return load_platform(doc)
+    if kind == "network":
+        return load_network_profile(doc)
+    return None
+
+
+def builtin_dataset() -> tuple[list[Platform], list[NetworkProfile]]:
+    """Load the platforms and network profiles of the data directory.
+
+    That is the bundled directory, or the one SOCPERF_DATA names. Its
+    *.json files are read in name order through the same loaders and
+    validation as user files; a platform or network id may occur in one
+    file only.
+    """
+    path = os.environ.get(DATA_ENV_VAR) or _BUNDLED_DIR
     platforms: list[Platform] = []
     networks: list[NetworkProfile] = []
+    origin: dict[tuple[str, str], str] = {}
     for name in sorted(os.listdir(path)):
         if not name.endswith(".json"):
             continue
         full = os.path.join(path, name)
-        with open(full, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if "platform" in doc:
-            platforms.append(load_platform(doc))
-        elif "network" in doc:
-            networks.append(load_network_profile(doc))
-    return platforms, networks
-
-
-def builtin_dataset() -> tuple[list[Platform], list[NetworkProfile]]:
-    """Load the bundled platforms and network profiles.
-
-    Documents pass through the same loaders and validation as user files.
-    With SOCPERF_DATA set, that directory is scanned instead.
-    """
-    override = os.environ.get(DATA_ENV_VAR)
-    if override:
-        return _load_from_dir(override)
-    pkg = resources.files(__package__) / "data"
-    platforms = [load_platform((pkg / name).read_text(encoding="utf-8"))
-                 for name in _PLATFORM_FILES]
-    networks = [load_network_profile((pkg / name).read_text(encoding="utf-8"))
-                for name in _NETWORK_FILES]
+        entry = _load_entry(full)
+        if entry is None:
+            continue
+        kind = "platform" if isinstance(entry, Platform) else "network"
+        first = origin.setdefault((kind, entry.id), full)
+        if first != full:
+            raise MalformedDocument(
+                f"{full}: {kind} id {entry.id!r} is also defined in {first}")
+        (platforms if kind == "platform" else networks).append(entry)
     return platforms, networks
 
 
 def builtin_trace(name: str = "alexnet_a15_trace"):
     """Load a bundled counter trace by file stem."""
-    pkg = resources.files(__package__) / "data"
-    return load_trace((pkg / f"{name}.json").read_text(encoding="utf-8"))
+    return load_trace(os.path.join(_BUNDLED_DIR, f"{name}.json"))
 
 
 def platform_by_id(platform_id: str) -> Platform:

@@ -46,7 +46,9 @@ def _roundtree(payload):
 
 
 def emit_json(payload) -> bytes:
-    return (json.dumps(_roundtree(payload), indent=2) + "\n").encode("utf-8")
+    """Strict JSON: a NaN or infinite value raises ValueError."""
+    return (json.dumps(_roundtree(payload), indent=2, allow_nan=False)
+            + "\n").encode("utf-8")
 
 
 def emit_csv(header: Sequence[str], rows: Sequence[Sequence]) -> bytes:

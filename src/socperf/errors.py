@@ -10,8 +10,8 @@ class SocPerfError(Exception):
     """Base class for all socperf errors."""
 
 
-class MalformedDocument(SocPerfError):
-    """A document does not conform to the expected schema."""
+class MalformedDocument(SocPerfError, ValueError):
+    """A document or argument value breaks one of its input rules."""
 
 
 class DuplicateComponentId(MalformedDocument):
@@ -47,8 +47,7 @@ class UnsupportedPair(SocPerfError):
 
 
 class InfeasibleTarget(SocPerfError):
-    """A calibration target is not a finite positive throughput, or exceeds
-    what the model can reach with zero overhead."""
+    """A calibration target exceeds what the model can reach with zero overhead."""
 
 
 class UnsupportedFormat(SocPerfError):

@@ -1,8 +1,10 @@
 """Data model for SoC platforms, network profiles, and counter traces.
 
-Every type in this module is a frozen dataclass: once constructed and
-validated it is immutable and safe to share across threads. Loading is
-plain single-threaded JSON parsing.
+Every type in this module is a frozen dataclass whose __post_init__ checks
+its own fields with the checkers below, so an instance is valid however it
+was built. Numeric fields are stored as floats and mappings as read-only
+copies: instances are immutable and safe to share across threads. Loading
+is plain single-threaded JSON parsing.
 
 Document layout (JSON), one envelope key per document kind:
 
@@ -15,10 +17,13 @@ Unsupported (network, component) pairs are written as the string
 engaging such a pair is an error rather than a silent zero.
 """
 
+import functools
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Optional, Union
 
 from .errors import (
@@ -47,6 +52,94 @@ UNSUPPORTED = "unsupported"
 
 Source = Union[str, os.PathLike, io.IOBase, dict]
 
+_INF = math.inf
+_set = object.__setattr__  # stores a checked value on a frozen instance
+
+
+# ---------------------------------------------------------------------------
+# Checkers: every input rule of the package is one call to one of these.
+# Each returns the checked value or raises MalformedDocument with the
+# message "<ctx>: <key> must be <rule>, got <value>".
+# ---------------------------------------------------------------------------
+
+def _refusal(ctx: str, key: str, rule: str, value) -> MalformedDocument:
+    where = f"{ctx}: {key}" if ctx else key
+    return MalformedDocument(f"{where} must be {rule}, got {value!r}")
+
+
+def number(value, key: str, ctx: str, low: float = 0.0, high: float = _INF,
+           include_low: bool = False) -> float:
+    """value as a float: a JSON number, not a bool, finite, above low (or
+    equal to it with include_low) and at most high."""
+    x = value
+    if type(x) is not float:  # the loaders' hot path skips this block
+        if not isinstance(x, (int, float)) or isinstance(x, bool):
+            x = math.nan
+        try:
+            x = float(x)
+        except OverflowError:  # an integer beyond the float range
+            x = _INF
+    if (low < x or include_low and x == low) and x <= high and x < _INF:
+        return x
+    if high == _INF:
+        rule = f"finite and {'>=' if include_low else '>'} {low:g}"
+    else:
+        rule = f"in {'[' if include_low else '('}{low:g}, {high:g}]"
+    raise _refusal(ctx, key, rule, value)
+
+
+def count(value, key: str, ctx: str, low: int = 1) -> int:
+    """value, which must be a JSON integer (not a bool or a float) >= low."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= low:
+        return value
+    raise _refusal(ctx, key, f"an integer >= {low}", value)
+
+
+def text(value, key: str, ctx: str) -> str:
+    """value, which must be a non-empty string."""
+    if isinstance(value, str) and value:
+        return value
+    raise _refusal(ctx, key, "a non-empty string", value)
+
+
+def ids(value, key: str, ctx: str) -> tuple[str, ...]:
+    """value as a tuple: a non-empty list of non-empty strings. A bare
+    string is refused, not split into characters."""
+    if (isinstance(value, (list, tuple)) and value
+            and all(isinstance(v, str) and v for v in value)):
+        return tuple(value)
+    raise _refusal(ctx, key, "a non-empty list of non-empty strings", value)
+
+
+def items(value, key: str, ctx: str) -> tuple:
+    """value as a tuple: a non-empty list."""
+    if isinstance(value, (list, tuple)) and value:
+        return tuple(value)
+    raise _refusal(ctx, key, "a non-empty list", value)
+
+
+def one_of(value, allowed: tuple, key: str, ctx: str):
+    """value, which must equal one of allowed."""
+    if value in allowed:
+        return value
+    raise _refusal(ctx, key, f"one of {', '.join(map(str, allowed))}", value)
+
+
+def obj(value, key: str, ctx: str):
+    """value, which must be a JSON object (or a read-only copy of one)."""
+    if isinstance(value, (dict, MappingProxyType)):
+        return value
+    raise _refusal(ctx, key, "an object", value)
+
+
+def keys(body, allowed: dict, key: str, ctx: str) -> dict:
+    """body filled from allowed: body must be a JSON object with no key that
+    allowed lacks, and takes allowed's value for each key it lacks."""
+    if obj(body, key, ctx).keys() <= allowed.keys():
+        return {**allowed, **body}
+    unknown = next(k for k in body if k not in allowed)
+    raise _refusal(ctx, f"{key} key", f"one of {', '.join(allowed)}", unknown)
+
 
 @dataclass(frozen=True)
 class ComponentSpec:
@@ -67,20 +160,13 @@ class ComponentSpec:
     host_cluster: Optional[str] = None
 
     def __post_init__(self):
-        if not self.id:
-            raise MalformedDocument("component id must be non-empty")
-        if self.kind not in COMPONENT_KINDS:
-            raise MalformedDocument(
-                f"component {self.id!r}: unknown kind {self.kind!r}, "
-                f"expected one of {COMPONENT_KINDS}"
-            )
-        for name in ("peak_compute_gops", "sustainable_bandwidth_gbs",
-                     "active_power_w", "frequency_ghz"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise MalformedDocument(
-                    f"component {self.id!r}: {name} must be > 0, got {value!r}"
-                )
+        ctx = f"component {text(self.id, 'id', 'component')!r}"
+        one_of(self.kind, COMPONENT_KINDS, "kind", ctx)
+        for key in ("peak_compute_gops", "sustainable_bandwidth_gbs",
+                    "active_power_w", "frequency_ghz"):
+            _set(self, key, number(getattr(self, key), key, ctx))
+        if self.host_cluster is not None:
+            text(self.host_cluster, "host_cluster", ctx)
 
     @property
     def is_cpu(self) -> bool:
@@ -97,12 +183,10 @@ class Platform:
     notes: str = ""
 
     def __post_init__(self):
-        if not self.id:
-            raise MalformedDocument("platform id must be non-empty")
-        if not self.bus_peak_bandwidth_gbs > 0:
-            raise MalformedDocument(
-                f"platform {self.id!r}: bus_peak_bandwidth_gbs must be > 0"
-            )
+        ctx = f"platform {text(self.id, 'id', 'platform')!r}"
+        _set(self, "bus_peak_bandwidth_gbs",
+             number(self.bus_peak_bandwidth_gbs, "bus_peak_bandwidth_gbs", ctx))
+        _set(self, "components", items(self.components, "components", ctx))
         seen = set()
         for comp in self.components:
             if comp.id in seen:
@@ -164,24 +248,14 @@ class LayerProfile:
     dram_access_bytes: Optional[float] = None
 
     def __post_init__(self):
-        if not self.name:
-            raise MalformedDocument("layer name must be non-empty")
-        if self.kind not in LAYER_KINDS:
-            raise MalformedDocument(
-                f"layer {self.name!r}: unknown kind {self.kind!r}, "
-                f"expected one of {LAYER_KINDS}"
-            )
-        if not self.gops > 0:
-            raise MalformedDocument(f"layer {self.name!r}: gops must be > 0")
-        if not self.mem_access_bytes > 0:
-            raise MalformedDocument(
-                f"layer {self.name!r}: mem_access_bytes must be > 0"
-            )
+        ctx = f"layer {text(self.name, 'name', 'layer')!r}"
+        one_of(self.kind, LAYER_KINDS, "kind", ctx)
+        _set(self, "gops", number(self.gops, "gops", ctx))
+        _set(self, "mem_access_bytes",
+             number(self.mem_access_bytes, "mem_access_bytes", ctx))
         if self.dram_access_bytes is not None:
-            if not self.dram_access_bytes > 0:
-                raise MalformedDocument(
-                    f"layer {self.name!r}: dram_access_bytes must be > 0"
-                )
+            _set(self, "dram_access_bytes",
+                 number(self.dram_access_bytes, "dram_access_bytes", ctx))
             if self.dram_access_bytes > self.mem_access_bytes:
                 raise CacheTrafficInflated(
                     f"layer {self.name!r}: dram_access_bytes "
@@ -196,8 +270,8 @@ class NetworkProfile:
 
     throughput maps component id to measured images/s at peak frequency;
     supported marks pairs that cannot run at all (absent from throughput).
-    Whole-network operation and byte counts are by definition the sums
-    over the layer table.
+    Both are stored as read-only copies. Whole-network operation and byte
+    counts are by definition the sums over the layer table.
     """
 
     id: str
@@ -209,10 +283,8 @@ class NetworkProfile:
     notes: str = ""
 
     def __post_init__(self):
-        if not self.id:
-            raise MalformedDocument("network id must be non-empty")
-        if not self.layers:
-            raise MalformedDocument(f"network {self.id!r}: needs at least one layer")
+        ctx = f"network {text(self.id, 'id', 'network')!r}"
+        _set(self, "layers", items(self.layers, "layers", ctx))
         seen = set()
         for layer in self.layers:
             if layer.name in seen:
@@ -220,16 +292,17 @@ class NetworkProfile:
                     f"network {self.id!r}: duplicate layer name {layer.name!r}"
                 )
             seen.add(layer.name)
-        for comp_id, rate in self.throughput.items():
+        where = f"{ctx} throughput"
+        _set(self, "throughput", MappingProxyType({
+            comp_id: number(rate, comp_id, where)
+            for comp_id, rate in obj(self.throughput, "throughput", ctx).items()}))
+        _set(self, "supported",
+             MappingProxyType(dict(obj(self.supported, "supported", ctx))))
+        for comp_id in self.throughput:
             if not self.supported.get(comp_id, False):
                 raise MalformedDocument(
                     f"network {self.id!r}: throughput given for unsupported "
                     f"component {comp_id!r}"
-                )
-            if not rate > 0:
-                raise MalformedDocument(
-                    f"network {self.id!r}: throughput for {comp_id!r} must be "
-                    f"> 0, got {rate!r}"
                 )
         for comp_id, ok in self.supported.items():
             if ok and comp_id not in self.throughput:
@@ -237,8 +310,7 @@ class NetworkProfile:
                     f"network {self.id!r}: supported component {comp_id!r} "
                     f"has no throughput value"
                 )
-        if not self.op_scale > 0:
-            raise MalformedDocument(f"network {self.id!r}: op_scale must be > 0")
+        _set(self, "op_scale", number(self.op_scale, "op_scale", ctx))
 
     @property
     def total_gops(self) -> float:
@@ -286,26 +358,16 @@ class TraceRecord:
     ext_write_bytes: Optional[int] = None
 
     def __post_init__(self):
-        if not self.name:
-            raise MalformedDocument("trace record needs a layer name")
+        ctx = f"trace record {text(self.name, 'name', 'trace record')!r}"
         has_lines = self.refill_lines is not None
         has_ext = self.ext_read_bytes is not None or self.ext_write_bytes is not None
-        if has_lines and has_ext:
+        if has_lines == has_ext:
             raise MalformedDocument(
-                f"trace record {self.name!r}: give refill_lines or external "
-                f"byte counters, not both"
-            )
-        if not has_lines and not has_ext:
-            raise MalformedDocument(
-                f"trace record {self.name!r}: needs refill_lines or external "
-                f"byte counters"
-            )
-        for attr in ("refill_lines", "ext_read_bytes", "ext_write_bytes"):
-            value = getattr(self, attr)
-            if value is not None and value < 0:
-                raise MalformedDocument(
-                    f"trace record {self.name!r}: {attr} must be >= 0"
-                )
+                f"{ctx}: needs either refill_lines or external byte counters")
+        for key in ("refill_lines", "ext_read_bytes", "ext_write_bytes"):
+            value = getattr(self, key)
+            if value is not None:
+                count(value, key, ctx, low=0)
 
 
 @dataclass(frozen=True)
@@ -317,10 +379,8 @@ class CounterTrace:
     layers: tuple[TraceRecord, ...] = ()
 
     def __post_init__(self):
-        if not self.component_id:
-            raise MalformedDocument("trace needs a component_id")
-        if not self.cache_line_bytes > 0:
-            raise MalformedDocument("cache_line_bytes must be > 0")
+        count(self.cache_line_bytes, "cache_line_bytes",
+              f"trace {text(self.component_id, 'component_id', 'trace')!r}")
 
     def dram_bytes(self, record: TraceRecord) -> float:
         """DRAM bytes implied by one record under this trace's line size."""
@@ -330,167 +390,112 @@ class CounterTrace:
 
 
 # ---------------------------------------------------------------------------
-# Document reading and validation
+# Document reading. Loaders only unwrap a document, refuse unknown keys and
+# pass the values on; the types check them.
 # ---------------------------------------------------------------------------
 
-def _read_document(source: Source) -> dict:
-    if isinstance(source, dict):
-        return source
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = str(source)
-        if not text.lstrip().startswith(("{", "[")):
-            # anything that does not look like JSON text is a path
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedDocument("document root must be a JSON object")
-    return doc
+# The keys each document object may hold, with the value an absent key takes.
+_PLATFORM_DOC = {"id": None, "bus_peak_bandwidth_gbs": None, "components": None,
+                 "notes": ""}
+_COMPONENT_DOC = {"id": None, "kind": None, "peak_compute_gops": None,
+                  "cores": DEFAULT_CLUSTER_CORES, "sustainable_bandwidth_gbs": None,
+                  "active_power_w": None, "frequency_ghz": None, "host_cluster": None}
+_NETWORK_DOC = {"id": None, "layers": None, "throughput": None, "notes": ""}
+_LAYER_DOC = dict.fromkeys(
+    ("name", "kind", "gops", "mem_access_bytes", "dram_access_bytes"))
+_TRACE_DOC = {"component_id": None, "cache_line_bytes": DEFAULT_CACHE_LINE_BYTES,
+              "layers": None, "notes": ""}
+_RECORD_DOC = dict.fromkeys(
+    ("name", "refill_lines", "ext_read_bytes", "ext_write_bytes"))
 
 
-def _unwrap(doc: dict, key: str) -> dict:
-    if key not in doc:
-        raise MalformedDocument(f"document has no top-level {key!r} key")
-    body = doc[key]
-    if not isinstance(body, dict):
-        raise MalformedDocument(f"{key!r} must be a JSON object")
-    return body
+def reads_document(build):
+    """Turn build(doc) into a loader of one document from a Source.
+
+    A source is a dict, JSON text, a readable file or a path; anything
+    that does not look like JSON text is a path. Errors about a document
+    read from a path start with that path, prefixed here for every loader.
+    """
+    @functools.wraps(build)
+    def load(source: Source):
+        path, doc = None, source
+        if not isinstance(source, dict):
+            if hasattr(source, "read"):
+                doc = source.read()
+            else:
+                doc = str(source)
+                if not doc.lstrip().startswith(("{", "[")):
+                    path = doc
+                    with open(path, "rb") as fh:
+                        doc = fh.read()
+        try:
+            if not isinstance(doc, dict):
+                try:
+                    doc = json.loads(doc)
+                except ValueError as exc:
+                    raise MalformedDocument(f"not valid JSON: {exc}") from exc
+            return build(doc)
+        except MalformedDocument as exc:
+            if path is None:
+                raise
+            raise type(exc)(f"{path}: {exc}") from None
+    return load
 
 
-def _require(body: dict, name: str, context: str):
-    if name not in body:
-        raise MalformedDocument(f"{context}: missing required key {name!r}")
-    return body[name]
+def unwrap(doc, kind: str, allowed: dict) -> dict:
+    """The body under a document's one envelope key, filled from allowed."""
+    return keys(keys(doc, {kind: None}, "document", "")[kind], allowed, kind, "")
 
 
-def _number(value, name: str, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MalformedDocument(f"{context}: {name!r} must be a number")
-    return float(value)
-
-
-def load_platform(source: Source) -> Platform:
+@reads_document
+def load_platform(doc) -> Platform:
     """Parse and validate a platform document.
 
     CPU clusters may omit peak_compute_gops; it is then derived as
     cores x frequency_ghz x 4 FP32 ops per cycle (cores defaults to 4).
     """
-    body = _unwrap(_read_document(source), "platform")
-    pid = _require(body, "id", "platform")
-    bus = _number(
-        _require(body, "bus_peak_bandwidth_gbs", f"platform {pid!r}"),
-        "bus_peak_bandwidth_gbs", f"platform {pid!r}",
-    )
-    raw_components = _require(body, "components", f"platform {pid!r}")
-    if not isinstance(raw_components, list) or not raw_components:
-        raise MalformedDocument(f"platform {pid!r}: components must be a non-empty list")
+    body = unwrap(doc, "platform", _PLATFORM_DOC)
+    ctx = f"platform {body['id']!r}"
     components = []
-    for raw in raw_components:
-        if not isinstance(raw, dict):
-            raise MalformedDocument(f"platform {pid!r}: each component must be an object")
-        cid = _require(raw, "id", f"platform {pid!r} component")
-        ctx = f"component {cid!r}"
-        kind = _require(raw, "kind", ctx)
-        freq = _number(_require(raw, "frequency_ghz", ctx), "frequency_ghz", ctx)
-        peak = raw.get("peak_compute_gops")
-        if peak is None:
-            if kind not in CPU_KINDS:
-                raise MalformedDocument(
-                    f"{ctx}: peak_compute_gops is required for kind {kind!r}"
-                )
-            cores = raw.get("cores", DEFAULT_CLUSTER_CORES)
-            peak = cores * freq * FP32_OPS_PER_CORE_CYCLE
-        components.append(ComponentSpec(
-            id=cid,
-            kind=kind,
-            peak_compute_gops=_number(peak, "peak_compute_gops", ctx),
-            sustainable_bandwidth_gbs=_number(
-                _require(raw, "sustainable_bandwidth_gbs", ctx),
-                "sustainable_bandwidth_gbs", ctx),
-            active_power_w=_number(
-                _require(raw, "active_power_w", ctx), "active_power_w", ctx),
-            frequency_ghz=freq,
-            host_cluster=raw.get("host_cluster"),
-        ))
-    return Platform(
-        id=pid,
-        bus_peak_bandwidth_gbs=bus,
-        components=tuple(components),
-        notes=body.get("notes", ""),
-    )
+    for raw in items(body["components"], "components", ctx):
+        spec = keys(raw, _COMPONENT_DOC, "component", ctx)
+        cores = spec.pop("cores")
+        if spec["peak_compute_gops"] is None and spec["kind"] in CPU_KINDS:
+            cctx = f"component {spec['id']!r}"
+            spec["peak_compute_gops"] = (
+                count(cores, "cores", cctx)
+                * number(spec["frequency_ghz"], "frequency_ghz", cctx)
+                * FP32_OPS_PER_CORE_CYCLE)
+        components.append(ComponentSpec(**spec))
+    body["components"] = tuple(components)
+    return Platform(**body)
 
 
-def load_network_profile(source: Source) -> NetworkProfile:
+@reads_document
+def load_network_profile(doc) -> NetworkProfile:
     """Parse and validate a network profile document."""
-    body = _unwrap(_read_document(source), "network")
-    nid = _require(body, "id", "network")
-    raw_layers = _require(body, "layers", f"network {nid!r}")
-    if not isinstance(raw_layers, list) or not raw_layers:
-        raise MalformedDocument(f"network {nid!r}: layers must be a non-empty list")
-    layers = []
-    for raw in raw_layers:
-        if not isinstance(raw, dict):
-            raise MalformedDocument(f"network {nid!r}: each layer must be an object")
-        name = _require(raw, "name", f"network {nid!r} layer")
-        ctx = f"layer {name!r}"
-        dram = raw.get("dram_access_bytes")
-        layers.append(LayerProfile(
-            name=name,
-            kind=_require(raw, "kind", ctx),
-            gops=_number(_require(raw, "gops", ctx), "gops", ctx),
-            mem_access_bytes=_number(
-                _require(raw, "mem_access_bytes", ctx), "mem_access_bytes", ctx),
-            dram_access_bytes=None if dram is None else _number(
-                dram, "dram_access_bytes", ctx),
-        ))
-    raw_throughput = _require(body, "throughput", f"network {nid!r}")
-    if not isinstance(raw_throughput, dict):
-        raise MalformedDocument(f"network {nid!r}: throughput must be an object")
-    throughput: dict[str, float] = {}
-    supported: dict[str, bool] = {}
-    for comp_id, value in raw_throughput.items():
-        if value == UNSUPPORTED:
-            supported[comp_id] = False
-        else:
-            supported[comp_id] = True
-            throughput[comp_id] = _number(
-                value, comp_id, f"network {nid!r} throughput")
+    body = unwrap(doc, "network", _NETWORK_DOC)
+    ctx = f"network {body['id']!r}"
+    layers = tuple(LayerProfile(**keys(raw, _LAYER_DOC, "layer", ctx))
+                   for raw in items(body["layers"], "layers", ctx))
+    rates = obj(body["throughput"], "throughput", ctx)
     return NetworkProfile(
-        id=nid,
-        layers=tuple(layers),
-        throughput=throughput,
-        supported=supported,
-        notes=body.get("notes", ""),
+        id=body["id"],
+        layers=layers,
+        throughput={cid: v for cid, v in rates.items() if v != UNSUPPORTED},
+        supported={cid: v != UNSUPPORTED for cid, v in rates.items()},
+        notes=body["notes"],
     )
 
 
-def load_trace(source: Source) -> CounterTrace:
+@reads_document
+def load_trace(doc) -> CounterTrace:
     """Parse and validate a counter-trace document."""
-    body = _unwrap(_read_document(source), "trace")
-    comp_id = _require(body, "component_id", "trace")
-    raw_layers = body.get("layers", [])
-    if not isinstance(raw_layers, list):
-        raise MalformedDocument("trace: layers must be a list")
-    records = []
-    for raw in raw_layers:
-        if not isinstance(raw, dict):
-            raise MalformedDocument("trace: each layer record must be an object")
-        records.append(TraceRecord(
-            name=_require(raw, "name", "trace layer"),
-            refill_lines=raw.get("refill_lines"),
-            ext_read_bytes=raw.get("ext_read_bytes"),
-            ext_write_bytes=raw.get("ext_write_bytes"),
-        ))
-    return CounterTrace(
-        component_id=comp_id,
-        cache_line_bytes=body.get("cache_line_bytes", DEFAULT_CACHE_LINE_BYTES),
-        layers=tuple(records),
-    )
+    body = unwrap(doc, "trace", _TRACE_DOC)
+    ctx = f"trace {body['component_id']!r}"
+    records = tuple(TraceRecord(**keys(raw, _RECORD_DOC, "layer", ctx))
+                    for raw in items(body["layers"], "layers", ctx))
+    return CounterTrace(body["component_id"], body["cache_line_bytes"], records)
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +564,7 @@ def attach_trace(profile: NetworkProfile, trace: CounterTrace) -> NetworkProfile
     unchanged. The result still satisfies dram <= mem for every layer, or
     this raises CacheTrafficInflated.
     """
-    known = set(profile.supported) | set(profile.throughput)
-    if trace.component_id not in known:
+    if trace.component_id not in profile.supported:
         raise UnknownComponent(
             f"trace component {trace.component_id!r} is not known to "
             f"network {profile.id!r}"

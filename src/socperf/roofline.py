@@ -17,13 +17,15 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import MalformedDocument, MissingTrace
-from .profiles import ComponentSpec, LayerProfile, NetworkProfile
+from .profiles import (ComponentSpec, LayerProfile, NetworkProfile, count, number,
+                       one_of, text)
 
 BOUND_MEMORY = "memory"
 BOUND_COMPUTE = "compute"
 
 OI_THEORETICAL = "theoretical"
 OI_EMPIRICAL = "empirical"
+OI_KINDS = (OI_THEORETICAL, OI_EMPIRICAL)
 
 QUANT_BITS = (32, 16, 8)
 
@@ -37,11 +39,9 @@ class RooflineModel:
     ceiling_compute_gops: float
 
     def __post_init__(self):
-        if not self.roof_bandwidth_gbs > 0 or not self.ceiling_compute_gops > 0:
-            raise MalformedDocument(
-                f"roofline for {self.component_id!r}: bandwidth and ceiling "
-                f"must be > 0"
-            )
+        ctx = f"roofline {text(self.component_id, 'component_id', 'roofline')!r}"
+        number(self.roof_bandwidth_gbs, "roof_bandwidth_gbs", ctx)
+        number(self.ceiling_compute_gops, "ceiling_compute_gops", ctx)
 
     @property
     def ridge_oi(self) -> float:
@@ -68,18 +68,11 @@ class RooflinePoint:
     oi_kind: str
 
     def __post_init__(self):
-        if not self.oi > 0 or not self.performance_gops > 0:
-            raise MalformedDocument(
-                f"roofline point {self.workload!r}: oi and performance must be > 0"
-            )
-        if self.bound not in (BOUND_MEMORY, BOUND_COMPUTE):
-            raise MalformedDocument(
-                f"roofline point {self.workload!r}: bad bound {self.bound!r}"
-            )
-        if self.oi_kind not in (OI_THEORETICAL, OI_EMPIRICAL):
-            raise MalformedDocument(
-                f"roofline point {self.workload!r}: bad oi_kind {self.oi_kind!r}"
-            )
+        ctx = f"roofline point {self.workload!r}"
+        number(self.oi, "oi", ctx)
+        number(self.performance_gops, "performance_gops", ctx)
+        one_of(self.bound, (BOUND_MEMORY, BOUND_COMPUTE), "bound", ctx)
+        one_of(self.oi_kind, OI_KINDS, "oi_kind", ctx)
 
 
 def theoretical_oi(layer: LayerProfile) -> float:
@@ -115,17 +108,15 @@ def network_oi(profile: NetworkProfile, kind: str = OI_THEORETICAL) -> float:
     This matches plotting one point per network rather than averaging
     per-layer intensities.
     """
-    if kind == OI_THEORETICAL:
+    if one_of(kind, OI_KINDS, "kind", "network OI") == OI_THEORETICAL:
         return profile.total_gops / (profile.total_mem_access_bytes / 1e9)
-    if kind == OI_EMPIRICAL:
-        dram = profile.total_dram_access_bytes
-        if dram is None:
-            raise MissingTrace(
-                f"network {profile.id!r} has untraced layers; empirical OI "
-                f"needs DRAM counters on every layer"
-            )
-        return profile.total_gops / (dram / 1e9)
-    raise MalformedDocument(f"unknown OI kind {kind!r}")
+    dram = profile.total_dram_access_bytes
+    if dram is None:
+        raise MissingTrace(
+            f"network {profile.id!r} has untraced layers; empirical OI "
+            f"needs DRAM counters on every layer"
+        )
+    return profile.total_gops / (dram / 1e9)
 
 
 def achieved_gops(profile: NetworkProfile, component_id: str) -> float:
@@ -182,10 +173,8 @@ def layer_points(profile: NetworkProfile, model: RooflineModel,
 
 def log_spaced(lo: float, hi: float, samples: int) -> list[float]:
     """Logarithmically spaced OI sample grid, endpoints included."""
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    if not (0 < lo < hi):
-        raise ValueError("range must be positive and increasing")
+    count(samples, "samples", "OI grid", low=2)
+    number(hi, "oi_max", "OI grid", low=number(lo, "oi_min", "OI grid"))
     step = (math.log10(hi) - math.log10(lo)) / (samples - 1)
     return [10 ** (math.log10(lo) + i * step) for i in range(samples)]
 
@@ -200,13 +189,9 @@ def roofline_series(model: RooflineModel,
     ridge OI is inserted into the grid when it falls inside the range so
     the two-segment shape keeps its exact knee.
     """
-    grid = [float(oi) for oi in oi_range]
-    if not grid:
-        raise ValueError("oi_range is empty")
-    if any(oi <= 0 for oi in grid):
-        raise ValueError("oi_range values must be positive")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("oi_range must be strictly increasing")
+    grid = [number(oi, "oi_range entry", "roofline series") for oi in oi_range]
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("oi_range must be non-empty and strictly increasing")
     ridge = model.ridge_oi
     if grid[0] < ridge < grid[-1] and ridge not in grid:
         grid = sorted(grid + [ridge])
@@ -242,11 +227,8 @@ def quantize_profile(profile: NetworkProfile, from_bits: int,
     quantized roofline overlaps the original. Measured throughput rows are
     kept as the original full-precision measurements.
     """
-    if from_bits not in QUANT_BITS or to_bits not in QUANT_BITS:
-        raise MalformedDocument(
-            f"unsupported bit widths {from_bits}->{to_bits}; "
-            f"supported: {QUANT_BITS}"
-        )
+    one_of(from_bits, QUANT_BITS, "from_bits", "quantization")
+    one_of(to_bits, QUANT_BITS, "to_bits", "quantization")
     if to_bits > from_bits:
         raise MalformedDocument(
             f"cannot widen {from_bits}-bit data to {to_bits} bits here"

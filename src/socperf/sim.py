@@ -24,16 +24,25 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .dataset import network_by_id, platform_by_id
 from .errors import MalformedDocument, UnknownComponent, UnsupportedPair
-from .profiles import ComponentSpec, NetworkProfile, Platform, Source, _read_document
+from .profiles import (ComponentSpec, NetworkProfile, Platform, _set, count, ids,
+                       keys, number, obj, reads_document, text, unwrap)
+
+
+# The largest jitter cv whose square, which simulate takes, is finite.
+_MAX_JITTER_CV = 1e154
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Input of one co-execution run."""
+    """Input of one co-execution run.
+
+    Numbers are stored as floats and contention as a read-only copy.
+    """
 
     platform_id: str
     network_id: str
@@ -46,56 +55,49 @@ class Scenario:
     jitter_cv: float = 0.0
 
     def __post_init__(self):
-        if not self.engaged:
-            raise MalformedDocument("scenario engages no components")
+        text(self.platform_id, "platform", "scenario")
+        text(self.network_id, "network", "scenario")
+        _set(self, "engaged", ids(self.engaged, "components", "scenario"))
         if len(set(self.engaged)) != len(self.engaged):
             raise MalformedDocument("scenario engages a component twice")
-        if not isinstance(self.frame_count, int) or self.frame_count <= 0:
-            raise MalformedDocument("frame_count must be a positive integer")
-        if not 0 <= self.dispatch_overhead_s < math.inf:
-            raise MalformedDocument(
-                f"dispatch_overhead_s must be finite and >= 0, "
-                f"got {self.dispatch_overhead_s!r}")
-        for comp_id, factor in self.contention.items():
-            if not (0 < factor <= 1):
-                raise MalformedDocument(
-                    f"availability factor for {comp_id!r} must be in (0, 1], "
-                    f"got {factor!r}"
-                )
-        if self.host_contention_default is not None and not (
-                0 < self.host_contention_default <= 1):
-            raise MalformedDocument(
-                "host_contention_default must be in (0, 1]"
-            )
-        if not 0 <= self.jitter_cv < math.inf:
-            raise MalformedDocument(
-                f"jitter_cv must be finite and >= 0, got {self.jitter_cv!r}")
+        count(self.frame_count, "frames", "scenario")
+        _set(self, "dispatch_overhead_s", number(
+            self.dispatch_overhead_s, "dispatch_overhead_s", "scenario",
+            include_low=True))
+        _set(self, "contention", MappingProxyType({
+            comp_id: number(factor, comp_id, "scenario contention", high=1.0)
+            for comp_id, factor
+            in obj(self.contention, "contention", "scenario").items()}))
+        if self.host_contention_default is not None:
+            _set(self, "host_contention_default", number(
+                self.host_contention_default, "host_contention_default",
+                "scenario", high=1.0))
+        if self.jitter_seed is not None:
+            count(self.jitter_seed, "seed", "scenario jitter", low=0)
+        _set(self, "jitter_cv", number(self.jitter_cv, "cv", "scenario jitter",
+                                       high=_MAX_JITTER_CV, include_low=True))
 
 
-def load_scenario(source: Source) -> Scenario:
-    """Parse a scenario document.
+# Scenario document keys, with the value an absent key takes.
+_SCENARIO_DOC = {
+    "platform": None, "network": None, "components": None, "frames": None,
+    "dispatch_overhead_s": 0.0, "contention": {}, "host_contention_default": None,
+    "jitter": {}}
+_JITTER_DOC = {"seed": None, "cv": 0.0}
 
-    Keys: platform, network, components[], frames, dispatch_overhead_s?,
-    contention{id: factor}?, host_contention_default?, jitter{seed, cv}?.
-    """
-    doc = _read_document(source)
-    body = doc.get("scenario", doc)
-    try:
-        jitter = body.get("jitter", {})
-        host_default = body.get("host_contention_default")
-        return Scenario(
-            platform_id=body["platform"],
-            network_id=body["network"],
-            engaged=tuple(body["components"]),
-            frame_count=int(body["frames"]),
-            dispatch_overhead_s=float(body.get("dispatch_overhead_s", 0.0)),
-            contention={k: float(v) for k, v in body.get("contention", {}).items()},
-            host_contention_default=None if host_default is None else float(host_default),
-            jitter_seed=jitter.get("seed"),
-            jitter_cv=float(jitter.get("cv", 0.0)),
-        )
-    except KeyError as exc:
-        raise MalformedDocument(f"scenario: missing key {exc}") from exc
+
+@reads_document
+def load_scenario(doc) -> Scenario:
+    """Parse a scenario document, bare or under a "scenario" key."""
+    if isinstance(doc, dict) and "scenario" in doc:
+        body = unwrap(doc, "scenario", _SCENARIO_DOC)
+    else:
+        body = keys(doc, _SCENARIO_DOC, "scenario", "")
+    jitter = keys(body["jitter"], _JITTER_DOC, "jitter", "scenario")
+    return Scenario(
+        body["platform"], body["network"], body["components"], body["frames"],
+        body["dispatch_overhead_s"], body["contention"],
+        body["host_contention_default"], jitter["seed"], jitter["cv"])
 
 
 class ReorderBuffer:

@@ -314,10 +314,53 @@ def test_calibrate_refuses_target_that_is_not_finite_and_positive(
       "--target-composition", "a7"],
      "socperf: --target-composition entries look like id=fraction, "
      "got 'a7'\n"),
+    (["simulate", "--platform", "kirin970", "--network", "alexnet",
+      "--components", "a53,npu", "--contention", "a53=x"],
+     "socperf: --contention entries look like id=factor, got 'a53=x'\n"),
 ])
 def test_malformed_entry_names_its_flag(tmp_path, capsys, args, message):
     assert main(args + ["--out", str(tmp_path / "x.json")]) == 1
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("shares,message", [
+    ("a7=nan", "target composition: a7 must be in [0, 1], got nan"),
+    ("a7=5", "target composition: a7 must be in [0, 1], got 5.0"),
+    ("a7=0.1,zz=1",
+     "target composition: component must be one of a7, t628, got 'zz'"),
+])
+def test_calibrate_refuses_composition_shares_outside_the_engagement(
+        tmp_path, capsys, shares, message):
+    out = tmp_path / "x.json"
+    code = main(["calibrate", "--platform", "exynos5422", "--network",
+                 "alexnet", "--components", "a7,t628", "--frames", "400",
+                 "--target-throughput", "8.0", "--target-composition", shares,
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"socperf: {message}\n"
+    assert not out.exists()
+
+
+def test_calibrate_accepts_a_zero_share(tmp_path):
+    code, payload = run_cli([
+        "calibrate", "--platform", "exynos5422", "--network", "alexnet",
+        "--components", "a7,t628", "--frames", "400",
+        "--target-throughput", "8.0", "--target-composition", "a7=0"],
+        tmp_path)
+    assert code == 0
+    assert set(json.loads(payload)["residual_composition"]) == {"a7"}
+
+
+def test_scenario_file_error_names_the_file(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"platform": "exynos5422", "network": "alexnet",
+                                "components": ["a7"], "frames": 2.7}))
+    code = main(["simulate", "--scenario", str(path),
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"socperf: {path}: scenario: frames must be an integer >= 1, "
+        f"got 2.7\n")
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -395,6 +438,12 @@ def test_sig4_formatting():
     assert sig4(0.0001234567) == "0.0001235"
     assert sig4(None) == ""
     assert sig4(12) == "12"
+
+
+def test_emit_json_refuses_non_finite_values():
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            emit_json({"x": [1.0, value]})
 
 
 def test_emit_csv_layout():

@@ -1,13 +1,16 @@
 import json
+import os
 import shutil
 
 import pytest
 
 import socperf
 from socperf import builtin_dataset, network_by_id, platform_by_id
+from socperf.cli import main
 from socperf.dataset import (
     COEXEC_OBSERVATIONS,
     TABLE1_COMPONENT_ORDER,
+    TABLE1_NETWORK_ORDER,
     find_observation,
     observations_for_table,
 )
@@ -124,3 +127,72 @@ def test_data_dir_override(tmp_path, monkeypatch):
     monkeypatch.delenv("SOCPERF_DATA")
     platforms, _ = socperf.builtin_dataset()
     assert platforms[0].bus_peak_bandwidth_gbs == 14.9
+
+
+def bundled_copy(tmp_path, names=("exynos5422.json", "alexnet.json")):
+    src = os.path.join(os.path.dirname(socperf.__file__), "data")
+    for name in names:
+        shutil.copy(os.path.join(src, name), tmp_path / name)
+
+
+def test_bundled_directory_loads_in_table_order():
+    platforms, networks = builtin_dataset()
+    assert [p.id for p in platforms] == ["exynos5422", "kirin970"]
+    assert [n.id for n in networks] == list(TABLE1_NETWORK_ORDER)
+
+
+@pytest.mark.parametrize("content,message", [
+    ("{ not json", "not valid JSON"),
+    ("[1, 2]", "document must be an object, got [1, 2]"),
+    ('{"board": {}}',
+     "document kind must be one of platform, network, trace, got 'board'"),
+    ('{"platform": {"id": "x"}, "network": {}}',
+     "document key must be one of platform, got 'network'"),
+])
+def test_data_dir_document_errors_name_the_file(tmp_path, monkeypatch,
+                                                content, message):
+    bundled_copy(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    monkeypatch.setenv("SOCPERF_DATA", str(tmp_path))
+    with pytest.raises(socperf.MalformedDocument) as exc:
+        builtin_dataset()
+    assert str(exc.value).startswith(f"{bad}: {message}")
+
+
+def test_data_dir_skips_trace_documents(tmp_path, monkeypatch):
+    bundled_copy(tmp_path, ("exynos5422.json", "alexnet.json",
+                            "alexnet_a15_trace.json"))
+    monkeypatch.setenv("SOCPERF_DATA", str(tmp_path))
+    platforms, networks = builtin_dataset()
+    assert ([p.id for p in platforms], [n.id for n in networks]) == (
+        ["exynos5422"], ["alexnet"])
+
+
+@pytest.mark.parametrize("copy_name,kind,item_id", [
+    ("zz_board.json", "platform", "exynos5422"),
+    ("zz_net.json", "network", "alexnet"),
+])
+def test_data_dir_id_in_two_files_names_both(tmp_path, monkeypatch,
+                                             copy_name, kind, item_id):
+    bundled_copy(tmp_path)
+    original = tmp_path / ("exynos5422.json" if kind == "platform"
+                           else "alexnet.json")
+    shutil.copy(original, tmp_path / copy_name)
+    monkeypatch.setenv("SOCPERF_DATA", str(tmp_path))
+    with pytest.raises(socperf.MalformedDocument) as exc:
+        builtin_dataset()
+    assert str(exc.value) == (f"{tmp_path / copy_name}: {kind} id "
+                              f"{item_id!r} is also defined in {original}")
+
+
+def test_data_dir_bad_json_exits_1_naming_the_file(tmp_path, monkeypatch,
+                                                   capsys):
+    bundled_copy(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{ not json")
+    monkeypatch.setenv("SOCPERF_DATA", str(tmp_path))
+    assert main(["tables", "--which", "1", "--out", str(tmp_path / "t")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"socperf: {bad}: not valid JSON")
+    assert err.count("\n") == 1

@@ -125,7 +125,98 @@ def test_malformed_platform_documents():
         load_platform('["not", "an", "object"]')
 
 
+def platform_with(component_changes=(), **body_changes):
+    doc = minimal_platform_doc()
+    doc["platform"]["components"][0].update(component_changes)
+    doc["platform"].update(body_changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc,message", [
+    (platform_with({"peak_compute_gops": None, "cores": "4"}),
+     "component 'cpu0': cores must be an integer >= 1, got '4'"),
+    (platform_with(bus_peak_bandwidth_gbs=1e999),
+     "platform 'board': bus_peak_bandwidth_gbs must be finite and > 0, got inf"),
+    (platform_with({"active_power_w": True}),
+     "component 'cpu0': active_power_w must be finite and > 0, got True"),
+    (platform_with({"kind": "dsp"}),
+     "component 'cpu0': kind must be one of big-cpu, small-cpu, gpu, npu, "
+     "got 'dsp'"),
+    (platform_with(components="cpu0"),
+     "platform 'board': components must be a non-empty list, got 'cpu0'"),
+    (platform_with({"bogus": 1}),
+     "platform 'board': component key must be one of id, kind, "
+     "peak_compute_gops, cores, sustainable_bandwidth_gbs, active_power_w, "
+     "frequency_ghz, host_cluster, got 'bogus'"),
+    ({"platform": {}, "bogus": 1},
+     "document key must be one of platform, got 'bogus'"),
+])
+def test_platform_document_values_are_checked(doc, message):
+    with pytest.raises(MalformedDocument) as exc:
+        load_platform(doc)
+    assert str(exc.value) == message
+
+
+def test_documents_allow_notes_and_refuse_unknown_keys():
+    for load, doc in ((load_platform, minimal_platform_doc()),
+                      (load_network_profile, minimal_network_doc()),
+                      (load_trace, {"trace": {"component_id": "cpu0", "layers": [
+                          {"name": "l0", "refill_lines": 1}]}})):
+        body = next(iter(doc.values()))
+        body["notes"] = "measured"
+        load(doc)
+        body["bogus"] = 1
+        with pytest.raises(MalformedDocument, match="got 'bogus'"):
+            load(doc)
+
+
+def test_error_from_a_document_file_names_the_file_once(tmp_path):
+    path = tmp_path / "board.json"
+    path.write_text(json.dumps(platform_with(bus_peak_bandwidth_gbs=-1.0)))
+    with pytest.raises(MalformedDocument) as exc:
+        load_platform(path)
+    assert str(exc.value) == (
+        f"{path}: platform 'board': bus_peak_bandwidth_gbs must be finite "
+        f"and > 0, got -1.0")
+    path.write_text("{ not json")
+    with pytest.raises(MalformedDocument, match=f"^{path}: not valid JSON"):
+        load_platform(str(path))
+
+
+def test_integer_document_numbers_are_stored_as_floats():
+    platform = load_platform(platform_with({"active_power_w": 4}))
+    assert type(platform.components[0].active_power_w) is float
+
+
 # -- network loading ---------------------------------------------------------
+
+@pytest.mark.parametrize("change,message", [
+    ({"id": 5}, "network: id must be a non-empty string, got 5"),
+    ({"throughput": {"cpu0": "fast"}},
+     "network 'tiny' throughput: cpu0 must be finite and > 0, got 'fast'"),
+    ({"throughput": [5.0]},
+     "network 'tiny': throughput must be an object, got [5.0]"),
+    ({"layers": [{"name": "l0", "kind": "conv", "gops": float("nan"),
+                  "mem_access_bytes": 1.0}]},
+     "layer 'l0': gops must be finite and > 0, got nan"),
+    ({"layers": [{"name": "l0", "kind": "conv", "gops": 1.0}]},
+     "layer 'l0': mem_access_bytes must be finite and > 0, got None"),
+])
+def test_network_document_values_are_checked(change, message):
+    doc = minimal_network_doc()
+    doc["network"].update(change)
+    with pytest.raises(MalformedDocument) as exc:
+        load_network_profile(doc)
+    assert str(exc.value) == message
+
+
+def test_network_maps_are_read_only():
+    profile = network_by_id("alexnet")
+    for mapping in (profile.throughput, profile.supported):
+        with pytest.raises(TypeError):
+            mapping["a7"] = 99.0
+    assert profile.rate("a7") == 1.1
+
 
 def test_load_bundled_alexnet_throughput():
     profile = network_by_id("alexnet")

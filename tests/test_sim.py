@@ -383,6 +383,57 @@ def test_load_scenario_host_contention_default():
     assert loaded.makespan_s != plain.makespan_s
 
 
+SCENARIO_DOC = {"platform": "exynos5422", "network": "alexnet",
+                "components": ["a7", "t628"], "frames": 120}
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"frames": 2.7}, "scenario: frames must be an integer >= 1, got 2.7"),
+    ({"frames": True}, "scenario: frames must be an integer >= 1, got True"),
+    ({"components": "a7"},
+     "scenario: components must be a non-empty list of non-empty strings, "
+     "got 'a7'"),
+    ({"contention": [1]}, "scenario: contention must be an object, got [1]"),
+    ({"contention": {"a7": "0.5"}},
+     "scenario contention: a7 must be in (0, 1], got '0.5'"),
+    ({"dispatch_overhead_s": "0.002"},
+     "scenario: dispatch_overhead_s must be finite and >= 0, got '0.002'"),
+    ({"jitter": {"seed": [1], "cv": 0.1}},
+     "scenario jitter: seed must be an integer >= 0, got [1]"),
+    ({"jitter": {"cv": 0.1, "sd": 2}},
+     "scenario: jitter key must be one of seed, cv, got 'sd'"),
+    ({"bogus": 1},
+     "scenario key must be one of platform, network, components, frames, "
+     "dispatch_overhead_s, contention, host_contention_default, jitter, "
+     "got 'bogus'"),
+])
+def test_load_scenario_refuses_what_it_would_misread(change, message):
+    for doc in ({**SCENARIO_DOC, **change},
+                {"scenario": {**SCENARIO_DOC, **change}}):
+        with pytest.raises(MalformedDocument) as exc:
+            load_scenario(doc)
+        assert str(exc.value) == message
+
+
+def test_scenario_document_numbers_are_stored_as_floats():
+    scenario = load_scenario({**SCENARIO_DOC, "dispatch_overhead_s": 0,
+                              "contention": {"a7": 1}})
+    assert type(scenario.dispatch_overhead_s) is float
+    assert type(scenario.contention["a7"]) is float
+    with pytest.raises(MalformedDocument, match="got 'x'"):
+        load_scenario({"scenario": SCENARIO_DOC, "x": 1})
+
+
+def test_scenario_contention_is_a_read_only_copy():
+    factors = {"a7": 0.5}
+    scenario = Scenario("exynos5422", "alexnet", ("a7", "t628"), 10,
+                        contention=factors)
+    factors["a7"] = 0.1
+    assert scenario.contention == {"a7": 0.5}
+    with pytest.raises(TypeError):
+        scenario.contention["a7"] = 0.1
+
+
 # -- reorder buffer -------------------------------------------------------------
 
 def test_reorder_buffer_releases_in_sequence():
