@@ -7,10 +7,21 @@ contributed rates. Calibration seeds itself from that closed form, runs a
 deterministic coordinate search on it, then polishes the parameters
 against full simulation runs and reports the simulated residuals.
 
-Targets below the zero-overhead rate sum are always reachable; a target
-above it indicates inconsistent measurements and raises InfeasibleTarget
-instead of silently fitting. A target throughput must be finite and > 0,
-and a composition target maps engaged components to shares in [0, 1].
+The polish accepts a candidate only if its simulated score is strictly
+below the best so far. Before simulating one it computes a floor under
+that score from the end-of-stream tail (_score_floor): without jitter the
+frames of each component and the makespan lie in intervals fixed by the
+time of the last claim, and the objective's distance to those intervals
+cannot exceed the simulated score. A candidate whose floor already
+reaches the best score cannot win and is not simulated; every accepted
+candidate, and so every returned result, still comes from simulate.
+
+A target above the zero-overhead rate sum, or below the closed-form
+throughput at the seed's overhead cap (about 1049 s, with CPU factors at
+their floor when they are fitted), indicates inconsistent measurements
+and raises InfeasibleTarget instead of silently fitting. A target
+throughput must be finite and > 0, and a composition target maps engaged
+components to shares in [0, 1].
 
 Residuals are normalized so one unit equals 2% relative throughput error
 or 3 percentage points of composition error, and the search minimizes the
@@ -19,6 +30,7 @@ residual of the tightest scenario exactly on its error budget, while the
 minimax form centers it.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,6 +42,8 @@ THROUGHPUT_SCALE = 0.02   # one residual unit = 2% relative throughput error
 COMPOSITION_SCALE = 0.03  # one residual unit = 3 points of frame share
 
 _MIN_FACTOR = 1e-3
+# The largest overhead the seed tries, in s: 1 ms doubled until past 1e3 s.
+_OVERHEAD_CAP = 1e-3 * 2.0 ** 20
 
 
 @dataclass(frozen=True)
@@ -65,6 +79,73 @@ def _closed_form(rates: dict[str, float], factors: dict[str, float],
     total = sum(effective.values())
     shares = {cid: eff / total for cid, eff in effective.items()}
     return total, shares
+
+
+def _score_floor(rates: dict[str, float], factors: dict[str, float],
+                 overhead: float, frames: int, target_throughput: float,
+                 target_composition: Optional[dict[str, float]]) -> float:
+    """A lower bound on the objective of the jitter-free simulation of
+    these parameters, computed without running it.
+
+    Component i completes its j-th frame at a repeated float sum of its
+    service time s_i, which is j*s_i to within a relative (j/2)*2**-53.
+    The last of the N frames is claimed at the (N-k)-th completion U, and
+    then every one of the k components holds one frame, so component i
+    runs between ceil(U/s_i) and floor(U/s_i) + 1 frames and the makespan
+    is the largest frames_i*s_i. U is bracketed by bisecting the
+    completion count sum_i floor(t/s_i), with every grid point widened by
+    a relative slack that covers the summation error at N frames and the
+    rounding of this function's own arithmetic. The floor is the distance
+    from the targets to the resulting throughput and share intervals.
+    """
+    service = [1.0 / (rate * factors.get(cid, 1.0)) + overhead
+               for cid, rate in rates.items()]
+    claims = frames - len(service)  # completions before the last claim
+    if claims <= 0:
+        return 0.0
+    slack = (frames + 16) * 2.0 ** -52
+    early = [s * (1.0 - slack) for s in service]
+    late = [s * (1.0 + slack) for s in service]
+    # U > lo: fewer than `claims` completions can have happened by lo.
+    lo, _ = _bracket(lambda t: sum(int(t / s) for s in early) >= claims,
+                     claims * min(service), slack)
+    # U <= hi: at least `claims` completions have surely happened by hi.
+    _, hi = _bracket(lambda t: sum(int(t / s) for s in late) >= claims,
+                     claims * min(service), slack)
+    fewest = [max(1, math.ceil(lo / s)) for s in late]
+    most = [int(hi / s) + 1 for s in early]
+    makespan_lo = max(f * s for f, s in zip(fewest, early))
+    makespan_hi = max(f * s for f, s in zip(most, late))
+    worst = _gap(frames / makespan_hi, frames / makespan_lo,
+                 target_throughput) / target_throughput / THROUGHPUT_SCALE
+    if target_composition:
+        share = dict(zip(rates, zip(fewest, most)))
+        for comp_id, target in target_composition.items():
+            low, high = share[comp_id]
+            worst = max(worst, _gap(low / frames, high / frames, target)
+                        / COMPOSITION_SCALE)
+    return worst
+
+
+def _bracket(reached, guess: float, slack: float) -> tuple[float, float]:
+    """(lo, hi) around the smallest t > 0 where the monotone reached(t)
+    turns true: reached(lo) is false, reached(hi) is true, and hi is
+    within a relative slack of lo."""
+    lo, hi = 0.0, guess
+    while not reached(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > slack * hi:
+        mid = 0.5 * (lo + hi)
+        if reached(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _gap(low: float, high: float, target: float) -> float:
+    """Distance from target to the interval [low, high]."""
+    return max(target - high, low - target, 0.0)
 
 
 def _objective(throughput: float, shares: dict[str, float],
@@ -110,6 +191,15 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
         cid for cid in engaged if platform.component(cid).is_cpu
     )
     fit_factors = bool(target_composition)
+    slowest = {cid: _MIN_FACTOR if fit_factors else 1.0 for cid in cpu_ids}
+    floor_throughput, _ = _closed_form(rates, slowest, _OVERHEAD_CAP)
+    if target_throughput < floor_throughput:
+        raise InfeasibleTarget(
+            f"target {target_throughput} imgs/s is below the "
+            f"{floor_throughput:.4g} imgs/s that {network.id!r} on "
+            f"{platform.id!r} {engaged} reaches at the {_OVERHEAD_CAP:g} s "
+            f"overhead cap; measurements and model disagree"
+        )
 
     overhead = _seed_overhead(rates, target_throughput, target_composition)
     factors = {cid: 1.0 for cid in cpu_ids}
@@ -157,6 +247,10 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
         return _objective(res.throughput, res.composition,
                           target_throughput, target_composition)
 
+    def floor(h: float, fs: dict[str, float]) -> float:
+        return _score_floor(rates, fs, h, frames, target_throughput,
+                            target_composition)
+
     overhead, factors = cf_search(overhead, factors, target_throughput)
     best = sim_result(overhead, factors)
     best_score = sim_objective(best)
@@ -174,12 +268,14 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
             best, best_score = trial, score
             overhead, factors = h2, f2
 
-    # Final polish directly against simulation runs.
+    # Final polish directly against simulation runs. A candidate whose
+    # score floor already reaches best_score cannot be accepted, so it is
+    # not simulated.
     h_step, f_step = 2e-4, 0.01
     for _ in range(2):
         for delta in (-2 * h_step, -h_step, h_step, 2 * h_step):
             h = max(0.0, overhead + delta)
-            if h == overhead:
+            if h == overhead or floor(h, factors) >= best_score:
                 continue
             trial = sim_result(h, factors)
             score = sim_objective(trial)
@@ -193,6 +289,8 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
                         continue
                     trial_factors = dict(factors)
                     trial_factors[cid] = value
+                    if floor(overhead, trial_factors) >= best_score:
+                        continue
                     trial = sim_result(overhead, trial_factors)
                     score = sim_objective(trial)
                     if score < best_score:
@@ -260,10 +358,9 @@ def _seed_overhead(rates: dict[str, float], target_throughput: float,
     if target_throughput >= total0:
         return 0.0
     lo, hi = 0.0, 1e-3
-    while _closed_form(rates, factors, hi)[0] > target_throughput:
+    while (hi < _OVERHEAD_CAP
+           and _closed_form(rates, factors, hi)[0] > target_throughput):
         hi *= 2.0
-        if hi > 1e3:
-            break
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if _closed_form(rates, factors, mid)[0] > target_throughput:

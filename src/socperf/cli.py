@@ -5,9 +5,9 @@ calibrate (fit overhead and contention to a target), tables (regenerate
 the throughput and co-execution summary tables from the bundled dataset).
 
 Exit codes: 0 success, 1 for validation failures (the diagnostic names
-the failing check), 2 for I/O failures. Identical invocations produce
-byte-identical output. SOCPERF_DATA overrides the bundled dataset
-directory.
+the failing check), 2 for I/O failures and usage errors; each failure is
+one stderr line. Identical invocations produce byte-identical output.
+SOCPERF_DATA overrides the bundled dataset directory.
 """
 
 import argparse
@@ -38,6 +38,7 @@ from .sim import Scenario, load_scenario, simulate
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
+EXIT_USAGE = 2
 
 
 def _parse_id_values(text: Optional[str], flag: str,
@@ -238,8 +239,15 @@ def _cmd_tables(args) -> bytes:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line, like every other error."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"socperf: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="socperf",
         description="Roofline models and co-execution simulation for CNN "
                     "inference on heterogeneous mobile SoCs.",

@@ -11,6 +11,7 @@ per-layer operation/byte tables and some board constants are marked as
 user-supplied estimates in the documents' notes fields.
 """
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -48,9 +49,15 @@ def builtin_dataset() -> tuple[list[Platform], list[NetworkProfile]]:
     That is the bundled directory, or the one SOCPERF_DATA names. Its
     *.json files are read in name order through the same loaders and
     validation as user files; a platform or network id may occur in one
-    file only.
+    file only. A directory is parsed once per process and its entries,
+    which are immutable, are shared; each call returns fresh lists.
     """
-    path = os.environ.get(DATA_ENV_VAR) or _BUNDLED_DIR
+    platforms, networks = _load_dir(os.environ.get(DATA_ENV_VAR) or _BUNDLED_DIR)
+    return list(platforms), list(networks)
+
+
+@functools.lru_cache(maxsize=4)  # a failure raises, so it is never cached
+def _load_dir(path: str) -> tuple[tuple[Platform, ...], tuple[NetworkProfile, ...]]:
     platforms: list[Platform] = []
     networks: list[NetworkProfile] = []
     origin: dict[tuple[str, str], str] = {}
@@ -67,7 +74,7 @@ def builtin_dataset() -> tuple[list[Platform], list[NetworkProfile]]:
             raise MalformedDocument(
                 f"{full}: {kind} id {entry.id!r} is also defined in {first}")
         (platforms if kind == "platform" else networks).append(entry)
-    return platforms, networks
+    return tuple(platforms), tuple(networks)
 
 
 def builtin_trace(name: str = "alexnet_a15_trace"):

@@ -237,9 +237,13 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
     rates = {  # may raise UnsupportedPair
         cid: effective_rate(platform.component(cid), network, scenario, platform)
         for cid in scenario.engaged}
-    processing = [1.0 / rates[cid] for cid in order]
+    # Checked once per run: a derating or an overhead that is valid on
+    # its own can still underflow a rate or overflow a time.
+    processing = [1.0 / number(rates[cid], cid, "scenario effective rate")
+                  for cid in order]
     overhead = scenario.dispatch_overhead_s
-    service = [base + overhead for base in processing]
+    service = [number(base + overhead, cid, "scenario service time")
+               for cid, base in zip(order, processing)]
     jitter = scenario.jitter_cv > 0
     if jitter:
         lognormvariate = random.Random(scenario.jitter_seed).lognormvariate
@@ -305,6 +309,9 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
         else:
             heappop(heap)
     makespan = now  # the last completion
+    throughput = n_frames / makespan
+    for key, value in (("makespan_s", makespan), ("throughput", throughput)):
+        number(value, key, "scenario result")  # a sum or ratio can overflow
 
     if next_expected != n_frames:
         raise MalformedDocument(
@@ -321,7 +328,7 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
     return SimResult(
         scenario=scenario,
         makespan_s=makespan,
-        throughput=n_frames / makespan,
+        throughput=throughput,
         frames_per_component=frames_per_component,
         composition={cid: frames_per_component[cid] / n_frames for cid in order},
         busy_time_s=busy_time,
@@ -345,4 +352,6 @@ def energy_and_efficiency(busy_time_s: dict[str, float], frame_count: int,
     for comp_id, busy in busy_time_s.items():
         component = platform.component(comp_id)  # raises UnknownComponent
         energy += component.active_power_w * busy
-    return energy, frame_count / energy
+    number(energy, "energy_j", "scenario result")  # may under- or overflow
+    return energy, number(frame_count / energy, "energy_efficiency",
+                          "scenario result")

@@ -235,6 +235,50 @@ def test_out_into_missing_directory_is_io_error(tmp_path, capsys):
     assert "cannot read" not in err
 
 
+def test_usage_error_is_one_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--platform", "kirin970", "--network", "alexnet",
+              "--components", "a53", "--cv", "-inf"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "socperf: argument --cv: expected one argument\n")
+
+
+def test_scenario_that_underflows_a_rate_exits_1_naming_it(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "platform": "kirin970", "network": "alexnet",
+        "components": ["a53", "g72", "npu"], "frames": 100,
+        "host_contention_default": 1e-200}))
+    code = main(["simulate", "--scenario", str(path),
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "socperf: scenario effective rate: a53 must be finite and > 0, "
+        "got 0.0\n")
+
+
+def test_overhead_that_overflows_exits_1_naming_the_makespan(tmp_path,
+                                                              capsys):
+    code = main(["simulate", "--platform", "kirin970", "--network", "alexnet",
+                 "--components", "a53,npu", "--overhead", "1e308",
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "socperf: scenario result: makespan_s must be finite and > 0, "
+        "got inf\n")
+
+
+def test_target_below_the_overhead_cap_exits_1(tmp_path, capsys):
+    code = main(["calibrate", "--platform", "kirin970", "--network", "alexnet",
+                 "--components", "a53,npu", "--target-throughput", "1e-300",
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("socperf: target 1e-300 imgs/s is below the ")
+    assert err.count("\n") == 1
+
+
 def test_calibrate_rejects_csv_format(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["calibrate", "--platform", "kirin970", "--network", "alexnet",

@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 import shutil
@@ -133,6 +134,41 @@ def bundled_copy(tmp_path, names=("exynos5422.json", "alexnet.json")):
     src = os.path.join(os.path.dirname(socperf.__file__), "data")
     for name in names:
         shutil.copy(os.path.join(src, name), tmp_path / name)
+
+
+def test_data_dir_is_parsed_once_until_it_changes(tmp_path, monkeypatch):
+    first = builtin_dataset()
+
+    def no_file(*args, **kwargs):
+        raise AssertionError("the dataset was read again")
+
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", no_file)
+        m.setattr(os, "listdir", no_file)
+        second = builtin_dataset()
+    assert second == first
+    second[0].clear()  # the caller's lists are its own
+    assert builtin_dataset() == first
+
+    bundled_copy(tmp_path)
+    doc = json.loads((tmp_path / "exynos5422.json").read_text())
+    doc["platform"]["bus_peak_bandwidth_gbs"] = 99.0
+    (tmp_path / "exynos5422.json").write_text(json.dumps(doc))
+    monkeypatch.setenv("SOCPERF_DATA", str(tmp_path))
+    assert builtin_dataset()[0][0].bus_peak_bandwidth_gbs == 99.0
+
+
+def test_data_dir_failure_is_not_cached(tmp_path, monkeypatch):
+    bundled_copy(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{ not json")
+    monkeypatch.setenv("SOCPERF_DATA", str(tmp_path))
+    for _ in range(2):
+        with pytest.raises(socperf.MalformedDocument, match="not valid JSON"):
+            builtin_dataset()
+    bad.unlink()
+    platforms, _ = builtin_dataset()
+    assert [p.id for p in platforms] == ["exynos5422"]
 
 
 def test_bundled_directory_loads_in_table_order():

@@ -346,6 +346,42 @@ def test_contention_for_unengaged_component_rejected():
         simulate(scenario, EXYNOS, ALEXNET)
 
 
+def test_derating_that_underflows_a_rate_is_refused():
+    # 1e-200 ** 2 (a53 hosts g72 and npu) is 0.0 in floats.
+    scenario = Scenario("kirin970", "alexnet", ("a53", "g72", "npu"), 100,
+                        host_contention_default=1e-200)
+    with pytest.raises(MalformedDocument,
+                       match="effective rate: a53 must be finite and > 0"):
+        simulate(scenario, KIRIN, ALEXNET)
+
+
+def test_overhead_that_overflows_the_makespan_is_refused():
+    scenario = Scenario("kirin970", "alexnet", ("a53", "npu"), 10000,
+                        dispatch_overhead_s=1e308)
+    with pytest.raises(MalformedDocument,
+                       match="makespan_s must be finite and > 0, got inf"):
+        simulate(scenario, KIRIN, ALEXNET)
+
+
+def test_overhead_that_overflows_the_energy_is_refused():
+    scenario = Scenario("kirin970", "alexnet", ("npu",), 1,
+                        dispatch_overhead_s=1.7e308)
+    with pytest.raises(MalformedDocument,
+                       match="energy_j must be finite and > 0, got inf"):
+        simulate(scenario, KIRIN, ALEXNET)
+
+
+@pytest.mark.parametrize("power,message", [
+    (5e-324, "energy_j must be finite and > 0, got 0.0"),
+    (1e-320, "energy_efficiency must be finite and > 0, got inf"),
+])
+def test_tiny_power_that_breaks_the_energy_is_refused(power, message):
+    platform = synthetic_platform([(4.0, power)])
+    network = synthetic_network([4.0])
+    with pytest.raises(MalformedDocument, match=message):
+        simulate(Scenario("synth", "synthnet", ("c0",), 1), platform, network)
+
+
 def test_load_scenario_document(tmp_path):
     doc = {
         "platform": "exynos5422",
