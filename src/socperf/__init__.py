@@ -67,7 +67,6 @@ from .sim import (
     SimResult,
     availability_factor,
     effective_rate,
-    energy_and_efficiency,
     load_scenario,
     rate_sum,
     simulate,

@@ -1,27 +1,33 @@
 """Fit dispatch overhead and contention factors to measured co-execution.
 
+The fit works on one parameter vector x = [overhead, availability factor
+of each engaged component]; it searches the overhead and, with composition
+targets, the factors of the engaged CPU clusters in id order.
+
 The steady-state behavior of the simulator has a closed form: a component
 with measured rate r, availability factor f, and per-frame overhead h
 contributes 1/(1/(r*f) + h) images/s, and frame shares follow the
-contributed rates. Calibration seeds itself from that closed form, runs a
-deterministic coordinate search on it, then polishes the parameters
-against full simulation runs and reports the simulated residuals.
+contributed rates. Calibration seeds x from that closed form, runs a
+deterministic coordinate search on it, then polishes x against full
+simulation runs and reports the simulated residuals.
 
-The polish accepts a candidate only if its simulated score is strictly
-below the best so far. Before simulating one it computes a floor under
-that score from the end-of-stream tail (_score_floor): without jitter the
-frames of each component and the makespan lie in intervals fixed by the
-time of the last claim, and the objective's distance to those intervals
-cannot exceed the simulated score. A candidate whose floor already
-reaches the best score cannot win and is not simulated; every accepted
-candidate, and so every returned result, still comes from simulate.
+One objective scores all three: the distance from the targets to an
+interval of throughput and to an interval of each share. The closed form
+and a simulation give points, intervals of zero width. Before simulating
+a polish candidate, _score_floor bounds its score from the end-of-stream
+tail: without jitter the frames of each component and the makespan lie in
+intervals fixed by the time of the last claim, and the objective on those
+intervals cannot exceed the simulated score. The polish accepts a
+candidate only if its simulated score is strictly below the best so far,
+so a candidate whose floor already reaches the best score is not
+simulated; every returned result still comes from simulate.
 
 A target above the zero-overhead rate sum, or below the closed-form
-throughput at the seed's overhead cap (about 1049 s, with CPU factors at
-their floor when they are fitted), indicates inconsistent measurements
-and raises InfeasibleTarget instead of silently fitting. A target
-throughput must be finite and > 0, and a composition target maps engaged
-components to shares in [0, 1].
+throughput at the seed's overhead cap (about 1049 s, with the searched
+factors at their floor), indicates inconsistent measurements and raises
+InfeasibleTarget instead of silently fitting. A target throughput must be
+finite and > 0, and a composition target maps engaged components to shares
+in [0, 1].
 
 Residuals are normalized so one unit equals 2% relative throughput error
 or 3 percentage points of composition error, and the search minimizes the
@@ -31,7 +37,7 @@ minimax form centers it.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import InfeasibleTarget
@@ -44,6 +50,12 @@ COMPOSITION_SCALE = 0.03  # one residual unit = 3 points of frame share
 _MIN_FACTOR = 1e-3
 # The largest overhead the seed tries, in s: 1 ms doubled until past 1e3 s.
 _OVERHEAD_CAP = 1e-3 * 2.0 ** 20
+# The closed-form search keeps the overhead at or below this, in s, so it
+# can only keep a seed above it or move it below. Raising it to
+# _OVERHEAD_CAP leaves tables 2 and 3 byte-identical but moves fits off
+# them both ways (exynos5422/resnet50 at 0.5 imgs/s goes from objective
+# 4.97e-5 to 7.85e-3), so the two stay apart.
+_SEARCH_OVERHEAD_CEILING = 0.25
 
 
 @dataclass(frozen=True)
@@ -58,34 +70,47 @@ class CalibrationResult:
     residual_composition: Optional[dict[str, float]]
     result: SimResult
 
-    def scenario(self, frame_count: int = 10000) -> Scenario:
-        return Scenario(
-            platform_id=self.platform_id,
-            network_id=self.network_id,
-            engaged=self.engaged,
-            frame_count=frame_count,
-            dispatch_overhead_s=self.dispatch_overhead_s,
-            contention=dict(self.contention),
-        )
 
-
-def _closed_form(rates: dict[str, float], factors: dict[str, float],
-                 overhead: float) -> tuple[float, dict[str, float]]:
-    """Steady-state throughput and shares for given parameters."""
-    effective = {}
-    for comp_id, rate in rates.items():
-        scaled = rate * factors.get(comp_id, 1.0)
-        effective[comp_id] = 1.0 / (1.0 / scaled + overhead)
+def _closed_form(rates: dict[str, float],
+                 x: list[float]) -> tuple[float, dict[str, float]]:
+    """Steady-state throughput and shares at x = [overhead, factor of
+    each component of rates, in its order]."""
+    overhead, effective = x[0], {}
+    for (cid, rate), factor in zip(rates.items(), x[1:]):
+        effective[cid] = 1.0 / (1.0 / (rate * factor) + overhead)
     total = sum(effective.values())
-    shares = {cid: eff / total for cid, eff in effective.items()}
-    return total, shares
+    return total, {cid: eff / total for cid, eff in effective.items()}
 
 
-def _score_floor(rates: dict[str, float], factors: dict[str, float],
-                 overhead: float, frames: int, target_throughput: float,
-                 target_composition: Optional[dict[str, float]]) -> float:
-    """A lower bound on the objective of the jitter-free simulation of
-    these parameters, computed without running it.
+def _objective(throughput: tuple[float, float],
+               shares: tuple[dict[str, float], dict[str, float]],
+               target_throughput: float,
+               target_shares: Optional[dict[str, float]]) -> float:
+    """The worst normalized distance from a target to its interval.
+
+    throughput is (low, high) and shares is (low, high) of each share by
+    component id; a point is an interval of zero width, whose distance is
+    the absolute error. A target inside its interval has a gap <= 0, which
+    counts as distance 0.
+    """
+    low, high = throughput
+    gap = (target_throughput - high if target_throughput > high
+           else low - target_throughput)
+    worst = gap / target_throughput / THROUGHPUT_SCALE if gap > 0 else 0.0
+    if target_shares:
+        low, high = shares
+        for comp_id, target in target_shares.items():
+            gap = (target - high[comp_id] if target > high[comp_id]
+                   else low[comp_id] - target)
+            worst = max(worst, gap / COMPOSITION_SCALE)
+    return worst
+
+
+def _score_floor(rates: dict[str, float], x: list[float], frames: int,
+                 target_throughput: float,
+                 target_shares: Optional[dict[str, float]]) -> float:
+    """A lower bound on the objective of the jitter-free simulation of x,
+    computed without running it.
 
     Component i completes its j-th frame at a repeated float sum of its
     service time s_i, which is j*s_i to within a relative (j/2)*2**-53.
@@ -95,11 +120,11 @@ def _score_floor(rates: dict[str, float], factors: dict[str, float],
     is the largest frames_i*s_i. U is bracketed by bisecting the
     completion count sum_i floor(t/s_i), with every grid point widened by
     a relative slack that covers the summation error at N frames and the
-    rounding of this function's own arithmetic. The floor is the distance
-    from the targets to the resulting throughput and share intervals.
+    rounding of this function's own arithmetic. The floor is the objective
+    on the resulting throughput and share intervals.
     """
-    service = [1.0 / (rate * factors.get(cid, 1.0)) + overhead
-               for cid, rate in rates.items()]
+    service = [1.0 / (rate * factor) + x[0]
+               for rate, factor in zip(rates.values(), x[1:])]
     claims = frames - len(service)  # completions before the last claim
     if claims <= 0:
         return 0.0
@@ -116,15 +141,11 @@ def _score_floor(rates: dict[str, float], factors: dict[str, float],
     most = [int(hi / s) + 1 for s in early]
     makespan_lo = max(f * s for f, s in zip(fewest, early))
     makespan_hi = max(f * s for f, s in zip(most, late))
-    worst = _gap(frames / makespan_hi, frames / makespan_lo,
-                 target_throughput) / target_throughput / THROUGHPUT_SCALE
-    if target_composition:
-        share = dict(zip(rates, zip(fewest, most)))
-        for comp_id, target in target_composition.items():
-            low, high = share[comp_id]
-            worst = max(worst, _gap(low / frames, high / frames, target)
-                        / COMPOSITION_SCALE)
-    return worst
+    return _objective(
+        (frames / makespan_hi, frames / makespan_lo),
+        ({cid: f / frames for cid, f in zip(rates, fewest)},
+         {cid: f / frames for cid, f in zip(rates, most)}),
+        target_throughput, target_shares)
 
 
 def _bracket(reached, guess: float, slack: float) -> tuple[float, float]:
@@ -143,22 +164,6 @@ def _bracket(reached, guess: float, slack: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _gap(low: float, high: float, target: float) -> float:
-    """Distance from target to the interval [low, high]."""
-    return max(target - high, low - target, 0.0)
-
-
-def _objective(throughput: float, shares: dict[str, float],
-               target_throughput: float,
-               target_composition: Optional[dict[str, float]]) -> float:
-    worst = abs(throughput - target_throughput) / target_throughput / THROUGHPUT_SCALE
-    if target_composition:
-        for comp_id, share in target_composition.items():
-            err = abs(shares.get(comp_id, 0.0) - share) / COMPOSITION_SCALE
-            worst = max(worst, err)
-    return worst
-
-
 def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
               engaged: tuple[str, ...], frames: int = 10000) -> CalibrationResult:
     """Fit (dispatch_overhead, contention factors) to observed behavior.
@@ -171,12 +176,12 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
     """
     engaged = tuple(engaged)
     target_throughput = number(observed["throughput"], "target throughput", "")
-    target_composition = observed.get("composition")
-    if target_composition is not None:
-        target_composition = {
+    target_shares = observed.get("composition")
+    if target_shares is not None:
+        target_shares = {
             one_of(cid, engaged, "component", "target composition"):
             number(share, cid, "target composition", high=1.0, include_low=True)
-            for cid, share in obj(target_composition, "composition", "target").items()}
+            for cid, share in obj(target_shares, "composition", "target").items()}
 
     rates = {cid: network.rate(cid) for cid in engaged}
     bound = sum(rates.values())
@@ -190,9 +195,13 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
     cpu_ids = sorted(
         cid for cid in engaged if platform.component(cid).is_cpu
     )
-    fit_factors = bool(target_composition)
-    slowest = {cid: _MIN_FACTOR if fit_factors else 1.0 for cid in cpu_ids}
-    floor_throughput, _ = _closed_form(rates, slowest, _OVERHEAD_CAP)
+    # Indices into x of the searched coordinates: the overhead, then the
+    # CPU factors in id order when there are composition targets.
+    coords = [0] + ([1 + engaged.index(cid) for cid in cpu_ids]
+                    if target_shares else [])
+    slowest = [_OVERHEAD_CAP] + [_MIN_FACTOR if c in coords else 1.0
+                                 for c in range(1, len(engaged) + 1)]
+    floor_throughput, _ = _closed_form(rates, slowest)
     if target_throughput < floor_throughput:
         raise InfeasibleTarget(
             f"target {target_throughput} imgs/s is below the "
@@ -201,115 +210,54 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
             f"overhead cap; measurements and model disagree"
         )
 
-    overhead = _seed_overhead(rates, target_throughput, target_composition)
-    factors = {cid: 1.0 for cid in cpu_ids}
-    if fit_factors:
-        factors = _seed_factors(rates, cpu_ids, target_throughput,
-                                target_composition, overhead)
-
-    def cf_search(h0: float, fs0: dict[str, float],
-                  cf_target: float) -> tuple[float, dict[str, float]]:
-        """Coordinate descent on the closed form, shrinking steps each round."""
-        def cf_objective(h: float, fs: dict[str, float]) -> float:
-            total, shares = _closed_form(rates, fs, h)
-            return _objective(total, shares, cf_target, target_composition)
-
-        h, fs = h0, dict(fs0)
-        h_step = max(h0, 1e-3)
-        f_step = 0.1
-        for _ in range(7):
-            h = _line_search(
-                lambda value: cf_objective(value, fs), h, h_step, 0.0, 0.25)
-            if fit_factors:
-                for cid in cpu_ids:
-                    def eval_factor(value, cid=cid):
-                        trial = dict(fs)
-                        trial[cid] = value
-                        return cf_objective(h, trial)
-                    fs[cid] = _line_search(
-                        eval_factor, fs[cid], f_step, _MIN_FACTOR, 1.0)
-            h_step *= 0.25
-            f_step *= 0.25
-        return h, fs
-
-    def sim_result(h: float, fs: dict[str, float]) -> SimResult:
-        scenario = Scenario(
-            platform_id=platform.id,
-            network_id=network.id,
-            engaged=engaged,
-            frame_count=frames,
-            dispatch_overhead_s=h,
-            contention={cid: fs[cid] for cid in cpu_ids},
-        )
-        return simulate(scenario, platform, network)
-
-    def sim_objective(res: SimResult) -> float:
-        return _objective(res.throughput, res.composition,
-                          target_throughput, target_composition)
-
-    def floor(h: float, fs: dict[str, float]) -> float:
-        return _score_floor(rates, fs, h, frames, target_throughput,
-                            target_composition)
-
-    overhead, factors = cf_search(overhead, factors, target_throughput)
-    best = sim_result(overhead, factors)
-    best_score = sim_objective(best)
+    base = Scenario(platform.id, network.id, engaged, frames)
+    x = _search(rates, _seed(rates, coords, target_throughput, target_shares),
+                coords, target_throughput, target_shares)
+    best, best_score = _run(platform, network, base, cpu_ids, x,
+                            target_throughput, target_shares)
 
     # The greedy end-of-stream tail puts simulated throughput slightly below
     # the closed form. Re-run the search against an offset-corrected target
     # so the simulated residuals, not the closed-form ones, end up centered.
-    cf_total, _ = _closed_form(rates, factors, overhead)
-    offset = cf_total - best.throughput
+    offset = _closed_form(rates, x)[0] - best.throughput
     if offset > 1e-9:
-        h2, f2 = cf_search(overhead, factors, target_throughput + offset)
-        trial = sim_result(h2, f2)
-        score = sim_objective(trial)
+        trial = _search(rates, x, coords, target_throughput + offset,
+                        target_shares)
+        result, score = _run(platform, network, base, cpu_ids, trial,
+                             target_throughput, target_shares)
         if score < best_score:
-            best, best_score = trial, score
-            overhead, factors = h2, f2
+            best, best_score, x = result, score, trial
 
-    # Final polish directly against simulation runs. A candidate whose
-    # score floor already reaches best_score cannot be accepted, so it is
-    # not simulated.
-    h_step, f_step = 2e-4, 0.01
+    # Final polish against simulation runs: move one searched coordinate at
+    # a time by -2, -1, 1 or 2 steps within its bounds and keep a move that
+    # scores strictly lower. A candidate whose score floor already reaches
+    # best_score cannot be kept, so it is not simulated.
+    steps = [2e-4] + [0.01] * (len(coords) - 1)
     for _ in range(2):
-        for delta in (-2 * h_step, -h_step, h_step, 2 * h_step):
-            h = max(0.0, overhead + delta)
-            if h == overhead or floor(h, factors) >= best_score:
-                continue
-            trial = sim_result(h, factors)
-            score = sim_objective(trial)
-            if score < best_score:
-                best, best_score, overhead = trial, score, h
-        if fit_factors:
-            for cid in cpu_ids:
-                for delta in (-2 * f_step, -f_step, f_step, 2 * f_step):
-                    value = min(1.0, max(_MIN_FACTOR, factors[cid] + delta))
-                    if value == factors[cid]:
-                        continue
-                    trial_factors = dict(factors)
-                    trial_factors[cid] = value
-                    if floor(overhead, trial_factors) >= best_score:
-                        continue
-                    trial = sim_result(overhead, trial_factors)
-                    score = sim_objective(trial)
-                    if score < best_score:
-                        best, best_score, factors = trial, score, trial_factors
-        h_step *= 0.25
-        f_step *= 0.25
+        for c, step in zip(coords, steps):
+            lo, hi = (0.0, math.inf) if c == 0 else (_MIN_FACTOR, 1.0)
+            for k in (-2, -1, 1, 2):
+                trial = list(x)
+                trial[c] = min(hi, max(lo, x[c] + k * step))
+                if trial[c] == x[c] or _score_floor(
+                        rates, trial, frames, target_throughput,
+                        target_shares) >= best_score:
+                    continue
+                result, score = _run(platform, network, base, cpu_ids, trial,
+                                     target_throughput, target_shares)
+                if score < best_score:
+                    best, best_score, x = result, score, trial
+        steps = [s * 0.25 for s in steps]
 
-    residual_comp = None
-    if target_composition:
-        residual_comp = {
-            cid: best.composition.get(cid, 0.0) - share
-            for cid, share in target_composition.items()
-        }
+    residual_comp = ({cid: best.composition[cid] - share
+                      for cid, share in target_shares.items()}
+                     if target_shares else None)
     return CalibrationResult(
         platform_id=platform.id,
         network_id=network.id,
         engaged=engaged,
-        dispatch_overhead_s=overhead,
-        contention={cid: factors[cid] for cid in cpu_ids},
+        dispatch_overhead_s=x[0],
+        contention=dict(best.scenario.contention),
         objective=best_score,
         residual_throughput_rel=(best.throughput - target_throughput) / target_throughput,
         residual_composition=residual_comp,
@@ -317,74 +265,81 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
     )
 
 
-def _line_search(evaluate, current: float, step: float, lo: float,
-                 hi: float) -> float:
-    """Best value on a symmetric grid around current, clamped to [lo, hi]."""
-    best = current
-    best_score = evaluate(current)
-    for k in (-3, -2, -1, 1, 2, 3):
-        value = current + k * step
-        if value < lo or value > hi:
-            continue
-        score = evaluate(value)
-        if score < best_score:
-            best, best_score = value, score
-    return best
+def _run(platform: Platform, network: NetworkProfile, base: Scenario,
+         cpu_ids: list[str], x: list[float], target_throughput: float,
+         target_shares: Optional[dict[str, float]]) -> tuple[SimResult, float]:
+    """The simulation of base at x, with the CPU factors as contention,
+    and its objective."""
+    factors = dict(zip(base.engaged, x[1:]))
+    result = simulate(replace(base, dispatch_overhead_s=x[0], contention={
+        cid: factors[cid] for cid in cpu_ids}), platform, network)
+    return result, _objective((result.throughput,) * 2,
+                              (result.composition,) * 2,
+                              target_throughput, target_shares)
 
 
-def _seed_overhead(rates: dict[str, float], target_throughput: float,
-                   target_composition: Optional[dict[str, float]]) -> float:
-    """Initial overhead estimate.
+def _search(rates: dict[str, float], x: list[float], coords: list[int],
+            target_throughput: float,
+            target_shares: Optional[dict[str, float]]) -> list[float]:
+    """Coordinate descent on the closed form, starting from x.
 
-    With composition targets, invert the implied per-component rates of
-    the fastest components (their factors are pinned at 1.0). Otherwise
-    bisect the closed-form total, factors all 1.0.
+    Each of 7 rounds moves every searched coordinate in turn to the point
+    of lowest objective, the first of equals, among its current value and
+    the values -3..3 steps away that lie in its bounds; then every step
+    shrinks fourfold.
     """
-    if target_composition:
-        implied_overheads = []
-        for comp_id, share in target_composition.items():
-            rate = rates.get(comp_id)
-            if rate is None:
-                continue
-            implied = target_throughput * share
-            if implied >= rate or implied <= 0:
-                continue
-            implied_overheads.append(1.0 / implied - 1.0 / rate)
-        if implied_overheads:
-            return max(0.0, min(implied_overheads))
-        return 0.0
-    factors = {cid: 1.0 for cid in rates}
-    total0, _ = _closed_form(rates, factors, 0.0)
-    if target_throughput >= total0:
-        return 0.0
-    lo, hi = 0.0, 1e-3
-    while (hi < _OVERHEAD_CAP
-           and _closed_form(rates, factors, hi)[0] > target_throughput):
-        hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _closed_form(rates, factors, mid)[0] > target_throughput:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    x = list(x)
+    steps = [max(x[0], 1e-3)] + [0.1] * (len(coords) - 1)
+    for _ in range(7):
+        for c, step in zip(coords, steps):
+            lo, hi = ((0.0, _SEARCH_OVERHEAD_CEILING) if c == 0
+                      else (_MIN_FACTOR, 1.0))
+            values = [x[c]] + [x[c] + k * step for k in (-3, -2, -1, 1, 2, 3)
+                               if lo <= x[c] + k * step <= hi]
+            scores = []
+            for value in values:
+                x[c] = value
+                total, shares = _closed_form(rates, x)
+                scores.append(_objective((total, total), (shares, shares),
+                                         target_throughput, target_shares))
+            x[c] = values[scores.index(min(scores))]
+        steps = [s * 0.25 for s in steps]
+    return x
 
 
-def _seed_factors(rates: dict[str, float], cpu_ids: list[str],
-                  target_throughput: float,
-                  target_composition: dict[str, float],
-                  overhead: float) -> dict[str, float]:
-    """Invert each CPU cluster's implied rate at the seeded overhead."""
-    factors = {}
-    for cid in cpu_ids:
-        share = target_composition.get(cid)
-        if not share:  # no target, or a zero share: no rate to invert
-            factors[cid] = 1.0
-            continue
-        implied = target_throughput * share
-        inv = 1.0 / implied - overhead
-        if inv <= 0:
-            factors[cid] = 1.0
-            continue
-        factors[cid] = min(1.0, max(_MIN_FACTOR, 1.0 / (rates[cid] * inv)))
-    return factors
+def _seed(rates: dict[str, float], coords: list[int], target_throughput: float,
+          target_shares: Optional[dict[str, float]]) -> list[float]:
+    """Initial parameters.
+
+    With composition targets, the overhead inverts the implied rates of the
+    fastest components (their factors are pinned at 1.0), and then each
+    searched factor inverts its component's implied rate at that overhead.
+    Otherwise the overhead bisects the closed-form total, factors all 1.0.
+    """
+    x = [0.0] + [1.0] * len(rates)
+    if not target_shares:
+        if target_throughput < _closed_form(rates, x)[0]:
+            lo, hi = 0.0, 1e-3
+            while (hi < _OVERHEAD_CAP
+                   and _closed_form(rates, [hi] + x[1:])[0] > target_throughput):
+                hi *= 2.0
+            for _ in range(80):
+                x[0] = 0.5 * (lo + hi)
+                if _closed_form(rates, x)[0] > target_throughput:
+                    lo = x[0]
+                else:
+                    hi = x[0]
+            x[0] = 0.5 * (lo + hi)
+        return x
+    implied = {cid: target_throughput * share
+               for cid, share in target_shares.items()}
+    overheads = [1.0 / want - 1.0 / rates[cid]
+                 for cid, want in implied.items() if 0 < want < rates[cid]]
+    x[0] = max(0.0, min(overheads)) if overheads else 0.0
+    ids = list(rates)
+    for c in coords[1:]:
+        want = implied.get(ids[c - 1])
+        inv = 1.0 / want - x[0] if want else 0.0  # no target, or a zero share
+        if inv > 0:
+            x[c] = min(1.0, max(_MIN_FACTOR, 1.0 / (rates[ids[c - 1]] * inv)))
+    return x

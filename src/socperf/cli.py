@@ -12,6 +12,7 @@ SOCPERF_DATA overrides the bundled dataset directory.
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Optional
 
 from . import dataset
@@ -90,7 +91,7 @@ def _cmd_roofline(args) -> bytes:
 
 def _scenario_from_args(args) -> Scenario:
     if args.scenario:
-        return load_scenario(args.scenario)
+        return load_scenario(Path(args.scenario))
     missing = [name for name in ("platform", "network", "components")
                if not getattr(args, name)]
     if missing:

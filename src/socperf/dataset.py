@@ -14,6 +14,7 @@ user-supplied estimates in the documents' notes fields.
 import functools
 import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 from .errors import MalformedDocument, UnknownComponent
@@ -65,7 +66,7 @@ def _load_dir(path: str) -> tuple[tuple[Platform, ...], tuple[NetworkProfile, ..
         if not name.endswith(".json"):
             continue
         full = os.path.join(path, name)
-        entry = _load_entry(full)
+        entry = _load_entry(Path(full))
         if entry is None:
             continue
         kind = "platform" if isinstance(entry, Platform) else "network"

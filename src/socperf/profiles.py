@@ -88,10 +88,13 @@ def number(value, key: str, ctx: str, low: float = 0.0, high: float = _INF,
     raise _refusal(ctx, key, rule, value)
 
 
-def count(value, key: str, ctx: str, low: int = 1) -> int:
-    """value, which must be a JSON integer (not a bool or a float) >= low."""
+def count(value, key: str, ctx: str, low: int = 1, high: float = _INF) -> int:
+    """value, which must be a JSON integer (not a bool or a float) >= low
+    and at most high."""
     if isinstance(value, int) and not isinstance(value, bool) and value >= low:
-        return value
+        if value <= high:
+            return value
+        raise _refusal(ctx, key, f"an integer <= {high}", value)
     raise _refusal(ctx, key, f"an integer >= {low}", value)
 
 
@@ -412,22 +415,25 @@ _RECORD_DOC = dict.fromkeys(
 def reads_document(build):
     """Turn build(doc) into a loader of one document from a Source.
 
-    A source is a dict, JSON text, a readable file or a path; anything
-    that does not look like JSON text is a path. Errors about a document
-    read from a path start with that path, prefixed here for every loader.
+    A source is a dict, JSON text, a readable file or a path. An
+    os.PathLike is always a path; a string is a path unless it looks like
+    JSON text. Errors about a document read from a path start with that
+    path, prefixed here for every loader.
     """
     @functools.wraps(build)
     def load(source: Source):
         path, doc = None, source
-        if not isinstance(source, dict):
-            if hasattr(source, "read"):
-                doc = source.read()
-            else:
-                doc = str(source)
-                if not doc.lstrip().startswith(("{", "[")):
-                    path = doc
-                    with open(path, "rb") as fh:
-                        doc = fh.read()
+        if isinstance(source, os.PathLike):
+            path = os.fspath(source)
+        elif hasattr(source, "read"):
+            doc = source.read()
+        elif not isinstance(source, dict):
+            doc = str(source)
+            if not doc.lstrip().startswith(("{", "[")):
+                path = doc
+        if path is not None:
+            with open(path, "rb") as fh:
+                doc = fh.read()
         try:
             if not isinstance(doc, dict):
                 try:

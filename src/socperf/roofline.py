@@ -171,9 +171,14 @@ def layer_points(profile: NetworkProfile, model: RooflineModel,
     return points
 
 
+# The most samples an OI grid takes. Each becomes one table row: as JSON
+# about 160 bytes of output, 1.7 KB of peak memory and 20 us of work.
+_MAX_SAMPLES = 10 ** 5
+
+
 def log_spaced(lo: float, hi: float, samples: int) -> list[float]:
     """Logarithmically spaced OI sample grid, endpoints included."""
-    count(samples, "samples", "OI grid", low=2)
+    count(samples, "samples", "OI grid", low=2, high=_MAX_SAMPLES)
     number(hi, "oi_max", "OI grid", low=number(lo, "oi_min", "OI grid"))
     step = (math.log10(hi) - math.log10(lo)) / (samples - 1)
     return [10 ** (math.log10(lo) + i * step) for i in range(samples)]

@@ -35,6 +35,11 @@ from .profiles import (ComponentSpec, NetworkProfile, Platform, _set, count, ids
 
 # The largest jitter cv whose square, which simulate takes, is finite.
 _MAX_JITTER_CV = 1e154
+# The most frames one run takes, refused before anything is allocated.
+# simulate allocates 1 byte per frame up front and costs about 730 ns per
+# frame (some 7 s at the cap); recording events keeps 3 SimEvents, about
+# 350 bytes, per frame (3.5 GB at the cap).
+_MAX_FRAMES = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,7 @@ class Scenario:
         _set(self, "engaged", ids(self.engaged, "components", "scenario"))
         if len(set(self.engaged)) != len(self.engaged):
             raise MalformedDocument("scenario engages a component twice")
-        count(self.frame_count, "frames", "scenario")
+        count(self.frame_count, "frames", "scenario", high=_MAX_FRAMES)
         _set(self, "dispatch_overhead_s", number(
             self.dispatch_overhead_s, "dispatch_overhead_s", "scenario",
             include_low=True))
@@ -321,10 +326,16 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
 
     frames_per_component = dict(zip(order, frames_done))
     busy_time = dict(zip(order, busy))
+    # Active energy: active power times busy time, summed over the engaged
+    # components; idle power is excluded by construction of the active
+    # power values.
     energy_per_component = {
         cid: platform.component(cid).active_power_w * busy_time[cid]
         for cid in order}
-    energy, efficiency = energy_and_efficiency(busy_time, n_frames, platform)
+    energy = number(sum(energy_per_component.values()), "energy_j",
+                    "scenario result")  # may under- or overflow
+    efficiency = number(n_frames / energy, "energy_efficiency",
+                        "scenario result")
     return SimResult(
         scenario=scenario,
         makespan_s=makespan,
@@ -338,20 +349,3 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
         reorder_high_water=high_water,
         events=tuple(events) if events is not None else None,
     )
-
-
-def energy_and_efficiency(busy_time_s: dict[str, float], frame_count: int,
-                          platform: Platform) -> tuple[float, float]:
-    """Active energy in joules and images per joule for one run.
-
-    Energy is active power times busy time, summed over engaged
-    components; idle power is excluded by construction of the active
-    power values.
-    """
-    energy = 0.0
-    for comp_id, busy in busy_time_s.items():
-        component = platform.component(comp_id)  # raises UnknownComponent
-        energy += component.active_power_w * busy
-    number(energy, "energy_j", "scenario result")  # may under- or overflow
-    return energy, number(frame_count / energy, "energy_efficiency",
-                          "scenario result")

@@ -52,6 +52,7 @@ from socperf import (
 from socperf.calibrate import calibrate
 from socperf.cli import main
 from socperf.dataset import observations_for_table
+from test_sim import greedy_oracle
 
 PLATFORMS = {p.id: p for p in builtin_dataset()[0]}
 NETWORKS = {n.id: n for n in builtin_dataset()[1]}
@@ -475,21 +476,7 @@ def test_criterion_7_determinism(scheduler_stats):
 
 
 def test_criterion_7_small_instance_oracle(scheduler_stats):
-    # independent scan-based greedy recomputation, no heap, no buffer
-    def oracle(rates, n_frames, overhead):
-        ids = sorted(rates)
-        free = {c: 0.0 for c in ids}
-        counts = {c: 0 for c in ids}
-        makespan = 0.0
-        for _ in range(n_frames):
-            comp = min(ids, key=lambda c: free[c])
-            service = 1.0 / rates[comp] + overhead  # per-frame service time
-            finish = free[comp] + service
-            free[comp] = finish
-            counts[comp] += 1
-            makespan = max(makespan, finish)
-        return counts, makespan
-
+    # greedy_oracle is an independent scan, with no heap and no buffer
     rng = random.Random(321)
     mismatches = []
     cases = 0
@@ -515,10 +502,10 @@ def test_criterion_7_small_instance_oracle(scheduler_stats):
             scenario = Scenario("synth", "synthnet", tuple(sorted(rates)),
                                 n_frames, dispatch_overhead_s=overhead)
             result = simulate(scenario, platform, network)
-            counts, makespan = oracle(rates, n_frames, overhead)
+            expected = greedy_oracle(rates, n_frames, overhead)
             cases += 1
-            if result.frames_per_component != counts \
-                    or result.makespan_s != makespan:
+            if (result.frames_per_component, result.makespan_s,
+                    result.busy_time_s) != expected:
                 mismatches.append((rates, n_frames, overhead))
     report("7/small-instance-oracle", not mismatches,
            f"{cases} exhaustive greedy schedules (N<=6, components<=3) "

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -65,7 +66,7 @@ def test_calibration_deterministic():
 def test_calibration_result_scenario_round_trip():
     fit = calibrate(EXYNOS, ALEXNET, {"throughput": 10.3},
                     ("a7", "a15", "t628"))
-    scenario = fit.scenario(frame_count=2000)
+    scenario = replace(fit.result.scenario, frame_count=2000)
     assert scenario.dispatch_overhead_s == fit.dispatch_overhead_s
     assert scenario.engaged == ("a7", "a15", "t628")
 
@@ -95,10 +96,11 @@ def record_polish(monkeypatch, fits):
         sims[0] += 1
         return simulate(*args, **kwargs)
 
-    def recording_floor(rates, factors, overhead, frames, target, shares):
-        floor = score_floor(rates, factors, overhead, frames, target, shares)
-        candidates.append((floor, dict(factors), overhead, frames, target,
-                           shares))
+    def recording_floor(rates, x, frames, target, shares):
+        floor = score_floor(rates, x, frames, target, shares)
+        # x = [overhead, factor of each component of rates, in its order]
+        candidates.append((floor, dict(zip(rates, x[1:])), x[0], frames,
+                           target, shares))
         return floor
 
     monkeypatch.setattr(CALIBRATE, "simulate", counting_simulate)
@@ -115,7 +117,8 @@ def record_polish(monkeypatch, fits):
                                     overhead, factors),
                            platform, network)
             pairs.append((floor, CALIBRATE._objective(
-                run.throughput, run.composition, target, shares)))
+                (run.throughput,) * 2, (run.composition,) * 2, target,
+                shares)))
         candidates.clear()
     return sims[0], pairs
 

@@ -407,6 +407,36 @@ def test_scenario_file_error_names_the_file(tmp_path, capsys):
         f"got 2.7\n")
 
 
+def test_scenario_path_that_looks_like_json_is_a_file(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("[draft] s.json").write_text(json.dumps({
+        "platform": "exynos5422", "network": "alexnet",
+        "components": ["a15"], "frames": 200}))
+    assert main(["simulate", "--scenario", "[draft] s.json",
+                 "--out", "out.json"]) == 0
+    assert json.loads(Path("out.json").read_bytes())["frames"] == 200
+    Path("{bad} s.json").write_text("{ not json")
+    assert main(["simulate", "--scenario", "{bad} s.json",
+                 "--out", "out.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("socperf: {bad} s.json: not valid JSON")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args,message", [
+    (["simulate", "--platform", "kirin970", "--network", "alexnet",
+      "--components", "a53", "--frames", "10000001"],
+     "scenario: frames must be an integer <= 10000000, got 10000001"),
+    (["roofline", "--platform", "kirin970", "--component", "a53",
+      "--samples", "100001"],
+     "OI grid: samples must be an integer <= 100000, got 100001"),
+])
+def test_count_above_its_cap_exits_1(tmp_path, capsys, args, message):
+    assert main(args + ["--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"socperf: {message}\n"
+
+
 def test_byte_identical_reruns(tmp_path):
     _, first = run_cli(["tables", "--which", "1"], tmp_path, "a.csv")
     _, second = run_cli(["tables", "--which", "1"], tmp_path, "b.csv")

@@ -25,7 +25,7 @@ from socperf import (
     roofline_series,
     theoretical_oi,
 )
-from socperf.roofline import achieved_gops
+from socperf.roofline import _MAX_SAMPLES, achieved_gops
 
 T628 = RooflineModel("t628", roof_bandwidth_gbs=6.15, ceiling_compute_gops=57.6)
 A15 = RooflineModel("a15", roof_bandwidth_gbs=3.44, ceiling_compute_gops=32.0)
@@ -147,6 +147,8 @@ def test_series_point_passthrough_and_errors():
         roofline_series(T628, [], [-1.0, 2.0])
     with pytest.raises(ValueError):
         log_spaced(1.0, 0.1, 5)
+    with pytest.raises(ValueError, match="samples must be an integer <= 100000"):
+        log_spaced(0.1, 100.0, _MAX_SAMPLES + 1)
 
 
 def test_achieved_points_stay_below_the_roofline():

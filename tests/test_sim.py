@@ -11,7 +11,6 @@ from socperf import (
     availability_factor,
     builtin_dataset,
     effective_rate,
-    energy_and_efficiency,
     load_platform,
     load_network_profile,
     load_scenario,
@@ -20,7 +19,7 @@ from socperf import (
     rate_sum,
     simulate,
 )
-from socperf.sim import ReorderBuffer
+from socperf.sim import _MAX_FRAMES, ReorderBuffer
 
 EXYNOS = platform_by_id("exynos5422")
 KIRIN = platform_by_id("kirin970")
@@ -56,10 +55,13 @@ def greedy_oracle(rates, n_frames, overhead=0.0):
 
     Scan-based: every frame goes to the component that becomes free
     earliest, ties to the lexicographically first id. No heap, no buffer.
+    Returns the frames, the makespan and the busy time of each component,
+    all of which a jitter-free simulation must match bit for bit.
     """
     ids = sorted(rates)
     free = {c: 0.0 for c in ids}
     counts = {c: 0 for c in ids}
+    busy = {c: 0.0 for c in ids}
     makespan = 0.0
     for _ in range(n_frames):
         comp = min(ids, key=lambda c: free[c])
@@ -67,8 +69,9 @@ def greedy_oracle(rates, n_frames, overhead=0.0):
         finish = free[comp] + service
         free[comp] = finish
         counts[comp] += 1
+        busy[comp] += service
         makespan = max(makespan, finish)
-    return counts, makespan
+    return counts, makespan, busy
 
 
 # -- effective rates and contention -------------------------------------------
@@ -130,7 +133,8 @@ def test_single_component_degenerates_to_measured_rate():
 def test_simulate_matches_hand_schedule_20_frames():
     scenario = Scenario("exynos5422", "alexnet", ("a7", "a15", "t628"), 20)
     result = simulate(scenario, EXYNOS, ALEXNET)
-    counts, makespan = greedy_oracle({"a7": 1.1, "a15": 3.1, "t628": 7.8}, 20)
+    counts, makespan, _ = greedy_oracle({"a7": 1.1, "a15": 3.1, "t628": 7.8},
+                                        20)
     assert result.frames_per_component == counts
     assert result.makespan_s == makespan
     assert result.throughput == 20 / makespan
@@ -150,10 +154,34 @@ def test_small_instance_exhaustive_oracle():
                 scenario = Scenario("synth", "synthnet", ids, n_frames,
                                     dispatch_overhead_s=overhead)
                 result = simulate(scenario, platform, network)
-                counts, makespan = greedy_oracle(
+                counts, makespan, busy = greedy_oracle(
                     dict(zip(ids, rates)), n_frames, overhead)
                 assert result.frames_per_component == counts
                 assert result.makespan_s == makespan
+                assert result.busy_time_s == busy
+
+
+@pytest.mark.parametrize("overhead", [0.0, 0.002])
+def test_greedy_oracle_matches_every_bundled_engagement(overhead):
+    platforms, networks = builtin_dataset()
+    checked = 0
+    for platform in platforms:
+        for network in networks:
+            usable = [c.id for c in platform.components
+                      if network.supports(c.id)]
+            for r in range(1, len(usable) + 1):
+                for engaged in itertools.combinations(usable, r):
+                    result = simulate(
+                        Scenario(platform.id, network.id, engaged, 3000,
+                                 dispatch_overhead_s=overhead),
+                        platform, network)
+                    expected = greedy_oracle(
+                        {cid: network.rate(cid) for cid in engaged}, 3000,
+                        overhead)
+                    assert (result.frames_per_component, result.makespan_s,
+                            result.busy_time_s) == expected, engaged
+                    checked += 1
+    assert checked == 102
 
 
 def test_composition_follows_rate_ratios():
@@ -319,6 +347,9 @@ def test_ties_resolve_by_component_id_order():
 def test_scenario_validation():
     with pytest.raises(MalformedDocument):
         Scenario("p", "n", (), 10)
+    with pytest.raises(MalformedDocument,
+                       match="frames must be an integer <= 10000000"):
+        Scenario("p", "n", ("a",), _MAX_FRAMES + 1)
     with pytest.raises(MalformedDocument):
         Scenario("p", "n", ("a", "a"), 10)
     with pytest.raises(MalformedDocument):
@@ -343,6 +374,12 @@ def test_contention_for_unengaged_component_rejected():
     scenario = Scenario("exynos5422", "alexnet", ("a15",), 10,
                         contention={"t628": 0.5})
     with pytest.raises(UnknownComponent):
+        simulate(scenario, EXYNOS, ALEXNET)
+
+
+def test_engaged_component_not_on_the_platform_rejected():
+    scenario = Scenario("exynos5422", "alexnet", ("a15", "npu"), 10)
+    with pytest.raises(UnknownComponent, match="npu"):
         simulate(scenario, EXYNOS, ALEXNET)
 
 
@@ -518,16 +555,13 @@ def test_simulate_releases_in_sequence_behind_slow_head():
 # -- energy ----------------------------------------------------------------------
 
 def test_energy_simple_arithmetic():
-    platform = synthetic_platform([(5.0, 2.0)])
-    energy, eff = energy_and_efficiency({"c0": 10.0}, 50, platform)
-    assert energy == 20.0
-    assert eff == 2.5
-
-
-def test_energy_unknown_component():
-    platform = synthetic_platform([(5.0, 2.0)])
-    with pytest.raises(UnknownComponent):
-        energy_and_efficiency({"nope": 1.0}, 10, platform)
+    # 40 frames of 0.25 s each: 10 s busy at 2 W
+    result = simulate(Scenario("synth", "synthnet", ("c0",), 40),
+                      synthetic_platform([(4.0, 2.0)]), synthetic_network([4.0]))
+    assert result.busy_time_s == {"c0": 10.0}
+    assert result.energy_per_component_j == {"c0": 20.0}
+    assert result.energy_j == 20.0
+    assert result.energy_efficiency == 2.0
 
 
 def test_equal_components_match_single_efficiency():
