@@ -65,10 +65,8 @@ from .sim import (
     Scenario,
     SimEvent,
     SimResult,
-    availability_factor,
-    effective_rate,
+    effective_rates,
     load_scenario,
-    rate_sum,
     simulate,
 )
 

@@ -41,8 +41,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import InfeasibleTarget
-from .profiles import NetworkProfile, Platform, number, obj, one_of
-from .sim import Scenario, SimResult, simulate
+from .profiles import NetworkProfile, Platform, ids, keys, number, obj, one_of
+from .sim import Scenario, SimResult, effective_rates, simulate
 
 THROUGHPUT_SCALE = 0.02   # one residual unit = 2% relative throughput error
 COMPOSITION_SCALE = 0.03  # one residual unit = 3 points of frame share
@@ -169,21 +169,24 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
     """Fit (dispatch_overhead, contention factors) to observed behavior.
 
     observed holds "throughput" in images/s and optionally "composition"
-    as a map of component id to frame-share fraction. Without composition
+    as a map of component id to frame-share fraction; any other key is
+    refused. engaged is a list of component ids. Without composition
     targets only the overhead is fitted and all factors stay at 1.0; with
     them, availability factors of the engaged CPU clusters join the
     search (accelerator factors stay pinned at 1.0).
     """
-    engaged = tuple(engaged)
-    target_throughput = number(observed["throughput"], "target throughput", "")
-    target_shares = observed.get("composition")
+    engaged = ids(engaged, "components", "calibrate")
+    target = keys(observed, {"throughput": None, "composition": None}, "target", "")
+    target_throughput = number(target["throughput"], "target throughput", "")
+    target_shares = target["composition"]
     if target_shares is not None:
         target_shares = {
             one_of(cid, engaged, "component", "target composition"):
             number(share, cid, "target composition", high=1.0, include_low=True)
             for cid, share in obj(target_shares, "composition", "target").items()}
 
-    rates = {cid: network.rate(cid) for cid in engaged}
+    base = Scenario(platform.id, network.id, engaged, frames)
+    rates = effective_rates(base, platform, network)  # every factor is 1.0
     bound = sum(rates.values())
     if target_throughput > bound * (1.0 + 1e-9):
         raise InfeasibleTarget(
@@ -210,7 +213,6 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
             f"overhead cap; measurements and model disagree"
         )
 
-    base = Scenario(platform.id, network.id, engaged, frames)
     x = _search(rates, _seed(rates, coords, target_throughput, target_shares),
                 coords, target_throughput, target_shares)
     best, best_score = _run(platform, network, base, cpu_ids, x,

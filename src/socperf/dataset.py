@@ -15,6 +15,7 @@ import functools
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Optional
 
 from .errors import MalformedDocument, UnknownComponent
@@ -23,7 +24,9 @@ from .profiles import (NetworkProfile, Platform, load_network_profile, load_plat
 
 DATA_ENV_VAR = "SOCPERF_DATA"
 _BUNDLED_DIR = os.path.join(os.path.dirname(__file__), "data")
-_DOCUMENT_KINDS = ("platform", "network", "trace")
+# The loader of each document kind; the dataset holds no counter traces.
+_LOADERS = {"platform": load_platform, "network": load_network_profile,
+            "trace": lambda doc: None}
 
 # Column order used by throughput tables: mid-range board then high-end board.
 TABLE1_COMPONENT_ORDER = ("a7", "a15", "t628", "a53", "a73", "g72", "npu")
@@ -32,16 +35,12 @@ TABLE1_NETWORK_ORDER = ("alexnet", "googlenet", "mobilenet", "resnet50", "squeez
 
 @reads_document
 def _load_entry(doc):
-    """The platform or network of one data-directory document; None for a
-    counter trace, which the dataset does not hold. The kind is the
-    document's first key; its loader refuses any other key."""
-    kind = one_of(next(iter(obj(doc, "document", "")), None), _DOCUMENT_KINDS,
+    """(kind, entry) of one data-directory document, entry None for a
+    counter trace. The kind is the document's first key; its loader
+    refuses any other key."""
+    kind = one_of(next(iter(obj(doc, "document", "")), None), tuple(_LOADERS),
                   "document kind", "")
-    if kind == "platform":
-        return load_platform(doc)
-    if kind == "network":
-        return load_network_profile(doc)
-    return None
+    return kind, _LOADERS[kind](doc)
 
 
 def builtin_dataset() -> tuple[list[Platform], list[NetworkProfile]]:
@@ -53,29 +52,34 @@ def builtin_dataset() -> tuple[list[Platform], list[NetworkProfile]]:
     file only. A directory is parsed once per process and its entries,
     which are immutable, are shared; each call returns fresh lists.
     """
-    platforms, networks = _load_dir(os.environ.get(DATA_ENV_VAR) or _BUNDLED_DIR)
-    return list(platforms), list(networks)
+    entries = _entries()
+    return list(entries["platform"].values()), list(entries["network"].values())
+
+
+def _entries() -> MappingProxyType:
+    return _load_dir(os.environ.get(DATA_ENV_VAR) or _BUNDLED_DIR)
 
 
 @functools.lru_cache(maxsize=4)  # a failure raises, so it is never cached
-def _load_dir(path: str) -> tuple[tuple[Platform, ...], tuple[NetworkProfile, ...]]:
-    platforms: list[Platform] = []
-    networks: list[NetworkProfile] = []
+def _load_dir(path: str) -> MappingProxyType:
+    """Read-only maps of platform and network id to entry, by kind, each in
+    file-name order."""
+    entries: dict[str, dict] = {"platform": {}, "network": {}}
     origin: dict[tuple[str, str], str] = {}
     for name in sorted(os.listdir(path)):
         if not name.endswith(".json"):
             continue
         full = os.path.join(path, name)
-        entry = _load_entry(Path(full))
+        kind, entry = _load_entry(Path(full))
         if entry is None:
             continue
-        kind = "platform" if isinstance(entry, Platform) else "network"
         first = origin.setdefault((kind, entry.id), full)
         if first != full:
             raise MalformedDocument(
                 f"{full}: {kind} id {entry.id!r} is also defined in {first}")
-        (platforms if kind == "platform" else networks).append(entry)
-    return tuple(platforms), tuple(networks)
+        entries[kind][entry.id] = entry
+    return MappingProxyType({kind: MappingProxyType(by_id)
+                             for kind, by_id in entries.items()})
 
 
 def builtin_trace(name: str = "alexnet_a15_trace"):
@@ -84,25 +88,21 @@ def builtin_trace(name: str = "alexnet_a15_trace"):
 
 
 def platform_by_id(platform_id: str) -> Platform:
-    platforms, _ = builtin_dataset()
-    for platform in platforms:
-        if platform.id == platform_id:
-            return platform
-    known = ", ".join(p.id for p in platforms)
-    raise UnknownComponent(
-        f"no platform {platform_id!r} in dataset (have: {known})"
-    )
+    return _by_id("platform", platform_id)
 
 
 def network_by_id(network_id: str) -> NetworkProfile:
-    _, networks = builtin_dataset()
-    for network in networks:
-        if network.id == network_id:
-            return network
-    known = ", ".join(n.id for n in networks)
-    raise UnknownComponent(
-        f"no network {network_id!r} in dataset (have: {known})"
-    )
+    return _by_id("network", network_id)
+
+
+def _by_id(kind: str, entry_id: str):
+    entries = _entries()[kind]
+    try:
+        return entries[entry_id]
+    except (KeyError, TypeError):  # TypeError: an unhashable id
+        raise UnknownComponent(
+            f"no {kind} {entry_id!r} in dataset (have: {', '.join(entries)})"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -227,12 +227,6 @@ class Platform:
             f"platform {self.id!r} has no component {component_id!r}"
         )
 
-    def hosted_accelerators(self, cpu_id: str) -> tuple[str, ...]:
-        """Ids of accelerators whose host_cluster is the given CPU cluster."""
-        return tuple(
-            c.id for c in self.components if c.host_cluster == cpu_id
-        )
-
 
 @dataclass(frozen=True)
 class LayerProfile:
@@ -274,14 +268,15 @@ class NetworkProfile:
     throughput maps component id to measured images/s at peak frequency;
     supported marks pairs that cannot run at all (absent from throughput).
     Both are stored as read-only copies. Whole-network operation and byte
-    counts are by definition the sums over the layer table.
+    counts are by definition the sums over the layer table. op_scale, in
+    (0, 1], is the factor a quantization scaled them by; a profile with
+    op_scale < 1 is quantized.
     """
 
     id: str
     layers: tuple[LayerProfile, ...]
     throughput: dict[str, float]
     supported: dict[str, bool]
-    quantized: bool = False
     op_scale: float = 1.0
     notes: str = ""
 
@@ -313,7 +308,11 @@ class NetworkProfile:
                     f"network {self.id!r}: supported component {comp_id!r} "
                     f"has no throughput value"
                 )
-        _set(self, "op_scale", number(self.op_scale, "op_scale", ctx))
+        _set(self, "op_scale", number(self.op_scale, "op_scale", ctx, high=1.0))
+
+    @property
+    def quantized(self) -> bool:
+        return self.op_scale < 1.0
 
     @property
     def total_gops(self) -> float:
@@ -403,7 +402,8 @@ _PLATFORM_DOC = {"id": None, "bus_peak_bandwidth_gbs": None, "components": None,
 _COMPONENT_DOC = {"id": None, "kind": None, "peak_compute_gops": None,
                   "cores": DEFAULT_CLUSTER_CORES, "sustainable_bandwidth_gbs": None,
                   "active_power_w": None, "frequency_ghz": None, "host_cluster": None}
-_NETWORK_DOC = {"id": None, "layers": None, "throughput": None, "notes": ""}
+_NETWORK_DOC = {"id": None, "layers": None, "throughput": None, "op_scale": 1.0,
+                "notes": ""}
 _LAYER_DOC = dict.fromkeys(
     ("name", "kind", "gops", "mem_access_bytes", "dram_access_bytes"))
 _TRACE_DOC = {"component_id": None, "cache_line_bytes": DEFAULT_CACHE_LINE_BYTES,
@@ -490,6 +490,7 @@ def load_network_profile(doc) -> NetworkProfile:
         layers=layers,
         throughput={cid: v for cid, v in rates.items() if v != UNSUPPORTED},
         supported={cid: v != UNSUPPORTED for cid, v in rates.items()},
+        op_scale=body["op_scale"],
         notes=body["notes"],
     )
 
@@ -552,6 +553,8 @@ def serialize_network(profile: NetworkProfile) -> dict:
         "layers": layers,
         "throughput": throughput,
     }
+    if profile.quantized:
+        body["op_scale"] = profile.op_scale
     if profile.notes:
         body["notes"] = profile.notes
     return {"network": body}

@@ -130,12 +130,9 @@ def network_point(profile: NetworkProfile, model: RooflineModel) -> RooflinePoin
     Plotted against empirical OI when every layer is traced, theoretical
     OI otherwise. Achieved points sit below the roofline.
     """
-    if profile.total_dram_access_bytes is not None:
-        oi = network_oi(profile, OI_EMPIRICAL)
-        oi_kind = OI_EMPIRICAL
-    else:
-        oi = network_oi(profile, OI_THEORETICAL)
-        oi_kind = OI_THEORETICAL
+    oi_kind = (OI_THEORETICAL if profile.total_dram_access_bytes is None
+               else OI_EMPIRICAL)
+    oi = network_oi(profile, oi_kind)
     return RooflinePoint(
         workload=profile.id,
         oi=oi,
@@ -196,7 +193,8 @@ def roofline_series(model: RooflineModel,
     """
     grid = [number(oi, "oi_range entry", "roofline series") for oi in oi_range]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("oi_range must be non-empty and strictly increasing")
+        raise MalformedDocument(
+            "oi_range must be non-empty and strictly increasing")
     ridge = model.ridge_oi
     if grid[0] < ridge < grid[-1] and ridge not in grid:
         grid = sorted(grid + [ridge])
@@ -251,9 +249,4 @@ def quantize_profile(profile: NetworkProfile, from_bits: int,
         )
         for layer in profile.layers
     )
-    return replace(
-        profile,
-        layers=layers,
-        quantized=True,
-        op_scale=profile.op_scale * scale,
-    )
+    return replace(profile, layers=layers, op_scale=profile.op_scale * scale)

@@ -28,18 +28,20 @@ from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .dataset import network_by_id, platform_by_id
-from .errors import MalformedDocument, UnknownComponent, UnsupportedPair
-from .profiles import (ComponentSpec, NetworkProfile, Platform, _set, count, ids,
-                       keys, number, obj, reads_document, text, unwrap)
+from .errors import MalformedDocument
+from .profiles import (NetworkProfile, Platform, _set, count, ids, keys, number,
+                       obj, one_of, reads_document, text, unwrap)
 
 
 # The largest jitter cv whose square, which simulate takes, is finite.
 _MAX_JITTER_CV = 1e154
 # The most frames one run takes, refused before anything is allocated.
 # simulate allocates 1 byte per frame up front and costs about 730 ns per
-# frame (some 7 s at the cap); recording events keeps 3 SimEvents, about
-# 350 bytes, per frame (3.5 GB at the cap).
+# frame (some 7 s at the cap).
 _MAX_FRAMES = 10 ** 7
+# The most frames a run that records events takes: it keeps 3 SimEvents,
+# about 350 bytes, per frame (350 MB here, 3.5 GB at _MAX_FRAMES).
+_MAX_RECORDED_FRAMES = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,8 @@ class Scenario:
             self.dispatch_overhead_s, "dispatch_overhead_s", "scenario",
             include_low=True))
         _set(self, "contention", MappingProxyType({
-            comp_id: number(factor, comp_id, "scenario contention", high=1.0)
+            one_of(comp_id, self.engaged, "component", "scenario contention"):
+            number(factor, comp_id, "scenario contention", high=1.0)
             for comp_id, factor
             in obj(self.contention, "contention", "scenario").items()}))
         if self.host_contention_default is not None:
@@ -164,46 +167,26 @@ class SimResult:
     events: Optional[tuple[SimEvent, ...]] = None
 
 
-def availability_factor(scenario: Scenario, platform: Platform,
-                        component_id: str) -> float:
-    """Availability of one component under the scenario's contention model.
+def effective_rates(scenario: Scenario, platform: Platform,
+                    network: NetworkProfile) -> dict[str, float]:
+    """Images/s of each engaged component, in engagement order: measured
+    isolated throughput times an availability factor.
 
-    Explicit factors win. Otherwise, when the opt-in host derating is set,
-    a CPU cluster hosting n engaged accelerators gets factor ** n; every
-    other component runs at 1.0.
+    An explicit contention factor wins. Otherwise, with the opt-in host
+    derating set, a component hosting n engaged accelerators gets
+    host_contention_default ** n (** 0 is 1.0); else the factor is 1.0.
+    An unknown id raises UnknownComponent before any UnsupportedPair.
     """
-    if component_id in scenario.contention:
-        return scenario.contention[component_id]
-    if scenario.host_contention_default is not None:
-        component = platform.component(component_id)
-        if component.is_cpu:
-            hosted = [
-                accel for accel in platform.hosted_accelerators(component_id)
-                if accel in scenario.engaged
-            ]
-            if hosted:
-                return scenario.host_contention_default ** len(hosted)
-    return 1.0
-
-
-def effective_rate(component: ComponentSpec, profile: NetworkProfile,
-                   scenario: Scenario, platform: Platform) -> float:
-    """Images/s the component contributes under this scenario.
-
-    Measured isolated throughput times the availability factor; raises
-    UnsupportedPair when the network cannot run on the component.
-    """
-    rate = profile.rate(component.id)
-    return rate * availability_factor(scenario, platform, component.id)
-
-
-def rate_sum(scenario: Scenario, platform: Platform,
-             profile: NetworkProfile) -> float:
-    """Sum of engaged effective rates: the zero-overhead throughput bound."""
-    return sum(
-        effective_rate(platform.component(cid), profile, scenario, platform)
-        for cid in scenario.engaged
-    )
+    components = [platform.component(cid) for cid in scenario.engaged]
+    derating = scenario.host_contention_default
+    rates = {}
+    for comp in components:
+        factor = scenario.contention.get(comp.id)
+        if factor is None:
+            factor = 1.0 if derating is None else derating ** sum(
+                c.host_cluster == comp.id for c in components)
+        rates[comp.id] = network.rate(comp.id) * factor
+    return rates
 
 
 def simulate(scenario: Scenario, platform: Optional[Platform] = None,
@@ -215,33 +198,24 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
     the scenario. With jitter_cv = 0 the run is fully deterministic; ties
     between simultaneous completions resolve in component-id order.
     """
+    if record_events:
+        count(scenario.frame_count, "frames", "recorded scenario",
+              high=_MAX_RECORDED_FRAMES)
     if platform is None:
         platform = platform_by_id(scenario.platform_id)
     if network is None:
         network = network_by_id(scenario.network_id)
-    if platform.id != scenario.platform_id:
-        raise MalformedDocument(
-            f"scenario names platform {scenario.platform_id!r} but got "
-            f"{platform.id!r}"
-        )
-    if network.id != scenario.network_id:
-        raise MalformedDocument(
-            f"scenario names network {scenario.network_id!r} but got "
-            f"{network.id!r}"
-        )
-    for comp_id in scenario.contention:
-        if comp_id not in scenario.engaged:
-            raise UnknownComponent(
-                f"contention factor given for {comp_id!r} which is not engaged"
-            )
+    for kind, named, got in (("platform", scenario.platform_id, platform.id),
+                             ("network", scenario.network_id, network.id)):
+        if got != named:
+            raise MalformedDocument(
+                f"scenario names {kind} {named!r} but got {got!r}")
 
     # Components are indexed by rank, their position in id order. Heap
     # entries are (completion time, rank, frame); ranks are unique, so
     # simultaneous completions pop in id order.
     order = sorted(scenario.engaged)
-    rates = {  # may raise UnsupportedPair
-        cid: effective_rate(platform.component(cid), network, scenario, platform)
-        for cid in scenario.engaged}
+    rates = effective_rates(scenario, platform, network)
     # Checked once per run: a derating or an overhead that is valid on
     # its own can still underflow a rate or overflow a time.
     processing = [1.0 / number(rates[cid], cid, "scenario effective rate")

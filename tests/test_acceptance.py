@@ -39,13 +39,13 @@ from socperf import (
     builtin_dataset,
     builtin_trace,
     classify,
+    effective_rates,
     empirical_oi,
     load_network_profile,
     load_platform,
     network_by_id,
     platform_by_id,
     quantize_profile,
-    rate_sum,
     simulate,
     theoretical_oi,
 )
@@ -121,7 +121,8 @@ def test_criterion_2_rate_sum_oracle():
                 for engaged in itertools.combinations(usable, r):
                     scenario = Scenario(platform.id, network.id, engaged, n)
                     result = simulate(scenario, platform, network)
-                    target = rate_sum(scenario, platform, network)
+                    target = sum(
+                        effective_rates(scenario, platform, network).values())
                     err = abs(result.throughput - target) / target
                     worst = max(worst, err)
                     within_band += err <= 0.001
@@ -312,6 +313,7 @@ def _random_scenario_corpus():
         "high_water_replay": [],
         "high_water_bound": [],
         "jitter_free": 0,
+        "oracle": [],
         "high_water_bound_max_frac": 0.0,
     }
     for index in range(10000):
@@ -366,9 +368,14 @@ def _random_scenario_corpus():
             stats["work_conservation"].append(tag)
 
         if cv == 0.0:
-            bound = rate_sum(scenario, platform, network)
-            if result.throughput > bound * (1 + 1e-12):
+            effective = effective_rates(scenario, platform, network)
+            if result.throughput > sum(effective.values()) * (1 + 1e-12):
                 stats["throughput_bound"].append(tag)
+            if greedy_oracle(effective, scenario.frame_count,
+                             scenario.dispatch_overhead_s) != (
+                    result.frames_per_component, result.makespan_s,
+                    result.busy_time_s):
+                stats["oracle"].append(tag)
 
         rerun = simulate(scenario, platform, network)
         if (rerun.makespan_s != result.makespan_s
@@ -476,7 +483,8 @@ def test_criterion_7_determinism(scheduler_stats):
 
 
 def test_criterion_7_small_instance_oracle(scheduler_stats):
-    # greedy_oracle is an independent scan, with no heap and no buffer
+    # greedy_oracle is an independent scan, with no heap and no buffer;
+    # the corpus compares it with every jitter-free scenario
     rng = random.Random(321)
     mismatches = []
     cases = 0
@@ -507,10 +515,14 @@ def test_criterion_7_small_instance_oracle(scheduler_stats):
             if (result.frames_per_component, result.makespan_s,
                     result.busy_time_s) != expected:
                 mismatches.append((rates, n_frames, overhead))
-    report("7/small-instance-oracle", not mismatches,
-           f"{cases} exhaustive greedy schedules (N<=6, components<=3) "
-           f"match the simulator exactly")
+    corpus_bad = scheduler_stats["oracle"]
+    jitter_free = scheduler_stats["jitter_free"]
+    report("7/small-instance-oracle", not (mismatches or corpus_bad),
+           f"{cases} exhaustive greedy schedules (N<=6, components<=3) and "
+           f"{jitter_free - len(corpus_bad)}/{jitter_free} jitter-free corpus "
+           f"scenarios match the simulator exactly")
     assert not mismatches, mismatches[:5]
+    assert not corpus_bad, corpus_bad[:10]
 
 
 def test_criterion_7_reorder_high_water(scheduler_stats):

@@ -3,8 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from socperf import (InfeasibleTarget, Scenario, network_by_id,
-                     observations_for_table, platform_by_id)
+from socperf import (InfeasibleTarget, MalformedDocument, Scenario,
+                     network_by_id, observations_for_table, platform_by_id)
 from socperf.calibrate import calibrate
 from socperf.cli import _observed
 
@@ -83,6 +83,20 @@ def test_target_needing_more_than_a_quarter_second_overhead_still_fits():
                     ("a7", "a15", "t628"))
     assert fit.dispatch_overhead_s > 0.25
     assert abs(fit.residual_throughput_rel) < 0.02
+
+
+@pytest.mark.parametrize("observed,engaged,message", [
+    ({}, ("a7", "t628"), "target throughput must be finite and > 0, got None"),
+    (None, ("a7", "t628"), "target must be an object, got None"),
+    ({"throughput": 10.3, "compositon": {"a7": 0.1}}, ("a7", "a15", "t628"),
+     "target key must be one of throughput, composition, got 'compositon'"),
+    ({"throughput": 3.0}, "a15", "calibrate: components must be a non-empty "
+     "list of non-empty strings, got 'a15'"),
+], ids=["empty_target", "no_target", "misspelt_key", "bare_string_engaged"])
+def test_calibrate_refuses_malformed_input(observed, engaged, message):
+    with pytest.raises(MalformedDocument) as exc:
+        calibrate(EXYNOS, ALEXNET, observed, engaged)
+    assert str(exc.value) == message
 
 
 def record_polish(monkeypatch, fits):

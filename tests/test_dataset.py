@@ -85,8 +85,10 @@ def test_hosting_relationships():
     assert exynos.component("t628").host_cluster == "a7"
     assert kirin.component("g72").host_cluster == "a53"
     assert kirin.component("npu").host_cluster == "a53"
-    assert kirin.hosted_accelerators("a53") == ("g72", "npu")
-    assert kirin.hosted_accelerators("a73") == ()
+    def hosted(cpu_id):
+        return [c.id for c in kirin.components if c.host_cluster == cpu_id]
+    assert hosted("a53") == ["g72", "npu"]
+    assert hosted("a73") == []
 
 
 def test_coexec_observations_golden():

@@ -20,6 +20,7 @@ from socperf import (
     load_trace,
     network_by_id,
     platform_by_id,
+    quantize_profile,
     serialize_network,
     serialize_platform,
 )
@@ -201,6 +202,8 @@ def test_integer_document_numbers_are_stored_as_floats():
      "layer 'l0': gops must be finite and > 0, got nan"),
     ({"layers": [{"name": "l0", "kind": "conv", "gops": 1.0}]},
      "layer 'l0': mem_access_bytes must be finite and > 0, got None"),
+    ({"op_scale": 1.5}, "network 'tiny': op_scale must be in (0, 1], got 1.5"),
+    ({"op_scale": 0}, "network 'tiny': op_scale must be in (0, 1], got 0"),
 ])
 def test_network_document_values_are_checked(change, message):
     doc = minimal_network_doc()
@@ -275,6 +278,11 @@ def test_network_round_trip_bundled():
     for nid in ("alexnet", "googlenet", "mobilenet", "resnet50", "squeezenet"):
         profile = network_by_id(nid)
         assert load_network_profile(serialize_network(profile)) == profile
+        assert "op_scale" not in serialize_network(profile)["network"]
+        for bits in (16, 8):
+            quantized = quantize_profile(profile, 32, bits)
+            assert quantized.quantized
+            assert load_network_profile(serialize_network(quantized)) == quantized
 
 
 def test_network_round_trip_with_dram_counts():

@@ -9,6 +9,7 @@ from socperf import (
     MissingTrace,
     RooflineModel,
     RooflinePoint,
+    SocPerfError,
     attach_trace,
     attainable,
     builtin_dataset,
@@ -139,10 +140,12 @@ def test_series_point_passthrough_and_errors():
     assert len(tagged) == 1
     assert tagged[0]["point_label"] == "alexnet[theoretical]"
     assert tagged[0]["point_gops"] == pytest.approx(achieved_gops(profile, "t628"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         roofline_series(T628, [], [])
-    with pytest.raises(ValueError):
+    assert isinstance(exc.value, SocPerfError)
+    with pytest.raises(ValueError) as exc:
         roofline_series(T628, [], [1.0, 0.5])
+    assert isinstance(exc.value, SocPerfError)
     with pytest.raises(ValueError):
         roofline_series(T628, [], [-1.0, 2.0])
     with pytest.raises(ValueError):

@@ -8,18 +8,16 @@ from socperf import (
     Scenario,
     UnknownComponent,
     UnsupportedPair,
-    availability_factor,
     builtin_dataset,
-    effective_rate,
+    effective_rates,
     load_platform,
     load_network_profile,
     load_scenario,
     network_by_id,
     platform_by_id,
-    rate_sum,
     simulate,
 )
-from socperf.sim import _MAX_FRAMES, ReorderBuffer
+from socperf.sim import _MAX_FRAMES, _MAX_RECORDED_FRAMES, ReorderBuffer
 
 EXYNOS = platform_by_id("exynos5422")
 KIRIN = platform_by_id("kirin970")
@@ -78,21 +76,25 @@ def greedy_oracle(rates, n_frames, overhead=0.0):
 
 def test_effective_rate_no_contention():
     scenario = Scenario("exynos5422", "alexnet", ("a15",), 10)
-    a15 = EXYNOS.component("a15")
-    assert effective_rate(a15, ALEXNET, scenario, EXYNOS) == 3.1
+    assert effective_rates(scenario, EXYNOS, ALEXNET) == {"a15": 3.1}
 
 
 def test_effective_rate_explicit_factor():
     scenario = Scenario("kirin970", "alexnet", ("a53", "g72"), 10,
                         contention={"a53": 0.5})
-    a53 = KIRIN.component("a53")
-    assert effective_rate(a53, ALEXNET, scenario, KIRIN) == pytest.approx(1.1)
+    rates = effective_rates(scenario, KIRIN, ALEXNET)
+    assert rates["a53"] == pytest.approx(1.1)
+    assert list(rates) == ["a53", "g72"]  # engagement order
 
 
 def test_effective_rate_unsupported_pair():
     scenario = Scenario("kirin970", "mobilenet", ("npu",), 10)
     with pytest.raises(UnsupportedPair):
-        effective_rate(KIRIN.component("npu"), MOBILENET, scenario, KIRIN)
+        effective_rates(scenario, KIRIN, MOBILENET)
+    # every engaged id is looked up on the platform before any rate
+    scenario = Scenario("kirin970", "mobilenet", ("npu", "a7"), 10)
+    with pytest.raises(UnknownComponent, match="a7"):
+        effective_rates(scenario, KIRIN, MOBILENET)
 
 
 def test_host_contention_optin_multiplies_per_accelerator():
@@ -102,14 +104,16 @@ def test_host_contention_optin_multiplies_per_accelerator():
     two = Scenario(engaged=("a53", "g72", "npu"), **base)
     off = Scenario(engaged=("a53", "g72", "npu"), platform_id="kirin970",
                    network_id="alexnet", frame_count=10)
-    assert availability_factor(one, KIRIN, "a53") == 0.5
-    assert availability_factor(two, KIRIN, "a53") == 0.25
-    assert availability_factor(two, KIRIN, "g72") == 1.0
-    assert availability_factor(off, KIRIN, "a53") == 1.0  # defaults stay off
+    a53, g72 = ALEXNET.rate("a53"), ALEXNET.rate("g72")
+    assert effective_rates(one, KIRIN, ALEXNET)["a53"] == a53 * 0.5
+    assert effective_rates(two, KIRIN, ALEXNET)["a53"] == a53 * 0.25
+    assert effective_rates(two, KIRIN, ALEXNET)["g72"] == g72 * 1.0
+    # defaults stay off
+    assert effective_rates(off, KIRIN, ALEXNET)["a53"] == a53 * 1.0
     explicit = Scenario(engaged=("a53", "g72"), contention={"a53": 0.9},
                         platform_id="kirin970", network_id="alexnet",
                         frame_count=10, host_contention_default=0.5)
-    assert availability_factor(explicit, KIRIN, "a53") == 0.9
+    assert effective_rates(explicit, KIRIN, ALEXNET)["a53"] == a53 * 0.9
 
 
 # -- the simulator against its oracles -----------------------------------------
@@ -254,7 +258,7 @@ def test_throughput_never_exceeds_rate_sum():
                             rng.randint(1, 300),
                             dispatch_overhead_s=rng.choice((0.0, 0.01)))
         result = simulate(scenario, platform, network)
-        bound = rate_sum(scenario, platform, network)
+        bound = sum(effective_rates(scenario, platform, network).values())
         assert result.throughput <= bound * (1 + 1e-12)
 
 
@@ -371,10 +375,20 @@ def test_unsupported_engagement_propagates():
 
 
 def test_contention_for_unengaged_component_rejected():
-    scenario = Scenario("exynos5422", "alexnet", ("a15",), 10,
-                        contention={"t628": 0.5})
-    with pytest.raises(UnknownComponent):
-        simulate(scenario, EXYNOS, ALEXNET)
+    with pytest.raises(MalformedDocument,
+                       match="scenario contention: component must be one "
+                             "of a15, got 't628'"):
+        Scenario("exynos5422", "alexnet", ("a15",), 10,
+                 contention={"t628": 0.5})
+
+
+def test_recorded_run_above_its_cap_is_refused():
+    scenario = Scenario("kirin970", "alexnet", ("a53", "npu"),
+                        _MAX_RECORDED_FRAMES + 1)
+    with pytest.raises(MalformedDocument,
+                       match="recorded scenario: frames must be an integer "
+                             "<= 1000000, got 1000001"):
+        simulate(scenario, KIRIN, ALEXNET, record_events=True)
 
 
 def test_engaged_component_not_on_the_platform_rejected():
