@@ -22,12 +22,14 @@ candidate only if its simulated score is strictly below the best so far,
 so a candidate whose floor already reaches the best score is not
 simulated; every returned result still comes from simulate.
 
-A target above the zero-overhead rate sum, or below the closed-form
+A target above the zero-overhead bound, or below the closed-form
 throughput at the seed's overhead cap (about 1049 s, with the searched
 factors at their floor), indicates inconsistent measurements and raises
-InfeasibleTarget instead of silently fitting. A target throughput must be
-finite and > 0, and a composition target maps engaged components to shares
-in [0, 1].
+InfeasibleTarget instead of silently fitting. The bound is the rate sum or,
+if lower, N times the slowest of the first min(k, N) components in id
+order: each holds a frame from time 0 for at least 1/rate. A target
+throughput must be finite and > 0, and a composition target maps engaged
+components to shares in [0, 1].
 
 Residuals are normalized so one unit equals 2% relative throughput error
 or 3 percentage points of composition error, and the search minimizes the
@@ -187,7 +189,8 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
 
     base = Scenario(platform.id, network.id, engaged, frames)
     rates = effective_rates(base, platform, network)  # every factor is 1.0
-    bound = sum(rates.values())
+    bound = min(sum(rates.values()),
+                frames * min(rates[c] for c in sorted(engaged)[:frames]))
     if target_throughput > bound * (1.0 + 1e-9):
         raise InfeasibleTarget(
             f"target {target_throughput} imgs/s exceeds the zero-overhead "
@@ -342,6 +345,7 @@ def _seed(rates: dict[str, float], coords: list[int], target_throughput: float,
     for c in coords[1:]:
         want = implied.get(ids[c - 1])
         inv = 1.0 / want - x[0] if want else 0.0  # no target, or a zero share
-        if inv > 0:
-            x[c] = min(1.0, max(_MIN_FACTOR, 1.0 / (rates[ids[c - 1]] * inv)))
+        scale = rates[ids[c - 1]] * inv  # 0.0 also when the product underflows
+        if scale > 0:
+            x[c] = min(1.0, max(_MIN_FACTOR, 1.0 / scale))
     return x

@@ -22,11 +22,11 @@ from .emit import (
     emit_json,
     emit_svg_roofline,
     roofline_rows_to_csv,
-    sig4,
     sim_result_payload,
     sim_result_to_csv,
 )
 from .errors import SocPerfError, UnknownComponent
+from .profiles import count
 from .roofline import (
     RooflineModel,
     layer_points,
@@ -164,14 +164,14 @@ def _cmd_calibrate(args) -> bytes:
     return emit_json(payload)
 
 
-def _throughput_table_rows(frames: int) -> list[dict]:
+def _throughput_table_rows() -> list[dict]:
     platforms, networks = dataset.builtin_dataset()
-    comp_platform = {comp.id: platform
-                     for platform in platforms for comp in platform.components}
+    components = {comp.id for platform in platforms
+                  for comp in platform.components}
     by_id = {network.id: network for network in networks}
     missing = ([nid for nid in dataset.TABLE1_NETWORK_ORDER if nid not in by_id]
                + [cid for cid in dataset.TABLE1_COMPONENT_ORDER
-                  if cid not in comp_platform])
+                  if cid not in components])
     if missing:
         raise UnknownComponent(
             f"table 1 needs ids the dataset lacks: {', '.join(missing)}")
@@ -181,23 +181,16 @@ def _throughput_table_rows(frames: int) -> list[dict]:
     rows = []
     for nid in dataset.TABLE1_NETWORK_ORDER + tuple(extra):
         network = by_id[nid]
-        cells: dict[str, object] = {"network": network.id}
-        for comp_id in dataset.TABLE1_COMPONENT_ORDER:
-            if not network.supports(comp_id):
-                cells[comp_id] = "Not Supported"
-                continue
-            platform = comp_platform[comp_id]
-            result = simulate(
-                Scenario(platform.id, network.id, (comp_id,), frames),
-                platform, network)
-            cells[comp_id] = float(sig4(result.throughput))
-        rows.append(cells)
+        rows.append({"network": nid} | {
+            cid: network.rate(cid) if network.supports(cid) else "Not Supported"
+            for cid in dataset.TABLE1_COMPONENT_ORDER})
     return rows
 
 
 def _cmd_tables(args) -> bytes:
+    count(args.frames, "frames", "scenario")
     if args.which == 1:
-        rows = _throughput_table_rows(frames=min(args.frames, 2000))
+        rows = _throughput_table_rows()
         header = ("network",) + dataset.TABLE1_COMPONENT_ORDER
         if args.format == "json":
             return emit_json(rows)

@@ -24,9 +24,9 @@ from .profiles import (NetworkProfile, Platform, load_network_profile, load_plat
 
 DATA_ENV_VAR = "SOCPERF_DATA"
 _BUNDLED_DIR = os.path.join(os.path.dirname(__file__), "data")
-# The loader of each document kind; the dataset holds no counter traces.
+# The loader of each document kind; a counter trace is checked, not kept.
 _LOADERS = {"platform": load_platform, "network": load_network_profile,
-            "trace": lambda doc: None}
+            "trace": load_trace}
 
 # Column order used by throughput tables: mid-range board then high-end board.
 TABLE1_COMPONENT_ORDER = ("a7", "a15", "t628", "a53", "a73", "g72", "npu")
@@ -35,9 +35,8 @@ TABLE1_NETWORK_ORDER = ("alexnet", "googlenet", "mobilenet", "resnet50", "squeez
 
 @reads_document
 def _load_entry(doc):
-    """(kind, entry) of one data-directory document, entry None for a
-    counter trace. The kind is the document's first key; its loader
-    refuses any other key."""
+    """(kind, entry) of one data-directory document. The kind is the
+    document's first key; its loader refuses any other key."""
     kind = one_of(next(iter(obj(doc, "document", "")), None), tuple(_LOADERS),
                   "document kind", "")
     return kind, _LOADERS[kind](doc)
@@ -71,7 +70,7 @@ def _load_dir(path: str) -> MappingProxyType:
             continue
         full = os.path.join(path, name)
         kind, entry = _load_entry(Path(full))
-        if entry is None:
+        if kind == "trace":
             continue
         first = origin.setdefault((kind, entry.id), full)
         if first != full:

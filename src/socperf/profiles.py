@@ -506,57 +506,30 @@ def load_trace(doc) -> CounterTrace:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (inverse of the loaders; load(serialize(x)) == x)
+# Serialization (inverse of the loaders; load(serialize(x)) == x). The key
+# tables above list each document's keys; the writers rebuild only the
+# nested lists and the "unsupported" throughput entries.
 # ---------------------------------------------------------------------------
 
+def _document(instance, table: dict) -> dict:
+    """instance's value of each key of a document table, in its order, less
+    those equal to the key's default (as is a key it lacks, like cores)."""
+    return {key: value for key, default in table.items()
+            if (value := getattr(instance, key, default)) != default}
+
+
 def serialize_platform(platform: Platform) -> dict:
-    components = []
-    for comp in platform.components:
-        raw = {
-            "id": comp.id,
-            "kind": comp.kind,
-            "peak_compute_gops": comp.peak_compute_gops,
-            "sustainable_bandwidth_gbs": comp.sustainable_bandwidth_gbs,
-            "active_power_w": comp.active_power_w,
-            "frequency_ghz": comp.frequency_ghz,
-        }
-        if comp.host_cluster is not None:
-            raw["host_cluster"] = comp.host_cluster
-        components.append(raw)
-    body = {
-        "id": platform.id,
-        "bus_peak_bandwidth_gbs": platform.bus_peak_bandwidth_gbs,
-        "components": components,
-    }
-    if platform.notes:
-        body["notes"] = platform.notes
+    body = _document(platform, _PLATFORM_DOC)
+    body["components"] = [_document(comp, _COMPONENT_DOC)
+                          for comp in platform.components]
     return {"platform": body}
 
 
 def serialize_network(profile: NetworkProfile) -> dict:
-    layers = []
-    for layer in profile.layers:
-        raw = {
-            "name": layer.name,
-            "kind": layer.kind,
-            "gops": layer.gops,
-            "mem_access_bytes": layer.mem_access_bytes,
-        }
-        if layer.dram_access_bytes is not None:
-            raw["dram_access_bytes"] = layer.dram_access_bytes
-        layers.append(raw)
-    throughput: dict[str, object] = {}
-    for comp_id, ok in profile.supported.items():
-        throughput[comp_id] = profile.throughput[comp_id] if ok else UNSUPPORTED
-    body = {
-        "id": profile.id,
-        "layers": layers,
-        "throughput": throughput,
-    }
-    if profile.quantized:
-        body["op_scale"] = profile.op_scale
-    if profile.notes:
-        body["notes"] = profile.notes
+    body = _document(profile, _NETWORK_DOC)
+    body["layers"] = [_document(layer, _LAYER_DOC) for layer in profile.layers]
+    body["throughput"] = {cid: profile.throughput[cid] if ok else UNSUPPORTED
+                          for cid, ok in profile.supported.items()}
     return {"network": body}
 
 

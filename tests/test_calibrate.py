@@ -7,6 +7,7 @@ from socperf import (InfeasibleTarget, MalformedDocument, Scenario,
                      network_by_id, observations_for_table, platform_by_id)
 from socperf.calibrate import calibrate
 from socperf.cli import _observed
+from test_sim import synthetic_network, synthetic_platform
 
 # The module, not the function that the package re-exports under its name.
 CALIBRATE = sys.modules["socperf.calibrate"]
@@ -36,6 +37,33 @@ def test_target_at_rate_sum_needs_no_overhead():
 def test_target_above_bound_is_infeasible():
     with pytest.raises(InfeasibleTarget):
         calibrate(EXYNOS, ALEXNET, {"throughput": 20.0}, ("a7", "a15", "t628"))
+
+
+@pytest.mark.parametrize("rates,target,bound", [
+    ((1.0, 1000.0), 500.0, "200"),
+    ((1e-300, 1.0), 0.5, "2e-298"),
+])
+def test_target_above_what_the_first_claims_allow_is_infeasible(rates, target,
+                                                                 bound):
+    # c0 claims frame 0 at time 0 and holds it for 1/rate of c0, so 200
+    # frames run at no more than 200 times that rate.
+    platform = synthetic_platform([(rate, 1.0) for rate in rates])
+    with pytest.raises(InfeasibleTarget) as exc:
+        calibrate(platform, synthetic_network(rates), {"throughput": target},
+                  ("c0", "c1"), frames=200)
+    assert str(exc.value).startswith(
+        f"target {target} imgs/s exceeds the zero-overhead bound {bound} ")
+
+
+def test_seed_factor_of_a_rate_that_underflows_the_target_is_finite():
+    # One frame goes to c0 alone; the seed of c1's factor divides by
+    # 1e-300 * (1 / 1e200), which underflows to 0.
+    platform = synthetic_platform([(1.0, 1.0), (1.0, 1.0)])
+    fit = calibrate(platform, synthetic_network((1e200, 1e-300)),
+                    {"throughput": 1e200, "composition": {"c1": 1.0}},
+                    ("c0", "c1"), frames=1)
+    assert fit.result.frames_per_component == {"c0": 1, "c1": 0}
+    assert fit.objective == pytest.approx(1.0 / CALIBRATE.COMPOSITION_SCALE)
 
 
 def test_fit_with_composition_targets():

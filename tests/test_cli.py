@@ -319,6 +319,23 @@ def test_tables_1_prints_extra_networks_after_the_paper_rows(tmp_path,
     assert lines[-1].split(",")[1:] == EXYNOS_ALEXNET_ROW
 
 
+def test_tables_1_prints_a_rate_no_simulation_could_echo(tmp_path,
+                                                         monkeypatch):
+    # 1e-320 is finite and > 0, but 1/1e-320 overflows to inf.
+    data = resources.files("socperf") / "data"
+    for item in data.iterdir():
+        if item.name.endswith(".json"):
+            shutil.copy(str(item), tmp_path / item.name)
+    doc = json.loads((data / "alexnet.json").read_text())
+    doc["network"]["throughput"]["a7"] = 1e-320
+    (tmp_path / "alexnet.json").write_text(json.dumps(doc))
+    monkeypatch.setenv("SOCPERF_DATA", str(tmp_path))
+    code, payload = run_cli(["tables", "--which", "1"], tmp_path, "t.csv")
+    assert code == 0
+    alexnet = payload.decode().splitlines()[1].split(",")
+    assert alexnet == ["alexnet", "1e-320"] + EXYNOS_ALEXNET_ROW[1:]
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--overhead", "nan"), ("--overhead", "inf"),
     ("--cv", "nan"), ("--cv", "inf"),

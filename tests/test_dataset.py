@@ -207,6 +207,17 @@ def test_data_dir_skips_trace_documents(tmp_path, monkeypatch):
         ["exynos5422"], ["alexnet"])
 
 
+def test_data_dir_trace_documents_are_checked(tmp_path, monkeypatch, capsys):
+    bundled_copy(tmp_path)
+    bad = tmp_path / "zz_trace.json"
+    bad.write_text(json.dumps({"trace": {"component_id": 5, "bogus": True}}))
+    monkeypatch.setenv("SOCPERF_DATA", str(tmp_path))
+    assert main(["tables", "--which", "1", "--out", str(tmp_path / "t")]) == 1
+    assert capsys.readouterr().err == (
+        f"socperf: {bad}: trace key must be one of component_id, "
+        f"cache_line_bytes, layers, notes, got 'bogus'\n")
+
+
 @pytest.mark.parametrize("copy_name,kind,item_id", [
     ("zz_board.json", "platform", "exynos5422"),
     ("zz_net.json", "network", "alexnet"),

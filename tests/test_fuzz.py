@@ -11,13 +11,20 @@ Flag values are passed as --flag=value. Integer flags (--frames, --seed,
 --samples) get only small values:
 argparse refuses what int() cannot parse with a usage message, and a huge
 frame or sample count asks for that much memory.
+
+The library fuzz builds synthetic two-component boards whose numbers are
+drawn from 1e-300 to 1e308 and calls Scenario, simulate, calibrate and the
+roofline functions on them; each call must return finite numbers or raise
+a SocPerfError. It keeps N <= 200 frames, so it allocates little.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import os
 import random
+from collections.abc import Mapping
 
 import socperf
 from socperf.cli import main
@@ -180,3 +187,116 @@ def test_cli_fuzz_exits_cleanly(tmp_path, monkeypatch, capsys):
         if problem:
             failures.append(f"{change} -> {problem}")
     assert not failures, "\n".join(failures)
+
+
+# -- library calls at extreme magnitudes ----------------------------------------
+
+LIBRARY_CASES = 200
+MAGNITUDES = (1e-300, 1e-200, 1e-20, 1.0, 1e20, 1e200, 1e308)
+
+
+def non_finite(value, path="result"):
+    """The path of every float below value that is not finite."""
+    if dataclasses.is_dataclass(value):
+        value = vars(value)
+    if isinstance(value, Mapping):
+        for key, child in value.items():
+            yield from non_finite(child, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, child in enumerate(value):
+            yield from non_finite(child, f"{path}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield f"{path} = {value}"
+
+
+def checked(problems, what, call, *args, **kwargs):
+    """call(*args, **kwargs), or None if it raised a SocPerfError. Any
+    other exception, and any non-finite number in the result, is added
+    to problems."""
+    try:
+        result = call(*args, **kwargs)
+    except socperf.SocPerfError:
+        return None
+    except Exception as exc:  # a traceback for a library caller
+        problems.append(f"{what}: {type(exc).__name__}: {exc}")
+        return None
+    problems.extend(f"{what}: {path}" for path in non_finite(result))
+    return result
+
+
+def synthetic_board(rng, draw):
+    """A CPU cluster c0 and a second CPU cluster or a GPU hosted by c0,
+    every number drawn. The bus peak is drawn at or above both bandwidths,
+    so the board always loads."""
+    bandwidths = [draw(), draw()]
+    kinds = ("big-cpu", rng.choice(("small-cpu", "gpu")))
+    components = [{
+        "id": f"c{i}", "kind": kind, "peak_compute_gops": draw(),
+        "sustainable_bandwidth_gbs": bandwidth, "active_power_w": draw(),
+        "frequency_ghz": 1.0}
+        for i, (kind, bandwidth) in enumerate(zip(kinds, bandwidths))]
+    if kinds[1] == "gpu":
+        components[1]["host_cluster"] = "c0"
+    bus = rng.choice([m for m in MAGNITUDES if m >= max(bandwidths)])
+    return socperf.load_platform({"platform": {
+        "id": "synth", "bus_peak_bandwidth_gbs": bus,
+        "components": components}})
+
+
+def test_library_calls_at_extreme_magnitudes_stay_finite():
+    rng = random.Random(SEED)
+    problems = []
+    returned = dict.fromkeys(("simulate", "calibrate", "roofline_series"), 0)
+    for case in range(LIBRARY_CASES):
+        drawn = []
+
+        def draw():
+            drawn.append(rng.choice(MAGNITUDES))
+            return drawn[-1]
+
+        platform = synthetic_board(rng, draw)
+        rates = {"c0": draw(), "c1": draw()}
+        network = socperf.load_network_profile({"network": {
+            "id": "synthnet", "throughput": rates, "layers": [
+                {"name": "l0", "kind": "conv", "gops": draw(),
+                 "mem_access_bytes": draw()}]}})
+        overhead, derating = draw(), draw()
+        low, high = sorted((draw(), draw()))
+        engaged = rng.choice((("c0",), ("c1",), ("c0", "c1")))
+        frames = rng.choice((1, 2, 3, 50, 200))
+        what = f"case {case} {engaged} N={frames} drawn={drawn}"
+
+        scenario = checked(problems, f"{what} Scenario", socperf.Scenario,
+                           "synth", "synthnet", engaged, frames,
+                           dispatch_overhead_s=overhead,
+                           host_contention_default=derating)
+        if scenario is not None and checked(
+                problems, f"{what} simulate", socperf.simulate, scenario,
+                platform, network) is not None:
+            returned["simulate"] += 1
+
+        total = sum(rates[c] for c in engaged)
+        target = {"throughput": rng.choice(
+            MAGNITUDES + (0.1 * total, 0.5 * total, 0.9 * total))}
+        if rng.random() < 0.5:
+            target["composition"] = {
+                rng.choice(engaged): rng.choice((0.0, 0.5, 1.0))}
+        if checked(problems, f"{what} calibrate {target}", socperf.calibrate,
+                   platform, network, target, engaged,
+                   frames=frames) is not None:
+            returned["calibrate"] += 1
+
+        model = socperf.RooflineModel.for_component(
+            platform.component(engaged[0]))
+        points = checked(problems, f"{what} points", lambda: (
+            socperf.layer_points(network, model)
+            + [socperf.network_point(network, model)])) or []
+        grid = checked(problems, f"{what} grid", socperf.log_spaced, low,
+                       high, rng.choice((2, 5, 20)))
+        if grid is not None and checked(
+                problems, f"{what} roofline_series", socperf.roofline_series,
+                model, points, grid) is not None:
+            returned["roofline_series"] += 1
+    assert not problems, "\n".join(problems)
+    # Many cases get past the input checks of every call.
+    assert all(n >= LIBRARY_CASES // 10 for n in returned.values()), returned

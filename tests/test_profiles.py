@@ -1,5 +1,6 @@
 import json
 import random
+from importlib import resources
 
 import pytest
 
@@ -24,6 +25,8 @@ from socperf import (
     serialize_network,
     serialize_platform,
 )
+
+DATA = resources.files("socperf") / "data"
 
 
 def minimal_platform_doc():
@@ -283,6 +286,23 @@ def test_network_round_trip_bundled():
             quantized = quantize_profile(profile, 32, bits)
             assert quantized.quantized
             assert load_network_profile(serialize_network(quantized)) == quantized
+
+
+def test_serialize_network_writes_back_each_bundled_document():
+    for nid in ("alexnet", "googlenet", "mobilenet", "resnet50", "squeezenet"):
+        with open(DATA / f"{nid}.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert serialize_network(load_network_profile(doc)) == doc
+
+
+def test_serialize_platform_writes_back_a_full_document():
+    doc = minimal_platform_doc()
+    doc["platform"]["notes"] = "every optional key set"
+    doc["platform"]["components"].append({
+        "id": "gpu0", "kind": "gpu", "peak_compute_gops": 100.0,
+        "sustainable_bandwidth_gbs": 5.0, "active_power_w": 2.0,
+        "frequency_ghz": 0.8, "host_cluster": "cpu0"})
+    assert serialize_platform(load_platform(doc)) == doc
 
 
 def test_network_round_trip_with_dram_counts():
