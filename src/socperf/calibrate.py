@@ -207,6 +207,9 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
                     if target_shares else [])
     slowest = [_OVERHEAD_CAP] + [_MIN_FACTOR if c in coords else 1.0
                                  for c in range(1, len(engaged) + 1)]
+    for (cid, rate), factor in zip(rates.items(), slowest[1:]):
+        # Past a subnormal rate the closed form would divide by zero.
+        number(1.0 / (rate * factor), cid, "calibrate slowest service time")
     floor_throughput, _ = _closed_form(rates, slowest)
     if target_throughput < floor_throughput:
         raise InfeasibleTarget(

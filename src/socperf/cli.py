@@ -6,7 +6,8 @@ the throughput and co-execution summary tables from the bundled dataset).
 
 Exit codes: 0 success, 1 for validation failures (the diagnostic names
 the failing check), 2 for I/O failures and usage errors; each failure is
-one stderr line. Identical invocations produce byte-identical output.
+one stderr line. Identical invocations produce byte-identical output:
+jitter is seeded, with --seed 0 unless given.
 SOCPERF_DATA overrides the bundled dataset directory.
 """
 
@@ -21,7 +22,6 @@ from .emit import (
     emit_csv,
     emit_json,
     emit_svg_roofline,
-    roofline_rows_to_csv,
     sim_result_payload,
     sim_result_to_csv,
 )
@@ -46,14 +46,15 @@ def _parse_id_values(text: Optional[str], flag: str,
                      form: str) -> dict[str, float]:
     """Parse a flag value of comma-separated entries of the given form."""
     values: dict[str, float] = {}
-    if not text:
-        return values
-    for item in text.split(","):
+    for item in (text or "").split(","):
         if not item:
             continue
         name, _, value = item.partition("=")
+        name = name.strip()
+        if name in values:
+            raise SocPerfError(f"{flag} names {name!r} twice")
         try:
-            values[name.strip()] = float(value)
+            values[name] = float(value)
         except ValueError:
             raise SocPerfError(
                 f"{flag} entries look like {form}, got {item!r}") from None
@@ -83,7 +84,7 @@ def _cmd_roofline(args) -> bytes:
     rows = roofline_series(
         model, points, log_spaced(args.oi_min, args.oi_max, args.samples))
     if args.format == "csv":
-        return roofline_rows_to_csv(rows)
+        return emit_csv(rows)
     if args.format == "json":
         return emit_json(rows)
     return emit_svg_roofline(rows, f"{args.platform}/{args.component} roofline")
@@ -139,6 +140,8 @@ def _cmd_calibrate(args) -> bytes:
                                   "--target-composition", "id=fraction")
         if shares:
             observed["composition"] = shares
+    elif args.target_composition is not None:
+        raise SocPerfError("--target-composition needs --target-throughput")
     else:
         obs = dataset.find_observation(args.platform, args.network, engaged)
         if obs is None:
@@ -187,21 +190,14 @@ def _throughput_table_rows() -> list[dict]:
     return rows
 
 
-def _cmd_tables(args) -> bytes:
-    count(args.frames, "frames", "scenario")
-    if args.which == 1:
-        rows = _throughput_table_rows()
-        header = ("network",) + dataset.TABLE1_COMPONENT_ORDER
-        if args.format == "json":
-            return emit_json(rows)
-        return emit_csv(header, [[row[key] for key in header] for row in rows])
-
+def _coexec_table_rows(which: int, frames: int) -> list[dict]:
+    """Rows of table 2 or 3: each bundled observation against its fit."""
     rows = []
-    for obs in dataset.observations_for_table(args.which):
+    for obs in dataset.observations_for_table(which):
         platform = dataset.platform_by_id(obs.platform_id)
         network = dataset.network_by_id(obs.network_id)
         fit = calibrate(platform, network, _observed(obs), obs.engaged,
-                        frames=args.frames)
+                        frames=frames)
         best = network.rate(obs.best_single_id)
         gain_sim = 100.0 * (fit.result.throughput - best) / best
         row = {
@@ -223,10 +219,14 @@ def _cmd_tables(args) -> bytes:
                 row[f"share_meas_{cid}_pct"] = obs.composition_pct[cid]
                 row[f"factor_{cid}"] = fit.contention.get(cid)
         rows.append(row)
-    if args.format == "json":
-        return emit_json(rows)
-    header = tuple(rows[0].keys())
-    return emit_csv(header, [[row.get(key) for key in header] for row in rows])
+    return rows
+
+
+def _cmd_tables(args) -> bytes:
+    count(args.frames, "frames", "scenario")
+    rows = (_throughput_table_rows() if args.which == 1
+            else _coexec_table_rows(args.which, args.frames))
+    return emit_json(rows) if args.format == "json" else emit_csv(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overhead", type=float, default=0.0,
                    help="dispatch overhead in seconds per frame")
     p.add_argument("--contention", help="id=factor[,id=factor...]")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cv", type=float, default=0.0,
                    help="service-time jitter coefficient of variation")
     p.add_argument("--format", choices=("csv", "json"), default="json")

@@ -2,7 +2,8 @@
 
 Identical payloads produce byte-identical output: field order is fixed,
 floats are printed at 4 significant digits, and the SVG is assembled from
-plain strings with no timestamps or generated ids.
+plain strings with no timestamps or generated ids. A CSV report is a list
+of dict rows whose first row's keys are the header.
 """
 
 import json
@@ -12,32 +13,21 @@ from typing import Sequence
 from .errors import UnsupportedFormat
 from .sim import SimResult
 
-ROOFLINE_CSV_HEADER = (
-    "oi_flops_per_byte", "roofline_gops", "point_label", "point_oi",
-    "point_gops", "bound",
-)
-
 
 def sig4(value) -> str:
-    """Fixed 4-significant-digit rendering used for all numeric output."""
+    """Cell text: "" for None, a str as is, a float to 4 significant digits."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
     return f"{value:.4g}"
 
 
-def _round4(value: float) -> float:
-    if value == 0 or not math.isfinite(value):
-        return value
-    return float(f"{value:.4g}")
-
-
 def _roundtree(payload):
     if isinstance(payload, float):
-        return _round4(payload)
+        return float(f"{payload:.4g}")
     if isinstance(payload, dict):
         return {k: _roundtree(v) for k, v in payload.items()}
     if isinstance(payload, (list, tuple)):
@@ -51,26 +41,17 @@ def emit_json(payload) -> bytes:
             + "\n").encode("utf-8")
 
 
-def emit_csv(header: Sequence[str], rows: Sequence[Sequence]) -> bytes:
+def emit_csv(rows: Sequence[dict]) -> bytes:
+    """CSV of a non-empty list of dict rows: the first row's keys are the
+    header, and each cell is sig4 of the row's value (empty if absent)."""
+    header = list(rows[0])
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if cell is None:
-                cells.append("")
-            elif isinstance(cell, str):
-                cells.append(cell)
-            else:
-                cells.append(sig4(cell))
-        lines.append(",".join(cells))
+    lines.extend(",".join(sig4(row.get(key)) for key in header) for row in rows)
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def roofline_rows_to_csv(rows: Sequence[dict]) -> bytes:
-    return emit_csv(
-        ROOFLINE_CSV_HEADER,
-        [[row[key] for key in ROOFLINE_CSV_HEADER] for row in rows],
-    )
+    return emit_csv(rows)
 
 
 def sim_result_payload(result: SimResult) -> dict:
@@ -94,24 +75,16 @@ def sim_result_payload(result: SimResult) -> dict:
 
 
 def sim_result_to_csv(result: SimResult) -> bytes:
-    header = ("component", "frames", "share", "busy_s", "energy_j")
-    rows = []
-    for comp_id in sorted(result.frames_per_component):
-        rows.append([
-            comp_id,
-            result.frames_per_component[comp_id],
-            result.composition[comp_id],
-            result.busy_time_s[comp_id],
-            result.energy_per_component_j[comp_id],
-        ])
-    rows.append([
-        "total",
-        result.scenario.frame_count,
-        1.0,
-        result.makespan_s,
-        result.energy_j,
-    ])
-    return emit_csv(header, rows)
+    rows = [{"component": cid,
+             "frames": result.frames_per_component[cid],
+             "share": result.composition[cid],
+             "busy_s": result.busy_time_s[cid],
+             "energy_j": result.energy_per_component_j[cid]}
+            for cid in sorted(result.frames_per_component)]
+    rows.append({"component": "total", "frames": result.scenario.frame_count,
+                 "share": 1.0, "busy_s": result.makespan_s,
+                 "energy_j": result.energy_j})
+    return emit_csv(rows)
 
 
 def emit_svg_roofline(rows: Sequence[dict], title: str,

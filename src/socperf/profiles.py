@@ -23,6 +23,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from pathlib import Path
 from types import MappingProxyType
 from typing import Optional, Union
 
@@ -135,6 +136,15 @@ def obj(value, key: str, ctx: str):
     raise _refusal(ctx, key, "an object", value)
 
 
+def unique(names, key: str, ctx: str, error=MalformedDocument) -> None:
+    """Refuse, as error, the first of names that repeats an earlier one."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise error(f"{ctx}: duplicate {key} {name!r}")
+        seen.add(name)
+
+
 def keys(body, allowed: dict, key: str, ctx: str) -> dict:
     """body filled from allowed: body must be a JSON object with no key that
     allowed lacks, and takes allowed's value for each key it lacks."""
@@ -190,13 +200,9 @@ class Platform:
         _set(self, "bus_peak_bandwidth_gbs",
              number(self.bus_peak_bandwidth_gbs, "bus_peak_bandwidth_gbs", ctx))
         _set(self, "components", items(self.components, "components", ctx))
-        seen = set()
+        unique((comp.id for comp in self.components), "component id", ctx,
+               DuplicateComponentId)
         for comp in self.components:
-            if comp.id in seen:
-                raise DuplicateComponentId(
-                    f"platform {self.id!r}: duplicate component id {comp.id!r}"
-                )
-            seen.add(comp.id)
             if comp.sustainable_bandwidth_gbs > self.bus_peak_bandwidth_gbs:
                 raise BandwidthExceedsBus(
                     f"platform {self.id!r}: component {comp.id!r} sustainable "
@@ -283,13 +289,7 @@ class NetworkProfile:
     def __post_init__(self):
         ctx = f"network {text(self.id, 'id', 'network')!r}"
         _set(self, "layers", items(self.layers, "layers", ctx))
-        seen = set()
-        for layer in self.layers:
-            if layer.name in seen:
-                raise MalformedDocument(
-                    f"network {self.id!r}: duplicate layer name {layer.name!r}"
-                )
-            seen.add(layer.name)
+        unique((layer.name for layer in self.layers), "layer name", ctx)
         where = f"{ctx} throughput"
         _set(self, "throughput", MappingProxyType({
             comp_id: number(rate, comp_id, where)
@@ -381,8 +381,9 @@ class CounterTrace:
     layers: tuple[TraceRecord, ...] = ()
 
     def __post_init__(self):
-        count(self.cache_line_bytes, "cache_line_bytes",
-              f"trace {text(self.component_id, 'component_id', 'trace')!r}")
+        ctx = f"trace {text(self.component_id, 'component_id', 'trace')!r}"
+        count(self.cache_line_bytes, "cache_line_bytes", ctx)
+        unique((record.name for record in self.layers), "layer name", ctx)
 
     def dram_bytes(self, record: TraceRecord) -> float:
         """DRAM bytes implied by one record under this trace's line size."""
@@ -416,9 +417,10 @@ def reads_document(build):
     """Turn build(doc) into a loader of one document from a Source.
 
     A source is a dict, JSON text, a readable file or a path. An
-    os.PathLike is always a path; a string is a path unless it looks like
-    JSON text. Errors about a document read from a path start with that
-    path, prefixed here for every loader.
+    os.PathLike is always a path. A string is a path unless it starts
+    with { or [; such a string is JSON text, or a path if it does not
+    parse and names an existing file. Errors about a document read from a
+    path start with that path, prefixed here for every loader.
     """
     @functools.wraps(build)
     def load(source: Source):
@@ -439,6 +441,9 @@ def reads_document(build):
                 try:
                     doc = json.loads(doc)
                 except ValueError as exc:
+                    if (path is None and isinstance(source, str)
+                            and os.path.isfile(source)):
+                        return load(Path(source))
                     raise MalformedDocument(f"not valid JSON: {exc}") from exc
             return build(doc)
         except MalformedDocument as exc:
@@ -562,10 +567,6 @@ def attach_trace(profile: NetworkProfile, trace: CounterTrace) -> NetworkProfile
         by_name[record.name] = trace.dram_bytes(record)
     if not by_name:
         return profile
-    new_layers = []
-    for layer in profile.layers:
-        if layer.name in by_name:
-            new_layers.append(replace(layer, dram_access_bytes=by_name[layer.name]))
-        else:
-            new_layers.append(layer)
-    return replace(profile, layers=tuple(new_layers))
+    return replace(profile, layers=tuple(
+        replace(layer, dram_access_bytes=by_name[layer.name])
+        if layer.name in by_name else layer for layer in profile.layers))

@@ -75,12 +75,18 @@ class RooflinePoint:
         one_of(self.oi_kind, OI_KINDS, "oi_kind", ctx)
 
 
-def theoretical_oi(layer: LayerProfile) -> float:
-    """Operations per byte over all data touched (FLOPS/byte).
+def _oi(gops: float, nbytes: float, key: str, ctx: str) -> float:
+    """gops over nbytes/1e9, giga-ops per giga-byte (FLOPS/byte), which
+    must be finite and > 0: a subnormal byte count scales to 0."""
+    gigabytes = nbytes / 1e9
+    return number(gops / gigabytes if gigabytes else math.inf,
+                  f"operational intensity over {key}", ctx)
 
-    gops over bytes/1e9 keeps the units consistent: giga-ops per giga-byte.
-    """
-    return layer.gops / (layer.mem_access_bytes / 1e9)
+
+def theoretical_oi(layer: LayerProfile) -> float:
+    """Operations per byte over all data touched (FLOPS/byte)."""
+    return _oi(layer.gops, layer.mem_access_bytes, "mem_access_bytes",
+               f"layer {layer.name!r}")
 
 
 def empirical_oi(layer: LayerProfile) -> float:
@@ -89,7 +95,8 @@ def empirical_oi(layer: LayerProfile) -> float:
         raise MissingTrace(
             f"layer {layer.name!r} has no DRAM counters; attach a trace first"
         )
-    return layer.gops / (layer.dram_access_bytes / 1e9)
+    return _oi(layer.gops, layer.dram_access_bytes, "dram_access_bytes",
+               f"layer {layer.name!r}")
 
 
 def attainable(model: RooflineModel, oi: float) -> float:
@@ -108,15 +115,17 @@ def network_oi(profile: NetworkProfile, kind: str = OI_THEORETICAL) -> float:
     This matches plotting one point per network rather than averaging
     per-layer intensities.
     """
+    ctx = f"network {profile.id!r}"
     if one_of(kind, OI_KINDS, "kind", "network OI") == OI_THEORETICAL:
-        return profile.total_gops / (profile.total_mem_access_bytes / 1e9)
+        return _oi(profile.total_gops, profile.total_mem_access_bytes,
+                   "mem_access_bytes", ctx)
     dram = profile.total_dram_access_bytes
     if dram is None:
         raise MissingTrace(
-            f"network {profile.id!r} has untraced layers; empirical OI "
-            f"needs DRAM counters on every layer"
+            f"{ctx} has untraced layers; empirical OI needs DRAM counters "
+            f"on every layer"
         )
-    return profile.total_gops / (dram / 1e9)
+    return _oi(profile.total_gops, dram, "dram_access_bytes", ctx)
 
 
 def achieved_gops(profile: NetworkProfile, component_id: str) -> float:

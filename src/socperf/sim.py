@@ -13,7 +13,8 @@ where rate is the measured isolated throughput scaled by an availability
 factor. Factors model host-cluster contention: they default to 1.0, can
 be set explicitly per component, or derived from an opt-in per-hosted-
 accelerator derating. Optional lognormal jitter (given coefficient of
-variation and seed) perturbs the processing part of the service time.
+variation and seed, 0 unless set, so jittered runs repeat too) perturbs
+the processing part of the service time.
 
 The event loop is single threaded; identical scenarios yield bit-identical
 results. Independent scenarios can safely run concurrently since nothing
@@ -30,7 +31,7 @@ from typing import NamedTuple, Optional
 from .dataset import network_by_id, platform_by_id
 from .errors import MalformedDocument
 from .profiles import (NetworkProfile, Platform, _set, count, ids, keys, number,
-                       obj, one_of, reads_document, text, unwrap)
+                       obj, one_of, reads_document, text, unique, unwrap)
 
 
 # The largest jitter cv whose square, which simulate takes, is finite.
@@ -58,15 +59,14 @@ class Scenario:
     dispatch_overhead_s: float = 0.0
     contention: dict[str, float] = field(default_factory=dict)
     host_contention_default: Optional[float] = None
-    jitter_seed: Optional[int] = None
+    jitter_seed: int = 0
     jitter_cv: float = 0.0
 
     def __post_init__(self):
         text(self.platform_id, "platform", "scenario")
         text(self.network_id, "network", "scenario")
         _set(self, "engaged", ids(self.engaged, "components", "scenario"))
-        if len(set(self.engaged)) != len(self.engaged):
-            raise MalformedDocument("scenario engages a component twice")
+        unique(self.engaged, "component", "scenario")
         count(self.frame_count, "frames", "scenario", high=_MAX_FRAMES)
         _set(self, "dispatch_overhead_s", number(
             self.dispatch_overhead_s, "dispatch_overhead_s", "scenario",
@@ -80,8 +80,7 @@ class Scenario:
             _set(self, "host_contention_default", number(
                 self.host_contention_default, "host_contention_default",
                 "scenario", high=1.0))
-        if self.jitter_seed is not None:
-            count(self.jitter_seed, "seed", "scenario jitter", low=0)
+        count(self.jitter_seed, "seed", "scenario jitter", low=0)
         _set(self, "jitter_cv", number(self.jitter_cv, "cv", "scenario jitter",
                                        high=_MAX_JITTER_CV, include_low=True))
 
@@ -91,7 +90,7 @@ _SCENARIO_DOC = {
     "platform": None, "network": None, "components": None, "frames": None,
     "dispatch_overhead_s": 0.0, "contention": {}, "host_contention_default": None,
     "jitter": {}}
-_JITTER_DOC = {"seed": None, "cv": 0.0}
+_JITTER_DOC = {"seed": 0, "cv": 0.0}
 
 
 @reads_document

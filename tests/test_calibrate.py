@@ -66,6 +66,20 @@ def test_seed_factor_of_a_rate_that_underflows_the_target_is_finite():
     assert fit.objective == pytest.approx(1.0 / CALIBRATE.COMPOSITION_SCALE)
 
 
+def test_rate_without_a_finite_service_time_is_refused():
+    # 1/1e-320 overflows, and so does 1/(1e-306 * 1e-3) at the factor
+    # floor that a composition target lets the search reach.
+    platform = synthetic_platform([(1.0, 1.0), (1.0, 1.0)])
+    for rate, target in ((1e-320, {"throughput": 1e-320}),
+                         (1e-306, {"throughput": 1e-306,
+                                   "composition": {"c0": 0.5}})):
+        with pytest.raises(MalformedDocument, match=(
+                "^calibrate slowest service time: c0 must be finite and > 0, "
+                "got inf$")):
+            calibrate(platform, synthetic_network((rate, rate)), target,
+                      ("c0", "c1"), frames=10)
+
+
 def test_fit_with_composition_targets():
     observed = {
         "throughput": 63.7,

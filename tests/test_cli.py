@@ -336,6 +336,32 @@ def test_tables_1_prints_a_rate_no_simulation_could_echo(tmp_path,
     assert alexnet == ["alexnet", "1e-320"] + EXYNOS_ALEXNET_ROW[1:]
 
 
+@pytest.mark.parametrize("set_value,args,message", [
+    (lambda body: body["throughput"].update(a7=1e-320),
+     ["calibrate", "--platform", "exynos5422", "--network", "alexnet",
+      "--components", "a7", "--target-throughput", "1e-320"],
+     "calibrate slowest service time: a7 must be finite and > 0, got inf"),
+    (lambda body: body["layers"][0].update(mem_access_bytes=1e-320),
+     ["roofline", "--platform", "exynos5422", "--component", "a15",
+      "--network", "alexnet"],
+     "layer 'conv1': operational intensity over mem_access_bytes must be "
+     "finite and > 0, got inf"),
+], ids=["calibrate", "roofline"])
+def test_subnormal_document_values_exit_1_with_one_line(
+        tmp_path, monkeypatch, capsys, set_value, args, message):
+    # 1e-320 is finite and > 0, but 1/1e-320 and 1e-320/1e9 are not.
+    data = resources.files("socperf") / "data"
+    for item in data.iterdir():
+        if item.name.endswith(".json"):
+            shutil.copy(str(item), tmp_path / item.name)
+    doc = json.loads((data / "alexnet.json").read_text())
+    set_value(doc["network"])
+    (tmp_path / "alexnet.json").write_text(json.dumps(doc))
+    monkeypatch.setenv("SOCPERF_DATA", str(tmp_path))
+    assert main(args + ["--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"socperf: {message}\n"
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--overhead", "nan"), ("--overhead", "inf"),
     ("--cv", "nan"), ("--cv", "inf"),
@@ -378,6 +404,17 @@ def test_calibrate_refuses_target_that_is_not_finite_and_positive(
     (["simulate", "--platform", "kirin970", "--network", "alexnet",
       "--components", "a53,npu", "--contention", "a53=x"],
      "socperf: --contention entries look like id=factor, got 'a53=x'\n"),
+    (["simulate", "--platform", "kirin970", "--network", "alexnet",
+      "--components", "a53,npu", "--contention", "a53=0.5,a53=0.9"],
+     "socperf: --contention names 'a53' twice\n"),
+    (["calibrate", "--platform", "exynos5422", "--network", "alexnet",
+      "--components", "a7,t628", "--target-throughput", "8.0",
+      "--target-composition", "a7=0.1,a7=0.2"],
+     "socperf: --target-composition names 'a7' twice\n"),
+    (["calibrate", "--platform", "exynos5422", "--network", "alexnet",
+      "--components", "a7,a15,t628", "--frames", "400",
+      "--target-composition", "a7=0.5"],
+     "socperf: --target-composition needs --target-throughput\n"),
 ])
 def test_malformed_entry_names_its_flag(tmp_path, capsys, args, message):
     assert main(args + ["--out", str(tmp_path / "x.json")]) == 1
@@ -538,5 +575,5 @@ def test_emit_json_refuses_non_finite_values():
 
 
 def test_emit_csv_layout():
-    payload = emit_csv(("a", "b"), [[1, None], ["x", 2.5]])
+    payload = emit_csv([{"a": 1, "b": None}, {"a": "x", "b": 2.5}])
     assert payload == b"a,b\n1,\nx,2.5\n"

@@ -13,9 +13,10 @@ argparse refuses what int() cannot parse with a usage message, and a huge
 frame or sample count asks for that much memory.
 
 The library fuzz builds synthetic two-component boards whose numbers are
-drawn from 1e-300 to 1e308 and calls Scenario, simulate, calibrate and the
-roofline functions on them; each call must return finite numbers or raise
-a SocPerfError. It keeps N <= 200 frames, so it allocates little.
+drawn from 1e-320 (subnormal) to 1e308 and calls Scenario, simulate,
+calibrate and the roofline functions on them; each call must return finite
+numbers or raise a SocPerfError. It keeps N <= 200 frames, so it
+allocates little.
 """
 
 import copy
@@ -192,7 +193,7 @@ def test_cli_fuzz_exits_cleanly(tmp_path, monkeypatch, capsys):
 # -- library calls at extreme magnitudes ----------------------------------------
 
 LIBRARY_CASES = 200
-MAGNITUDES = (1e-300, 1e-200, 1e-20, 1.0, 1e20, 1e200, 1e308)
+MAGNITUDES = (1e-320, 1e-300, 1e-200, 1e-20, 1.0, 1e20, 1e200, 1e308)
 
 
 def non_finite(value, path="result"):

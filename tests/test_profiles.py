@@ -365,6 +365,21 @@ def test_load_from_json_text_and_file(tmp_path):
         assert load_platform(fh) == load_platform(text)
 
 
+def test_a_path_string_that_starts_like_json_is_read_as_a_file(
+        tmp_path, monkeypatch):
+    text = json.dumps(minimal_platform_doc())
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "[draft] s.json").write_text(text)
+    assert load_platform("[draft] s.json") == load_platform(text)
+    (tmp_path / "{bad}.json").write_text("{ not json")
+    with pytest.raises(MalformedDocument, match=r"^\{bad\}\.json: not valid"):
+        load_platform("{bad}.json")
+    # Valid JSON text stays JSON text, even if a file has its name.
+    (tmp_path / '["board"]').write_text(text)
+    with pytest.raises(MalformedDocument, match="^document must be an object"):
+        load_platform('["board"]')
+
+
 # -- counter traces -----------------------------------------------------------
 
 def test_attach_trace_refill_line_arithmetic():
@@ -449,3 +464,8 @@ def test_load_trace_document():
     }})
     assert trace.cache_line_bytes == 32
     assert trace.dram_bytes(trace.layers[0]) == 3200
+    with pytest.raises(MalformedDocument,
+                       match="^trace 'a15': duplicate layer name 'fc6'$"):
+        load_trace({"trace": {"component_id": "a15", "layers": [
+            {"name": "fc6", "refill_lines": 10},
+            {"name": "fc6", "refill_lines": 99}]}})

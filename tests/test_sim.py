@@ -307,6 +307,12 @@ def test_jitter_seeded_and_in_order():
     c = simulate(Scenario(jitter_seed=2, **base), EXYNOS, ALEXNET)
     assert a.makespan_s == b.makespan_s
     assert a.makespan_s != c.makespan_s
+    # Without a seed a jittered run is seeded with 0, so it repeats.
+    unseeded = Scenario(**base)
+    d = simulate(unseeded, EXYNOS, ALEXNET)
+    assert simulate(unseeded, EXYNOS, ALEXNET).makespan_s == d.makespan_s
+    assert simulate(Scenario(jitter_seed=0, **base), EXYNOS,
+                    ALEXNET).makespan_s == d.makespan_s
     releases = [e.frame for e in a.events if e.kind == "release"]
     assert releases == list(range(500))
 
