@@ -23,11 +23,11 @@ so a candidate whose floor already reaches the best score is not
 simulated; every returned result still comes from simulate.
 
 A target above the zero-overhead bound, or below the closed-form
-throughput at the seed's overhead cap (about 1049 s, with the searched
-factors at their floor), indicates inconsistent measurements and raises
-InfeasibleTarget instead of silently fitting. The bound is the rate sum or,
-if lower, N times the slowest of the first min(k, N) components in id
-order: each holds a frame from time 0 for at least 1/rate. A target
+throughput at the seed's overhead cap (about 1049 time units, with the
+searched factors at their floor), indicates inconsistent measurements and
+raises InfeasibleTarget instead of silently fitting. The bound is the rate
+sum or, if lower, N times the slowest of the first min(k, N) components in
+id order: each holds a frame from time 0 for at least 1/rate. A target
 throughput must be finite and > 0, and a composition target maps engaged
 components to shares in [0, 1].
 
@@ -50,9 +50,10 @@ THROUGHPUT_SCALE = 0.02   # one residual unit = 2% relative throughput error
 COMPOSITION_SCALE = 0.03  # one residual unit = 3 points of frame share
 
 _MIN_FACTOR = 1e-3
-# The largest overhead the seed tries, in s: 1 ms doubled until past 1e3 s.
+# Times below are in units of _unit(rates), 1 s on every bundled board.
+# The largest overhead the seed tries: 1 ms doubled until past 1e3 s.
 _OVERHEAD_CAP = 1e-3 * 2.0 ** 20
-# The closed-form search keeps the overhead at or below this, in s, so it
+# The closed-form search keeps the overhead at or below this, so it
 # can only keep a seed above it or move it below. Raising it to
 # _OVERHEAD_CAP leaves tables 2 and 3 byte-identical but moves fits off
 # them both ways (exynos5422/resnet50 at 0.5 imgs/s goes from objective
@@ -71,6 +72,19 @@ class CalibrationResult:
     residual_throughput_rel: float
     residual_composition: Optional[dict[str, float]]
     result: SimResult
+
+
+def _unit(rates: dict[str, float]) -> float:
+    """The fit's time unit, in s: the power 2**(16*m) nearest 1/sum(rates),
+    m clamped to +-63 so that the unit stays a finite normal float.
+
+    The unit scales every absolute step, seed and ceiling of the fit, so
+    rates and target times 2**(16*j) fit the overhead times 2**(-16*j)
+    and the same factors, bit for bit. Rates that sum to more than 1/256
+    and at most 512 imgs/s have a unit of 1 s.
+    """
+    _, exponent = math.frexp(1.0 / sum(rates.values()))
+    return 2.0 ** (16 * max(-63, min(63, round(exponent / 16))))
 
 
 def _closed_form(rates: dict[str, float],
@@ -189,6 +203,7 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
 
     base = Scenario(platform.id, network.id, engaged, frames)
     rates = effective_rates(base, platform, network)  # every factor is 1.0
+    unit = _unit(rates)
     bound = min(sum(rates.values()),
                 frames * min(rates[c] for c in sorted(engaged)[:frames]))
     if target_throughput > bound * (1.0 + 1e-9):
@@ -205,8 +220,8 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
     # CPU factors in id order when there are composition targets.
     coords = [0] + ([1 + engaged.index(cid) for cid in cpu_ids]
                     if target_shares else [])
-    slowest = [_OVERHEAD_CAP] + [_MIN_FACTOR if c in coords else 1.0
-                                 for c in range(1, len(engaged) + 1)]
+    slowest = [_OVERHEAD_CAP * unit] + [
+        _MIN_FACTOR if c in coords else 1.0 for c in range(1, len(engaged) + 1)]
     for (cid, rate), factor in zip(rates.items(), slowest[1:]):
         # Past a subnormal rate the closed form would divide by zero.
         number(1.0 / (rate * factor), cid, "calibrate slowest service time")
@@ -215,12 +230,13 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
         raise InfeasibleTarget(
             f"target {target_throughput} imgs/s is below the "
             f"{floor_throughput:.4g} imgs/s that {network.id!r} on "
-            f"{platform.id!r} {engaged} reaches at the {_OVERHEAD_CAP:g} s "
+            f"{platform.id!r} {engaged} reaches at the {slowest[0]:g} s "
             f"overhead cap; measurements and model disagree"
         )
 
-    x = _search(rates, _seed(rates, coords, target_throughput, target_shares),
-                coords, target_throughput, target_shares)
+    x = _search(rates, _seed(rates, coords, target_throughput, target_shares,
+                             unit),
+                coords, target_throughput, target_shares, unit)
     best, best_score = _run(platform, network, base, cpu_ids, x,
                             target_throughput, target_shares)
 
@@ -228,9 +244,9 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
     # the closed form. Re-run the search against an offset-corrected target
     # so the simulated residuals, not the closed-form ones, end up centered.
     offset = _closed_form(rates, x)[0] - best.throughput
-    if offset > 1e-9:
+    if offset > 1e-9 / unit:
         trial = _search(rates, x, coords, target_throughput + offset,
-                        target_shares)
+                        target_shares, unit)
         result, score = _run(platform, network, base, cpu_ids, trial,
                              target_throughput, target_shares)
         if score < best_score:
@@ -240,7 +256,7 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
     # a time by -2, -1, 1 or 2 steps within its bounds and keep a move that
     # scores strictly lower. A candidate whose score floor already reaches
     # best_score cannot be kept, so it is not simulated.
-    steps = [2e-4] + [0.01] * (len(coords) - 1)
+    steps = [2e-4 * unit] + [0.01] * (len(coords) - 1)
     for _ in range(2):
         for c, step in zip(coords, steps):
             lo, hi = (0.0, math.inf) if c == 0 else (_MIN_FACTOR, 1.0)
@@ -288,7 +304,8 @@ def _run(platform: Platform, network: NetworkProfile, base: Scenario,
 
 def _search(rates: dict[str, float], x: list[float], coords: list[int],
             target_throughput: float,
-            target_shares: Optional[dict[str, float]]) -> list[float]:
+            target_shares: Optional[dict[str, float]],
+            unit: float) -> list[float]:
     """Coordinate descent on the closed form, starting from x.
 
     Each of 7 rounds moves every searched coordinate in turn to the point
@@ -297,10 +314,10 @@ def _search(rates: dict[str, float], x: list[float], coords: list[int],
     shrinks fourfold.
     """
     x = list(x)
-    steps = [max(x[0], 1e-3)] + [0.1] * (len(coords) - 1)
+    steps = [max(x[0], 1e-3 * unit)] + [0.1] * (len(coords) - 1)
     for _ in range(7):
         for c, step in zip(coords, steps):
-            lo, hi = ((0.0, _SEARCH_OVERHEAD_CEILING) if c == 0
+            lo, hi = ((0.0, _SEARCH_OVERHEAD_CEILING * unit) if c == 0
                       else (_MIN_FACTOR, 1.0))
             values = [x[c]] + [x[c] + k * step for k in (-3, -2, -1, 1, 2, 3)
                                if lo <= x[c] + k * step <= hi]
@@ -316,7 +333,7 @@ def _search(rates: dict[str, float], x: list[float], coords: list[int],
 
 
 def _seed(rates: dict[str, float], coords: list[int], target_throughput: float,
-          target_shares: Optional[dict[str, float]]) -> list[float]:
+          target_shares: Optional[dict[str, float]], unit: float) -> list[float]:
     """Initial parameters.
 
     With composition targets, the overhead inverts the implied rates of the
@@ -327,8 +344,8 @@ def _seed(rates: dict[str, float], coords: list[int], target_throughput: float,
     x = [0.0] + [1.0] * len(rates)
     if not target_shares:
         if target_throughput < _closed_form(rates, x)[0]:
-            lo, hi = 0.0, 1e-3
-            while (hi < _OVERHEAD_CAP
+            lo, hi = 0.0, 1e-3 * unit
+            while (hi < _OVERHEAD_CAP * unit
                    and _closed_form(rates, [hi] + x[1:])[0] > target_throughput):
                 hi *= 2.0
             for _ in range(80):

@@ -24,9 +24,10 @@ here shares mutable state.
 import heapq
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .dataset import network_by_id, platform_by_id
 from .errors import MalformedDocument
@@ -38,11 +39,10 @@ from .profiles import (NetworkProfile, Platform, _set, count, ids, keys, number,
 _MAX_JITTER_CV = 1e154
 # The most frames one run takes, refused before anything is allocated.
 # simulate allocates 1 byte per frame up front and costs about 730 ns per
-# frame (some 7 s at the cap).
+# frame (some 7 s at the cap). A run that records events allocates 9 more
+# bytes per frame for its log below 257 engaged components (about 100 MB
+# at the cap) and costs about 950 ns per frame.
 _MAX_FRAMES = 10 ** 7
-# The most frames a run that records events takes: it keeps 3 SimEvents,
-# about 350 bytes, per frame (350 MB here, 3.5 GB at _MAX_FRAMES).
-_MAX_RECORDED_FRAMES = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,76 @@ class SimEvent(NamedTuple):
     frame: int
 
 
+class EventLog:
+    """The claims, completions and releases of a recorded run, derived
+    from its frame log each time it is iterated.
+
+    The log holds, per frame, the rank of the component that ran it and
+    its completion time. Frame r < k (k engaged components) is claimed by
+    rank r at time 0; the i-th completion lets its component claim frame
+    k + i at once, so it completes the frame that component ran before
+    frame k + i, and the last k completions follow in (time, rank) order,
+    the order the heap pops them. A completion of the lowest unreleased
+    frame releases it and every completed frame after it.
+    """
+
+    __slots__ = ("_ids", "_ranks", "_times")
+
+    def __init__(self, ids: list[str], ranks: array, times: array):
+        self._ids, self._ranks, self._times = ids, ranks, times
+
+    def __eq__(self, other):
+        # The log fixes the events and the events fix the log, so equal
+        # recorded runs compare equal without deriving either.
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        return ((self._ids, self._ranks, self._times)
+                == (other._ids, other._ranks, other._times))
+
+    def __iter__(self):
+        ids, ranks, times = self._ids, self._ranks, self._times
+        event = tuple.__new__  # builds a SimEvent without its Python __new__
+        n_frames = len(times)
+        running = list(range(min(len(ids), n_frames)))  # frame held by rank
+        for frame in running:
+            yield event(SimEvent, (0.0, "claim", ids[frame], frame))
+
+        def completions():  # (frame completed, frame claimed next or None)
+            for claim in range(len(running), n_frames):
+                rank = ranks[claim]
+                yield running[rank], claim
+                running[rank] = claim
+            for frame in sorted(running, key=lambda f: (times[f], ranks[f])):
+                yield frame, None
+
+        done = bytearray(n_frames + 1)  # a spare 0 stops the release scan
+        next_expected = 0
+        for frame, claim in completions():
+            now, cid = times[frame], ids[ranks[frame]]
+            yield event(SimEvent, (now, "complete", cid, frame))
+            if frame == next_expected:
+                next_expected += 1
+                while done[next_expected]:
+                    next_expected += 1
+                for seq in range(frame, next_expected):
+                    yield event(SimEvent, (now, "release", cid, seq))
+            else:
+                done[frame] = 1
+            if claim is not None:
+                yield event(SimEvent, (now, "claim", cid, claim))
+
+
 @dataclass(frozen=True)
 class SimResult:
-    """Output of one co-execution run."""
+    """Output of one co-execution run.
+
+    events is None unless the run was recorded. A recorded run's events are
+    an EventLog: iterating it yields every claim, completion and release as
+    a SimEvent, in the order the run made them, derived from a log of 9
+    bytes per frame. Nothing is cached: each pass derives the events
+    again, costs about twice as much as the recorded run itself (some
+    2 us per frame) and allocates 1 byte per frame while it lasts.
+    """
 
     scenario: Scenario
     makespan_s: float
@@ -163,7 +230,7 @@ class SimResult:
     energy_j: float
     energy_efficiency: float
     reorder_high_water: int
-    events: Optional[tuple[SimEvent, ...]] = None
+    events: Optional[Iterable[SimEvent]] = None
 
 
 def effective_rates(scenario: Scenario, platform: Platform,
@@ -197,9 +264,6 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
     the scenario. With jitter_cv = 0 the run is fully deterministic; ties
     between simultaneous completions resolve in component-id order.
     """
-    if record_events:
-        count(scenario.frame_count, "frames", "recorded scenario",
-              high=_MAX_RECORDED_FRAMES)
     if platform is None:
         platform = platform_by_id(scenario.platform_id)
     if network is None:
@@ -231,7 +295,13 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
     n_frames = scenario.frame_count
     frames_done = [0] * len(order)
     busy = [0.0] * len(order)
-    events: Optional[list[SimEvent]] = [] if record_events else None
+    if record_events:
+        # The frame log: the rank that ran each frame, in the narrowest
+        # unsigned type that holds every rank, and its completion time.
+        code = next(code for code in "BHIQ"
+                    if len(order) <= 256 ** array(code).itemsize)
+        ranks = array(code, [0]) * n_frames
+        times = array("d", [0.0]) * n_frames
 
     # Reorder buffer: done[f] flags a completed frame held behind the
     # lowest unreleased frame next_expected; the spare last byte stays 0
@@ -245,8 +315,6 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
         draw = (processing[rank] * lognormvariate(mu, sigma) + overhead
                 if jitter else service[rank])
         busy[rank] += draw
-        if events is not None:
-            events.append(SimEvent(0.0, "claim", order[rank], rank))
         heap.append((draw, rank, rank))
     heapq.heapify(heap)
     next_frame = len(heap)
@@ -255,8 +323,9 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
     while heap:
         now, rank, frame = heap[0]
         frames_done[rank] += 1
-        if events is not None:
-            events.append(SimEvent(now, "complete", order[rank], frame))
+        if record_events:
+            ranks[frame] = rank
+            times[frame] = now
         if frame == next_expected:
             # occupancy counts the arriving head frame
             if held >= high_water:
@@ -266,9 +335,6 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
                 nxt += 1
             held -= nxt - frame - 1
             next_expected = nxt
-            if events is not None:
-                events.extend(SimEvent(now, "release", order[rank], seq)
-                              for seq in range(frame, nxt))
         elif frame < next_expected or done[frame]:
             raise MalformedDocument(f"frame {frame} completed twice")
         else:
@@ -280,8 +346,6 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
             draw = (processing[rank] * lognormvariate(mu, sigma) + overhead
                     if jitter else service[rank])
             busy[rank] += draw
-            if events is not None:
-                events.append(SimEvent(now, "claim", order[rank], next_frame))
             heapreplace(heap, (now + draw, rank, next_frame))
             next_frame += 1
         else:
@@ -320,5 +384,5 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
         energy_j=energy,
         energy_efficiency=efficiency,
         reorder_high_water=high_water,
-        events=tuple(events) if events is not None else None,
+        events=EventLog(order, ranks, times) if record_events else None,
     )

@@ -1,10 +1,12 @@
+import random
 import sys
 from dataclasses import replace
 
 import pytest
 
 from socperf import (InfeasibleTarget, MalformedDocument, Scenario,
-                     network_by_id, observations_for_table, platform_by_id)
+                     network_by_id, observations_for_table, platform_by_id,
+                     simulate)
 from socperf.calibrate import calibrate
 from socperf.cli import _observed
 from test_sim import synthetic_network, synthetic_platform
@@ -78,6 +80,51 @@ def test_rate_without_a_finite_service_time_is_refused():
                 "got inf$")):
             calibrate(platform, synthetic_network((rate, rate)), target,
                       ("c0", "c1"), frames=10)
+
+
+def test_equal_rates_near_1e200_fit_their_target():
+    # Absolute steps of 1e-3 s and 2e-4 s once left this fit at objective
+    # 50, far coarser than its 1e-200 s service times.
+    platform = synthetic_platform([(1.0, 1.0), (1.0, 1.0)])
+    fit = calibrate(platform, synthetic_network((1e200, 1e200)),
+                    {"throughput": 1e200}, ("c0", "c1"), frames=200)
+    assert fit.objective < 1e-6
+    assert fit.result.throughput == pytest.approx(1e200, rel=1e-6)
+
+
+@pytest.mark.parametrize("j", [-40, -3, 1, 40])
+def test_fit_is_covariant_under_a_power_of_two_time_scale(monkeypatch, j):
+    # Rates and target times 2**(16*j) fit the overhead times 2**(-16*j),
+    # with the same factors, simulations and residuals, bit for bit.
+    sims = []
+    monkeypatch.setattr(CALIBRATE, "simulate", lambda *args: sims.append(
+        args[0]) or simulate(*args))
+    scale = 2.0 ** (16 * j)
+    rng = random.Random(11)
+    for board in range(4):
+        rates = [rng.uniform(0.5, 40.0) for _ in range(rng.randint(2, 3))]
+        ids = tuple(f"c{i}" for i in range(len(rates)))
+        platform = synthetic_platform([(rate, 1.0) for rate in rates])
+        target = {"throughput": rng.uniform(0.5, 0.95) * sum(rates)}
+        if board % 2:
+            target["composition"] = {"c0": rng.uniform(0.05, 0.3)}
+        fits = []
+        for factor in (1.0, scale):
+            del sims[:]
+            fit = calibrate(
+                platform, synthetic_network([r * factor for r in rates]),
+                {**target, "throughput": target["throughput"] * factor}, ids,
+                frames=500)
+            fits.append((fit, len(sims)))
+        (base, base_sims), (scaled, scaled_sims) = fits
+        assert scaled_sims == base_sims
+        assert scaled.dispatch_overhead_s == base.dispatch_overhead_s / scale
+        assert scaled.contention == base.contention
+        assert scaled.objective == base.objective
+        assert scaled.residual_throughput_rel == base.residual_throughput_rel
+        assert scaled.residual_composition == base.residual_composition
+        assert scaled.result.composition == base.result.composition
+        assert scaled.result.throughput == base.result.throughput * scale
 
 
 def test_fit_with_composition_targets():

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,7 +19,7 @@ from socperf import (
     platform_by_id,
     simulate,
 )
-from socperf.sim import _MAX_FRAMES, _MAX_RECORDED_FRAMES, ReorderBuffer
+from socperf.sim import _MAX_FRAMES, ReorderBuffer
 
 EXYNOS = platform_by_id("exynos5422")
 KIRIN = platform_by_id("kirin970")
@@ -48,28 +50,59 @@ def synthetic_network(rates):
     }})
 
 
-def greedy_oracle(rates, n_frames, overhead=0.0):
+def greedy_oracle(rates, n_frames, overhead=0.0, draws=None):
     """Independent recomputation of the greedy schedule.
 
     Scan-based: every frame goes to the component that becomes free
     earliest, ties to the lexicographically first id. No heap, no buffer.
-    Returns the frames, the makespan and the busy time of each component,
-    all of which a jitter-free simulation must match bit for bit.
+    With draws, frame f runs for 1/rate * draws[f] + overhead (the f-th
+    jitter draw). Returns the frames, the makespan and the busy time of
+    each component, and per frame (component, claim time, completion
+    time), all of which a simulation must match bit for bit.
     """
     ids = sorted(rates)
     free = {c: 0.0 for c in ids}
     counts = {c: 0 for c in ids}
     busy = {c: 0.0 for c in ids}
+    log = []
     makespan = 0.0
-    for _ in range(n_frames):
+    for frame in range(n_frames):
         comp = min(ids, key=lambda c: free[c])
-        service = 1.0 / rates[comp] + overhead  # per-frame service time
+        service = (1.0 / rates[comp] + overhead if draws is None  # per frame
+                   else 1.0 / rates[comp] * draws[frame] + overhead)
         finish = free[comp] + service
+        log.append((comp, free[comp], finish))
         free[comp] = finish
         counts[comp] += 1
         busy[comp] += service
         makespan = max(makespan, finish)
-    return counts, makespan, busy
+    return counts, makespan, busy, log
+
+
+def jitter_draws(scenario):
+    """The lognormal factors a jittered scenario draws, frame by frame."""
+    draw = random.Random(scenario.jitter_seed).lognormvariate
+    sigma = math.sqrt(math.log(1.0 + scenario.jitter_cv ** 2))
+    return [draw(-0.5 * sigma * sigma, sigma)
+            for _ in range(scenario.frame_count)]
+
+
+def logged(events):
+    """The claims and the completions of events, each as (component, time,
+    frame), in the order the run made them."""
+    return tuple([(e.component_id, e.time, e.frame)
+                  for e in events if e.kind == kind]
+                 for kind in ("claim", "complete"))
+
+
+def oracle_events(log):
+    """What logged() gives for a run that matches an oracle log: the claims
+    lowest frame first, the completions by time, then component id (the
+    heap's rank order), then frame."""
+    return ([(comp, start, frame) for frame, (comp, start, _) in enumerate(log)],
+            sorted(((comp, finish, frame)
+                    for frame, (comp, _, finish) in enumerate(log)),
+                   key=lambda c: (c[1], c[0], c[2])))
 
 
 # -- effective rates and contention -------------------------------------------
@@ -137,8 +170,8 @@ def test_single_component_degenerates_to_measured_rate():
 def test_simulate_matches_hand_schedule_20_frames():
     scenario = Scenario("exynos5422", "alexnet", ("a7", "a15", "t628"), 20)
     result = simulate(scenario, EXYNOS, ALEXNET)
-    counts, makespan, _ = greedy_oracle({"a7": 1.1, "a15": 3.1, "t628": 7.8},
-                                        20)
+    counts, makespan, _, _ = greedy_oracle(
+        {"a7": 1.1, "a15": 3.1, "t628": 7.8}, 20)
     assert result.frames_per_component == counts
     assert result.makespan_s == makespan
     assert result.throughput == 20 / makespan
@@ -157,12 +190,14 @@ def test_small_instance_exhaustive_oracle():
             for overhead in (0.0, 0.05):
                 scenario = Scenario("synth", "synthnet", ids, n_frames,
                                     dispatch_overhead_s=overhead)
-                result = simulate(scenario, platform, network)
-                counts, makespan, busy = greedy_oracle(
+                result = simulate(scenario, platform, network,
+                                  record_events=True)
+                counts, makespan, busy, log = greedy_oracle(
                     dict(zip(ids, rates)), n_frames, overhead)
                 assert result.frames_per_component == counts
                 assert result.makespan_s == makespan
                 assert result.busy_time_s == busy
+                assert logged(result.events) == oracle_events(log)
 
 
 @pytest.mark.parametrize("overhead", [0.0, 0.002])
@@ -178,12 +213,15 @@ def test_greedy_oracle_matches_every_bundled_engagement(overhead):
                     result = simulate(
                         Scenario(platform.id, network.id, engaged, 3000,
                                  dispatch_overhead_s=overhead),
-                        platform, network)
-                    expected = greedy_oracle(
+                        platform, network, record_events=True)
+                    *expected, log = greedy_oracle(
                         {cid: network.rate(cid) for cid in engaged}, 3000,
                         overhead)
-                    assert (result.frames_per_component, result.makespan_s,
-                            result.busy_time_s) == expected, engaged
+                    assert [result.frames_per_component, result.makespan_s,
+                            result.busy_time_s] == expected, engaged
+                    # each frame's component and completion time, and
+                    # every claim, bit for bit
+                    assert logged(result.events) == oracle_events(log), engaged
                     checked += 1
     assert checked == 102
 
@@ -227,9 +265,14 @@ def test_in_order_release_and_event_log():
 def test_work_conservation_from_event_log():
     scenario = Scenario("kirin970", "squeezenet", ("a53", "a73", "g72", "npu"),
                         300)
-    result = simulate(scenario, KIRIN, network_by_id("squeezenet"),
-                      record_events=True)
-    events = result.events
+    network = network_by_id("squeezenet")
+    result = simulate(scenario, KIRIN, network, record_events=True)
+    events = tuple(result.events)
+    # Every claim, as an independent scan of the greedy rule makes it: the
+    # lowest unclaimed frame, by the component free first, when it is free.
+    _, _, _, log = greedy_oracle(
+        effective_rates(scenario, KIRIN, network), scenario.frame_count)
+    assert logged(events)[0] == oracle_events(log)[0]
     claimed = 0
     total = scenario.frame_count
     for idx, event in enumerate(events):
@@ -295,6 +338,12 @@ def test_determinism_bit_identical():
     assert a.busy_time_s == b.busy_time_s
     assert a.energy_j == b.energy_j
     assert a.reorder_high_water == b.reorder_high_water
+    # Recorded runs compare equal, events included.
+    recorded = simulate(scenario, KIRIN, ALEXNET, record_events=True)
+    assert recorded == simulate(scenario, KIRIN, ALEXNET, record_events=True)
+    other = simulate(Scenario("kirin970", "alexnet", scenario.engaged, 5000),
+                     KIRIN, ALEXNET, record_events=True)
+    assert recorded.events != other.events
 
 
 def test_jitter_seeded_and_in_order():
@@ -315,6 +364,11 @@ def test_jitter_seeded_and_in_order():
                     ALEXNET).makespan_s == d.makespan_s
     releases = [e.frame for e in a.events if e.kind == "release"]
     assert releases == list(range(500))
+    # frame f runs for the f-th draw
+    *fields, log = greedy_oracle({"a7": 1.1, "a15": 3.1, "t628": 7.8}, 500,
+                                 draws=jitter_draws(a.scenario))
+    assert [a.frames_per_component, a.makespan_s, a.busy_time_s] == fields
+    assert logged(a.events) == oracle_events(log)
 
 
 @pytest.mark.parametrize("overhead,makespan,busy,frames,high_water", [
@@ -388,13 +442,43 @@ def test_contention_for_unengaged_component_rejected():
                  contention={"t628": 0.5})
 
 
-def test_recorded_run_above_its_cap_is_refused():
-    scenario = Scenario("kirin970", "alexnet", ("a53", "npu"),
-                        _MAX_RECORDED_FRAMES + 1)
+def test_recorded_run_keeps_a_small_frame_log():
+    # The log holds a rank byte and a completion time per frame; with the
+    # reorder buffer's done-flag that is 10 bytes per frame.
+    frames = 10 ** 5
+    scenario = Scenario("kirin970", "alexnet", ("a53", "a73", "g72", "npu"),
+                        frames)
+    tracemalloc.start()
+    try:
+        result = simulate(scenario, KIRIN, ALEXNET, record_events=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.events is not None
+    assert peak <= 12 * frames
+
+
+def test_recorded_run_above_the_frame_cap_is_refused():
     with pytest.raises(MalformedDocument,
-                       match="recorded scenario: frames must be an integer "
-                             "<= 1000000, got 1000001"):
-        simulate(scenario, KIRIN, ALEXNET, record_events=True)
+                       match="scenario: frames must be an integer "
+                             "<= 10000000, got 10000001"):
+        simulate(Scenario("kirin970", "alexnet", ("a53", "npu"),
+                          _MAX_FRAMES + 1), KIRIN, ALEXNET, record_events=True)
+
+
+def test_recorded_run_with_300_components():
+    # Ranks past 255 need more than a byte each.
+    rates = [0.5 + (i * 37 % 101) / 10.0 for i in range(300)]
+    platform = synthetic_platform([(r, 1.0) for r in rates])
+    ids = tuple(f"c{i}" for i in range(300))
+    result = simulate(Scenario("synth", "synthnet", ids, 1000),
+                      platform, synthetic_network(rates), record_events=True)
+    *fields, log = greedy_oracle(dict(zip(ids, rates)), 1000)
+    assert [result.frames_per_component, result.makespan_s,
+            result.busy_time_s] == fields
+    assert logged(result.events) == oracle_events(log)
+    releases = [e.frame for e in result.events if e.kind == "release"]
+    assert releases == list(range(1000))
 
 
 def test_engaged_component_not_on_the_platform_rejected():
