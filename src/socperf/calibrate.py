@@ -203,8 +203,10 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
 
     base = Scenario(platform.id, network.id, engaged, frames)
     rates = effective_rates(base, platform, network)  # every factor is 1.0
+    # Past the float range the closed form and the unit lose the target.
+    total = number(sum(rates.values()), "rate sum", "calibrate")
     unit = _unit(rates)
-    bound = min(sum(rates.values()),
+    bound = min(total,
                 frames * min(rates[c] for c in sorted(engaged)[:frames]))
     if target_throughput > bound * (1.0 + 1e-9):
         raise InfeasibleTarget(

@@ -13,13 +13,13 @@ from typing import Sequence
 from .errors import UnsupportedFormat
 from .sim import SimResult
 
+SVG_WIDTH, SVG_HEIGHT = 720, 480  # roofline plot size, px
+
 
 def sig4(value) -> str:
     """Cell text: "" for None, a str as is, a float to 4 significant digits."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, (int, str)):
         return str(value)
     return f"{value:.4g}"
@@ -87,9 +87,9 @@ def sim_result_to_csv(result: SimResult) -> bytes:
     return emit_csv(rows)
 
 
-def emit_svg_roofline(rows: Sequence[dict], title: str,
-                      width: int = 720, height: int = 480) -> bytes:
+def emit_svg_roofline(rows: Sequence[dict], title: str) -> bytes:
     """Log-log roofline plot as a standalone SVG."""
+    width, height = SVG_WIDTH, SVG_HEIGHT
     line = [(r["oi_flops_per_byte"], r["roofline_gops"])
             for r in rows if r["point_label"] is None]
     points = [(r["point_oi"], r["point_gops"], r["point_label"], r["bound"])

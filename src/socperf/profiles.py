@@ -18,12 +18,10 @@ engaging such a pair is an error rather than a silent zero.
 """
 
 import functools
-import io
 import json
 import math
 import os
 from dataclasses import dataclass, replace
-from pathlib import Path
 from types import MappingProxyType
 from typing import Optional, Union
 
@@ -51,7 +49,7 @@ DEFAULT_CACHE_LINE_BYTES = 64
 
 UNSUPPORTED = "unsupported"
 
-Source = Union[str, os.PathLike, io.IOBase, dict]
+Source = Union[str, os.PathLike, dict]
 
 _INF = math.inf
 _set = object.__setattr__  # stores a checked value on a frozen instance
@@ -416,39 +414,35 @@ _RECORD_DOC = dict.fromkeys(
 def reads_document(build):
     """Turn build(doc) into a loader of one document from a Source.
 
-    A source is a dict, JSON text, a readable file or a path. An
-    os.PathLike is always a path. A string is a path unless it starts
-    with { or [; such a string is JSON text, or a path if it does not
-    parse and names an existing file. Errors about a document read from a
-    path start with that path, prefixed here for every loader.
+    A source is a path, JSON text or the document itself. An os.PathLike
+    is a path, and so is a string unless it starts with { or [; such a
+    string is JSON text unless it does not parse and names an existing
+    file. Any other source goes to build as the document, which refuses
+    it unless it is an object. Errors about a document read from a path
+    start with that path, prefixed here for every loader.
     """
     @functools.wraps(build)
     def load(source: Source):
-        path, doc = None, source
-        if isinstance(source, os.PathLike):
-            path = os.fspath(source)
-        elif hasattr(source, "read"):
-            doc = source.read()
-        elif not isinstance(source, dict):
-            doc = str(source)
-            if not doc.lstrip().startswith(("{", "[")):
-                path = doc
-        if path is not None:
-            with open(path, "rb") as fh:
-                doc = fh.read()
-        try:
-            if not isinstance(doc, dict):
-                try:
-                    doc = json.loads(doc)
-                except ValueError as exc:
-                    if (path is None and isinstance(source, str)
-                            and os.path.isfile(source)):
-                        return load(Path(source))
+        if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
+            try:
+                doc = json.loads(source)
+            except ValueError as exc:
+                if not os.path.isfile(source):
                     raise MalformedDocument(f"not valid JSON: {exc}") from exc
+            else:
+                return build(doc)
+        elif not isinstance(source, (str, os.PathLike)):
+            return build(source)
+        path = os.fspath(source)
+        with open(path, "rb") as fh:
+            text = fh.read()
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise MalformedDocument(f"{path}: not valid JSON: {exc}") from exc
+        try:
             return build(doc)
         except MalformedDocument as exc:
-            if path is None:
-                raise
             raise type(exc)(f"{path}: {exc}") from None
     return load
 

@@ -92,6 +92,20 @@ def test_equal_rates_near_1e200_fit_their_target():
     assert fit.result.throughput == pytest.approx(1e200, rel=1e-6)
 
 
+def test_rates_that_sum_past_the_float_range_are_refused():
+    # 1e308 + 1e308 is inf, which once left this fit at objective 50; the
+    # 8e307 pair sums to 1.6e308 and still fits.
+    platform = synthetic_platform([(1.0, 1.0), (1.0, 1.0)])
+    with pytest.raises(MalformedDocument, match=(
+            "^calibrate: rate sum must be finite and > 0, got inf$")):
+        calibrate(platform, synthetic_network((1e308, 1e308)),
+                  {"throughput": 1e308}, ("c0", "c1"), frames=200)
+    fit = calibrate(platform, synthetic_network((8e307, 8e307)),
+                    {"throughput": 8e307}, ("c0", "c1"), frames=200)
+    assert fit.objective < 1e-6
+    assert fit.result.throughput == pytest.approx(8e307, rel=1e-6)
+
+
 @pytest.mark.parametrize("j", [-40, -3, 1, 40])
 def test_fit_is_covariant_under_a_power_of_two_time_scale(monkeypatch, j):
     # Rates and target times 2**(16*j) fit the overhead times 2**(-16*j),

@@ -560,6 +560,27 @@ def test_readme_commands_parse():
         assert args.command == argv[0]
 
 
+def test_readme_library_sketch_runs_and_matches_its_comments():
+    """The README's "Library sketch" block runs, and its expressions have
+    the values its comments give."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library sketch\s+```python\n(.*?)```", text,
+                      re.S).group(1)
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    socperf, model = names["socperf"], names["model"]
+    assert "model.ridge_oi                          # 9.366 FLOPS/byte" in block
+    assert sig4(model.ridge_oi) == "9.366"
+    assert "socperf.attainable(model, 2.0)          # 12.3 GOPS/s" in block
+    assert socperf.attainable(model, 2.0) == pytest.approx(12.3)
+    rates = re.search(r"effective_rates\(.*?\)\s+# (\{.*?\})", block, re.S)
+    assert socperf.effective_rates(
+        names["scenario"], names["exynos"], names["alexnet"]
+    ) == json.loads(rates.group(1)) == {"a7": 1.1, "a15": 3.1, "t628": 7.8}
+    assert "# throughput ~= 1.1+3.1+7.8" in block
+    assert names["result"].throughput == pytest.approx(12.0, rel=1e-3)
+
+
 def test_sig4_formatting():
     assert sig4(32.5) == "32.5"
     assert sig4(9.365853658536585) == "9.366"

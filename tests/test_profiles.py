@@ -18,6 +18,7 @@ from socperf import (
     builtin_trace,
     load_network_profile,
     load_platform,
+    load_scenario,
     load_trace,
     network_by_id,
     platform_by_id,
@@ -361,8 +362,6 @@ def test_load_from_json_text_and_file(tmp_path):
     path.write_text(text)
     assert load_platform(path) == load_platform(text)
     assert load_platform(str(path)) == load_platform(text)
-    with open(path) as fh:
-        assert load_platform(fh) == load_platform(text)
 
 
 def test_a_path_string_that_starts_like_json_is_read_as_a_file(
@@ -378,6 +377,21 @@ def test_a_path_string_that_starts_like_json_is_read_as_a_file(
     (tmp_path / '["board"]').write_text(text)
     with pytest.raises(MalformedDocument, match="^document must be an object"):
         load_platform('["board"]')
+
+
+@pytest.mark.parametrize("load", [load_platform, load_network_profile,
+                                  load_trace, load_scenario])
+@pytest.mark.parametrize("source", [None, 5, 3.5, b"{}", ["a"], ("x",)],
+                         ids=repr)
+def test_a_source_that_is_no_path_or_text_is_refused_as_a_document(
+        load, source):
+    # Neither a path nor JSON text, so it is the document itself; no file
+    # named after it is opened and no repr of it is parsed.
+    with pytest.raises(MalformedDocument) as exc:
+        load(source)
+    assert str(exc.value) == (
+        f"{'scenario' if load is load_scenario else 'document'} must be an "
+        f"object, got {source!r}")
 
 
 # -- counter traces -----------------------------------------------------------

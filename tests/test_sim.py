@@ -88,21 +88,27 @@ def jitter_draws(scenario):
 
 
 def logged(events):
-    """The claims and the completions of events, each as (component, time,
-    frame), in the order the run made them."""
+    """The claims, the completions and the releases of events, each as
+    (component, time, frame), in the order the run made them."""
     return tuple([(e.component_id, e.time, e.frame)
                   for e in events if e.kind == kind]
-                 for kind in ("claim", "complete"))
+                 for kind in ("claim", "complete", "release"))
 
 
 def oracle_events(log):
     """What logged() gives for a run that matches an oracle log: the claims
     lowest frame first, the completions by time, then component id (the
-    heap's rank order), then frame."""
+    heap's rank order), then frame, and the releases lowest frame first,
+    frame f's at the latest (time, component id) completion of frames
+    0..f."""
+    latest = itertools.accumulate(
+        ((finish, comp) for comp, _, finish in log), max)
     return ([(comp, start, frame) for frame, (comp, start, _) in enumerate(log)],
             sorted(((comp, finish, frame)
                     for frame, (comp, _, finish) in enumerate(log)),
-                   key=lambda c: (c[1], c[0], c[2])))
+                   key=lambda c: (c[1], c[0], c[2])),
+            [(comp, finish, frame)
+             for frame, (finish, comp) in enumerate(latest)])
 
 
 # -- effective rates and contention -------------------------------------------
