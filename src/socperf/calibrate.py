@@ -8,19 +8,18 @@ The steady-state behavior of the simulator has a closed form: a component
 with measured rate r, availability factor f, and per-frame overhead h
 contributes 1/(1/(r*f) + h) images/s, and frame shares follow the
 contributed rates. Calibration seeds x from that closed form, runs a
-deterministic coordinate search on it, then polishes x against full
-simulation runs and reports the simulated residuals.
+deterministic coordinate search on it, then polishes x against the
+simulated throughput and shares and reports the simulated residuals.
 
-One objective scores all three: the distance from the targets to an
-interval of throughput and to an interval of each share. The closed form
-and a simulation give points, intervals of zero width. Before simulating
-a polish candidate, _score_floor bounds its score from the end-of-stream
-tail: without jitter the frames of each component and the makespan lie in
-intervals fixed by the time of the last claim, and the objective on those
-intervals cannot exceed the simulated score. The polish accepts a
-candidate only if its simulated score is strictly below the best so far,
-so a candidate whose floor already reaches the best score is not
-simulated; every returned result still comes from simulate.
+One objective scores all three: the worst normalized error of the
+throughput and of each targeted share. Calibration never jitters, and
+without jitter _simulated computes the throughput and shares of a run
+exactly, bit for bit, from each component's running sum of its service
+time and the completion at which the last frame is claimed, in memory
+that does not grow with N. So every candidate is scored without
+simulating it; simulate runs only where the polish starts and, if the
+polish moved x, where it ends, and the returned result comes from
+simulate.
 
 A target above the zero-overhead bound, or below the closed-form
 throughput at the seed's overhead cap (about 1049 time units, with the
@@ -40,6 +39,8 @@ minimax form centers it.
 
 import math
 from dataclasses import dataclass, replace
+from heapq import heapify, heapreplace
+from itertools import accumulate, islice, repeat
 from typing import Optional
 
 from .errors import InfeasibleTarget
@@ -98,86 +99,80 @@ def _closed_form(rates: dict[str, float],
     return total, {cid: eff / total for cid, eff in effective.items()}
 
 
-def _objective(throughput: tuple[float, float],
-               shares: tuple[dict[str, float], dict[str, float]],
+def _objective(throughput: float, shares: dict[str, float],
                target_throughput: float,
                target_shares: Optional[dict[str, float]]) -> float:
-    """The worst normalized distance from a target to its interval.
-
-    throughput is (low, high) and shares is (low, high) of each share by
-    component id; a point is an interval of zero width, whose distance is
-    the absolute error. A target inside its interval has a gap <= 0, which
-    counts as distance 0.
-    """
-    low, high = throughput
-    gap = (target_throughput - high if target_throughput > high
-           else low - target_throughput)
-    worst = gap / target_throughput / THROUGHPUT_SCALE if gap > 0 else 0.0
-    if target_shares:
-        low, high = shares
-        for comp_id, target in target_shares.items():
-            gap = (target - high[comp_id] if target > high[comp_id]
-                   else low[comp_id] - target)
-            worst = max(worst, gap / COMPOSITION_SCALE)
+    """The worst normalized error of the throughput and of each targeted
+    share."""
+    worst = (abs(target_throughput - throughput) / target_throughput
+             / THROUGHPUT_SCALE)
+    for comp_id, target in (target_shares or {}).items():
+        worst = max(worst, abs(target - shares[comp_id]) / COMPOSITION_SCALE)
     return worst
 
 
-def _score_floor(rates: dict[str, float], x: list[float], frames: int,
-                 target_throughput: float,
-                 target_shares: Optional[dict[str, float]]) -> float:
-    """A lower bound on the objective of the jitter-free simulation of x,
-    computed without running it.
+def _simulated(rates: dict[str, float], x: list[float],
+               frames: int) -> tuple[float, dict[str, float]]:
+    """The throughput and composition of the jitter-free simulation of x,
+    bit for bit, computed without running it.
 
-    Component i completes its j-th frame at a repeated float sum of its
-    service time s_i, which is j*s_i to within a relative (j/2)*2**-53.
-    The last of the N frames is claimed at the (N-k)-th completion U, and
-    then every one of the k components holds one frame, so component i
-    runs between ceil(U/s_i) and floor(U/s_i) + 1 frames and the makespan
-    is the largest frames_i*s_i. U is bracketed by bisecting the
-    completion count sum_i floor(t/s_i), with every grid point widened by
-    a relative slack that covers the summation error at N frames and the
-    rounding of this function's own arithmetic. The floor is the objective
-    on the resulting throughput and share intervals.
+    The component of rank r (its position in id order) completes its j-th
+    frame at the j-fold float sum of its service time s_r, whatever the
+    others do, and completions pop in (time, rank) order. The last frame
+    is claimed at completion number N-k; a component that has completed c
+    frames by then runs c + 1, and the makespan is the largest of their
+    (c + 1)-th sums. If N <= k, the first N ranks run one frame each.
     """
-    service = [1.0 / (rate * factor) + x[0]
-               for rate, factor in zip(rates.values(), x[1:])]
-    claims = frames - len(service)  # completions before the last claim
-    if claims <= 0:
-        return 0.0
-    slack = (frames + 16) * 2.0 ** -52
-    early = [s * (1.0 - slack) for s in service]
-    late = [s * (1.0 + slack) for s in service]
-    # U > lo: fewer than `claims` completions can have happened by lo.
-    lo, _ = _bracket(lambda t: sum(int(t / s) for s in early) >= claims,
-                     claims * min(service), slack)
-    # U <= hi: at least `claims` completions have surely happened by hi.
-    _, hi = _bracket(lambda t: sum(int(t / s) for s in late) >= claims,
-                     claims * min(service), slack)
-    fewest = [max(1, math.ceil(lo / s)) for s in late]
-    most = [int(hi / s) + 1 for s in early]
-    makespan_lo = max(f * s for f, s in zip(fewest, early))
-    makespan_hi = max(f * s for f, s in zip(most, late))
-    return _objective(
-        (frames / makespan_hi, frames / makespan_lo),
-        ({cid: f / frames for cid, f in zip(rates, fewest)},
-         {cid: f / frames for cid, f in zip(rates, most)}),
-        target_throughput, target_shares)
+    factors = dict(zip(rates, x[1:]))
+    order = sorted(rates)
+    service = [1.0 / (rates[cid] * factors[cid]) + x[0] for cid in order]
+    k = len(order)
+    if frames <= k:
+        ran = [1] * frames + [0] * (k - frames)
+        makespan = max(service[:frames])
+    else:
+        ran, makespan = _last_claim(service, frames - k)
+    return frames / makespan, {cid: n / frames for cid, n in zip(order, ran)}
 
 
-def _bracket(reached, guess: float, slack: float) -> tuple[float, float]:
-    """(lo, hi) around the smallest t > 0 where the monotone reached(t)
-    turns true: reached(lo) is false, reached(hi) is true, and hi is
-    within a relative slack of lo."""
-    lo, hi = 0.0, guess
-    while not reached(hi):
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > slack * hi:
-        mid = 0.5 * (lo + hi)
-        if reached(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+def _last_claim(service: list[float], claims: int) -> tuple[list[int], float]:
+    """The frames each rank runs and the makespan when the last frame is
+    claimed at completion number claims.
+
+    Up to a time t, between t*sum(1/s_r) - k and t*sum(1/s_r) completions
+    happen, up to rounding. The completions up to start = (claims - pad) /
+    sum(1/s_r), pad > k, come first in (time, rank) order and number fewer
+    than claims, so the walk counts them and merges forward from there.
+    Each rank keeps only a window of its sums around start; if start
+    overshoots or the count or the walk leaves a window, pad grows and the
+    walk starts over.
+    """
+    rate_sum = sum(1.0 / s for s in service)
+    pad = len(service) + 4
+    while True:
+        start = max(0, claims - pad) / rate_sum
+        low = [max(0, int(start / s) - pad) for s in service]
+        # sums[r][i]: when rank r completes its (low[r] + i + 1)-th frame.
+        sums = [list(islice(accumulate(repeat(s)), lo, lo + 3 * pad))
+                for s, lo in zip(service, low)]
+        done = [sum(t <= start for t in grid) for grid in sums]
+        todo = claims - sum(low) - sum(done)
+        # Each count must end inside its window: past its first sum, unless
+        # that is the first frame, and short of its last.
+        if todo >= 0 and all((n > 0 or lo == 0) and n < len(grid)
+                             for n, lo, grid in zip(done, low, sums)):
+            heap = [(grid[n], r)
+                    for r, (n, grid) in enumerate(zip(done, sums))]
+            heapify(heap)
+            for _ in range(todo):
+                r = heap[0][1]
+                done[r] += 1
+                if done[r] == len(sums[r]):
+                    break
+                heapreplace(heap, (sums[r][done[r]], r))
+            else:
+                return [lo + n + 1 for lo, n in zip(low, done)], max(heap)[0]
+        pad *= 4
 
 
 def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
@@ -239,25 +234,27 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
     x = _search(rates, _seed(rates, coords, target_throughput, target_shares,
                              unit),
                 coords, target_throughput, target_shares, unit)
-    best, best_score = _run(platform, network, base, cpu_ids, x,
-                            target_throughput, target_shares)
+    throughput, shares = _simulated(rates, x, frames)
+    best_score = _objective(throughput, shares, target_throughput,
+                            target_shares)
 
     # The greedy end-of-stream tail puts simulated throughput slightly below
     # the closed form. Re-run the search against an offset-corrected target
     # so the simulated residuals, not the closed-form ones, end up centered.
-    offset = _closed_form(rates, x)[0] - best.throughput
+    offset = _closed_form(rates, x)[0] - throughput
     if offset > 1e-9 / unit:
         trial = _search(rates, x, coords, target_throughput + offset,
                         target_shares, unit)
-        result, score = _run(platform, network, base, cpu_ids, trial,
-                             target_throughput, target_shares)
+        score = _objective(*_simulated(rates, trial, frames),
+                           target_throughput, target_shares)
         if score < best_score:
-            best, best_score, x = result, score, trial
+            best_score, x = score, trial
 
-    # Final polish against simulation runs: move one searched coordinate at
-    # a time by -2, -1, 1 or 2 steps within its bounds and keep a move that
-    # scores strictly lower. A candidate whose score floor already reaches
-    # best_score cannot be kept, so it is not simulated.
+    # Final polish against the simulated score: move one searched coordinate
+    # at a time by -2, -1, 1 or 2 steps within its bounds and keep a move
+    # that scores strictly lower. simulate runs where the polish starts and,
+    # if the polish moved x, where it ends.
+    start, best = x, _run(platform, network, base, cpu_ids, x)
     steps = [2e-4 * unit] + [0.01] * (len(coords) - 1)
     for _ in range(2):
         for c, step in zip(coords, steps):
@@ -265,15 +262,15 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
             for k in (-2, -1, 1, 2):
                 trial = list(x)
                 trial[c] = min(hi, max(lo, x[c] + k * step))
-                if trial[c] == x[c] or _score_floor(
-                        rates, trial, frames, target_throughput,
-                        target_shares) >= best_score:
+                if trial[c] == x[c]:
                     continue
-                result, score = _run(platform, network, base, cpu_ids, trial,
-                                     target_throughput, target_shares)
+                score = _objective(*_simulated(rates, trial, frames),
+                                   target_throughput, target_shares)
                 if score < best_score:
-                    best, best_score, x = result, score, trial
+                    best_score, x = score, trial
         steps = [s * 0.25 for s in steps]
+    if x is not start:
+        best = _run(platform, network, base, cpu_ids, x)
 
     residual_comp = ({cid: best.composition[cid] - share
                       for cid, share in target_shares.items()}
@@ -292,16 +289,11 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
 
 
 def _run(platform: Platform, network: NetworkProfile, base: Scenario,
-         cpu_ids: list[str], x: list[float], target_throughput: float,
-         target_shares: Optional[dict[str, float]]) -> tuple[SimResult, float]:
-    """The simulation of base at x, with the CPU factors as contention,
-    and its objective."""
+         cpu_ids: list[str], x: list[float]) -> SimResult:
+    """The simulation of base at x, with the CPU factors as contention."""
     factors = dict(zip(base.engaged, x[1:]))
-    result = simulate(replace(base, dispatch_overhead_s=x[0], contention={
+    return simulate(replace(base, dispatch_overhead_s=x[0], contention={
         cid: factors[cid] for cid in cpu_ids}), platform, network)
-    return result, _objective((result.throughput,) * 2,
-                              (result.composition,) * 2,
-                              target_throughput, target_shares)
 
 
 def _search(rates: dict[str, float], x: list[float], coords: list[int],
@@ -327,8 +319,8 @@ def _search(rates: dict[str, float], x: list[float], coords: list[int],
             for value in values:
                 x[c] = value
                 total, shares = _closed_form(rates, x)
-                scores.append(_objective((total, total), (shares, shares),
-                                         target_throughput, target_shares))
+                scores.append(_objective(total, shares, target_throughput,
+                                         target_shares))
             x[c] = values[scores.index(min(scores))]
         steps = [s * 0.25 for s in steps]
     return x

@@ -426,7 +426,7 @@ def reads_document(build):
         if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
             try:
                 doc = json.loads(source)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # or nested too deeply
                 if not os.path.isfile(source):
                     raise MalformedDocument(f"not valid JSON: {exc}") from exc
             else:
@@ -434,11 +434,15 @@ def reads_document(build):
         elif not isinstance(source, (str, os.PathLike)):
             return build(source)
         path = os.fspath(source)
-        with open(path, "rb") as fh:
+        try:
+            fh = open(path, "rb")
+        except ValueError as exc:  # a NUL byte in the path
+            raise MalformedDocument(f"{path!r}: not a path: {exc}") from None
+        with fh:
             text = fh.read()
         try:
             doc = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedDocument(f"{path}: not valid JSON: {exc}") from exc
         try:
             return build(doc)

@@ -314,7 +314,6 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
     for rank in range(min(len(order), n_frames)):
         draw = (processing[rank] * lognormvariate(mu, sigma) + overhead
                 if jitter else service[rank])
-        busy[rank] += draw
         heap.append((draw, rank, rank))
     heapq.heapify(heap)
     next_frame = len(heap)
@@ -345,10 +344,12 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
         if next_frame < n_frames:
             draw = (processing[rank] * lognormvariate(mu, sigma) + overhead
                     if jitter else service[rank])
-            busy[rank] += draw
             heapreplace(heap, (now + draw, rank, next_frame))
             next_frame += 1
         else:
+            # A component runs back to back from time 0, so its busy time
+            # is the completion time of its last frame, the same running sum.
+            busy[rank] = now
             heappop(heap)
     makespan = now  # the last completion
     throughput = n_frames / makespan

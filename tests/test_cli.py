@@ -219,6 +219,17 @@ def test_missing_scenario_file_is_io_error(tmp_path, capsys):
     assert str(absent) in capsys.readouterr().err
 
 
+def test_scenario_nested_too_deeply_exits_1_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code = main(["simulate", "--scenario", str(path),
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"socperf: {path}: not valid JSON: ")
+    assert err.count("\n") == 1
+
+
 def test_unwritable_output_is_io_error(tmp_path):
     code = main(["tables", "--which", "1", "--out", str(tmp_path)])
     assert code == 2

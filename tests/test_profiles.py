@@ -1,6 +1,7 @@
 import json
 import random
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -377,6 +378,27 @@ def test_a_path_string_that_starts_like_json_is_read_as_a_file(
     (tmp_path / '["board"]').write_text(text)
     with pytest.raises(MalformedDocument, match="^document must be an object"):
         load_platform('["board"]')
+
+
+def test_a_document_nested_too_deeply_is_refused_in_one_line(tmp_path):
+    # json.loads raises RecursionError, not ValueError, past its nesting
+    # limit.
+    deep = "[" * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for source, prefix in ((deep, ""), (path, f"{path}: "), (str(path),
+                                                           f"{path}: ")):
+        with pytest.raises(MalformedDocument) as exc:
+            load_scenario(source)
+        assert str(exc.value).startswith(f"{prefix}not valid JSON: ")
+        assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("source", ["a\x00b", Path("a\x00b")], ids=repr)
+def test_a_path_with_a_nul_byte_is_refused_naming_it(source):
+    with pytest.raises(MalformedDocument) as exc:
+        load_platform(source)
+    assert str(exc.value) == "'a\\x00b': not a path: embedded null byte"
 
 
 @pytest.mark.parametrize("load", [load_platform, load_network_profile,
