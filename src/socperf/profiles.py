@@ -13,8 +13,8 @@ Document layout (JSON), one envelope key per document kind:
     {"trace":    {"component_id": ..., "cache_line_bytes": ..., "layers": [...]}}
 
 Unsupported (network, component) pairs are written as the string
-"unsupported" in the throughput map and kept explicit in the model, so
-engaging such a pair is an error rather than a silent zero.
+"unsupported" in the throughput map and kept explicit in the model as a
+None rate, so engaging such a pair is an error rather than a silent zero.
 """
 
 import functools
@@ -58,12 +58,16 @@ _set = object.__setattr__  # stores a checked value on a frozen instance
 # ---------------------------------------------------------------------------
 # Checkers: every input rule of the package is one call to one of these.
 # Each returns the checked value or raises MalformedDocument with the
-# message "<ctx>: <key> must be <rule>, got <value>".
+# message "<ctx>: <key> must be <rule>, got <value>", where a value whose
+# repr is longer than 80 characters shows its first 60 and its length.
 # ---------------------------------------------------------------------------
 
 def _refusal(ctx: str, key: str, rule: str, value) -> MalformedDocument:
     where = f"{ctx}: {key}" if ctx else key
-    return MalformedDocument(f"{where} must be {rule}, got {value!r}")
+    shown = repr(value)
+    if len(shown) > 80:
+        shown = f"{shown[:60]}... ({len(shown)} characters)"
+    return MalformedDocument(f"{where} must be {rule}, got {shown}")
 
 
 def number(value, key: str, ctx: str, low: float = 0.0, high: float = _INF,
@@ -269,18 +273,17 @@ class LayerProfile:
 class NetworkProfile:
     """Per-network layer table plus measured per-component throughput.
 
-    throughput maps component id to measured images/s at peak frequency;
-    supported marks pairs that cannot run at all (absent from throughput).
-    Both are stored as read-only copies. Whole-network operation and byte
-    counts are by definition the sums over the layer table. op_scale, in
-    (0, 1], is the factor a quantization scaled them by; a profile with
-    op_scale < 1 is quantized.
+    throughput maps each known component id to its measured images/s at
+    peak frequency, or to None for a pair that cannot run at all, and is
+    stored as a read-only copy. Whole-network operation and byte counts are
+    by definition the sums over the layer table. op_scale, in (0, 1], is
+    the factor a quantization scaled them by; a profile with op_scale < 1
+    is quantized.
     """
 
     id: str
     layers: tuple[LayerProfile, ...]
-    throughput: dict[str, float]
-    supported: dict[str, bool]
+    throughput: dict[str, Optional[float]]
     op_scale: float = 1.0
     notes: str = ""
 
@@ -290,22 +293,8 @@ class NetworkProfile:
         unique((layer.name for layer in self.layers), "layer name", ctx)
         where = f"{ctx} throughput"
         _set(self, "throughput", MappingProxyType({
-            comp_id: number(rate, comp_id, where)
+            comp_id: None if rate is None else number(rate, comp_id, where)
             for comp_id, rate in obj(self.throughput, "throughput", ctx).items()}))
-        _set(self, "supported",
-             MappingProxyType(dict(obj(self.supported, "supported", ctx))))
-        for comp_id in self.throughput:
-            if not self.supported.get(comp_id, False):
-                raise MalformedDocument(
-                    f"network {self.id!r}: throughput given for unsupported "
-                    f"component {comp_id!r}"
-                )
-        for comp_id, ok in self.supported.items():
-            if ok and comp_id not in self.throughput:
-                raise MalformedDocument(
-                    f"network {self.id!r}: supported component {comp_id!r} "
-                    f"has no throughput value"
-                )
         _set(self, "op_scale", number(self.op_scale, "op_scale", ctx, high=1.0))
 
     @property
@@ -331,15 +320,16 @@ class NetworkProfile:
         return total
 
     def supports(self, component_id: str) -> bool:
-        return self.supported.get(component_id, False)
+        return self.throughput.get(component_id) is not None
 
     def rate(self, component_id: str) -> float:
         """Measured isolated throughput in images/s for one component."""
-        if not self.supports(component_id):
+        rate = self.throughput.get(component_id)
+        if rate is None:
             raise UnsupportedPair(
                 f"network {self.id!r} is not supported on {component_id!r}"
             )
-        return self.throughput[component_id]
+        return rate
 
     def layer(self, name: str) -> LayerProfile:
         for lyr in self.layers:
@@ -487,12 +477,14 @@ def load_network_profile(doc) -> NetworkProfile:
     ctx = f"network {body['id']!r}"
     layers = tuple(LayerProfile(**keys(raw, _LAYER_DOC, "layer", ctx))
                    for raw in items(body["layers"], "layers", ctx))
-    rates = obj(body["throughput"], "throughput", ctx)
+    # Only the string "unsupported" marks a pair that cannot run; a null
+    # rate is refused like any other non-number.
+    where = f"{ctx} throughput"
     return NetworkProfile(
         id=body["id"],
         layers=layers,
-        throughput={cid: v for cid, v in rates.items() if v != UNSUPPORTED},
-        supported={cid: v != UNSUPPORTED for cid, v in rates.items()},
+        throughput={cid: None if v == UNSUPPORTED else number(v, cid, where)
+                    for cid, v in obj(body["throughput"], "throughput", ctx).items()},
         op_scale=body["op_scale"],
         notes=body["notes"],
     )
@@ -531,8 +523,8 @@ def serialize_platform(platform: Platform) -> dict:
 def serialize_network(profile: NetworkProfile) -> dict:
     body = _document(profile, _NETWORK_DOC)
     body["layers"] = [_document(layer, _LAYER_DOC) for layer in profile.layers]
-    body["throughput"] = {cid: profile.throughput[cid] if ok else UNSUPPORTED
-                          for cid, ok in profile.supported.items()}
+    body["throughput"] = {cid: UNSUPPORTED if rate is None else rate
+                          for cid, rate in profile.throughput.items()}
     return {"network": body}
 
 
@@ -549,7 +541,7 @@ def attach_trace(profile: NetworkProfile, trace: CounterTrace) -> NetworkProfile
     unchanged. The result still satisfies dram <= mem for every layer, or
     this raises CacheTrafficInflated.
     """
-    if trace.component_id not in profile.supported:
+    if trace.component_id not in profile.throughput:
         raise UnknownComponent(
             f"trace component {trace.component_id!r} is not known to "
             f"network {profile.id!r}"

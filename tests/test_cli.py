@@ -9,11 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from socperf import Scenario, network_by_id, platform_by_id, simulate
+from socperf import (
+    Scenario,
+    UnsupportedFormat,
+    network_by_id,
+    platform_by_id,
+    simulate,
+)
 from socperf.cli import build_parser, main
 from socperf.emit import (
     emit_csv,
     emit_json,
+    emit_svg_roofline,
     sig4,
     sim_result_payload,
     sim_result_to_csv,
@@ -230,6 +237,28 @@ def test_scenario_nested_too_deeply_exits_1_naming_the_file(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_huge_scenario_value_is_shown_in_a_short_line(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"scenario": {
+        "platform": "kirin970", "network": "alexnet", "components": ["a53"],
+        "frames": [0] * 10**6}}))
+    code = main(["simulate", "--scenario", str(path),
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"socperf: {path}: scenario: frames must be ")
+    assert err.endswith("... (3000000 characters)\n")
+    assert err.count("\n") == 1
+    assert len(err.encode()) < 256
+
+
+def test_simulate_without_scenario_names_the_missing_flags(capsys):
+    assert main(["simulate", "--platform", "kirin970"]) == 1
+    assert capsys.readouterr().err == (
+        "socperf: simulate needs --scenario or --platform/--network/"
+        "--components (missing: network, components)\n")
+
+
 def test_unwritable_output_is_io_error(tmp_path):
     code = main(["tables", "--which", "1", "--out", str(tmp_path)])
     assert code == 2
@@ -309,6 +338,17 @@ def test_tables_1_partial_data_dir_names_missing_ids(tmp_path, monkeypatch,
     assert capsys.readouterr().err == (
         "socperf: table 1 needs ids the dataset lacks: googlenet, mobilenet, "
         "resnet50, squeezenet, a53, a73, g72, npu\n")
+
+
+def test_tables_1_skips_a_data_dir_file_that_is_not_json(tmp_path,
+                                                         monkeypatch):
+    code, bundled = run_cli(["tables", "--which", "1"], tmp_path, "b.csv")
+    assert code == 0
+    data_dir = tmp_path / "data"
+    shutil.copytree(str(resources.files("socperf") / "data"), data_dir)
+    (data_dir / "README.txt").write_text("not a document\n")
+    monkeypatch.setenv("SOCPERF_DATA", str(data_dir))
+    assert run_cli(["tables", "--which", "1"], tmp_path) == (0, bundled)
 
 
 def test_tables_1_prints_extra_networks_after_the_paper_rows(tmp_path,
@@ -604,6 +644,12 @@ def test_emit_json_refuses_non_finite_values():
     for value in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
             emit_json({"x": [1.0, value]})
+
+
+def test_emit_svg_roofline_needs_grid_rows():
+    with pytest.raises(UnsupportedFormat) as exc:
+        emit_svg_roofline([], "empty")
+    assert str(exc.value) == "roofline SVG needs at least the grid rows"
 
 
 def test_emit_csv_layout():

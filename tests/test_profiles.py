@@ -12,9 +12,12 @@ from socperf import (
     DanglingHostCluster,
     DuplicateComponentId,
     LayerMismatch,
+    LayerProfile,
     MalformedDocument,
+    NetworkProfile,
     TraceRecord,
     UnknownComponent,
+    UnsupportedPair,
     attach_trace,
     builtin_trace,
     load_network_profile,
@@ -27,6 +30,7 @@ from socperf import (
     serialize_network,
     serialize_platform,
 )
+from socperf.profiles import number
 
 DATA = resources.files("socperf") / "data"
 
@@ -200,6 +204,9 @@ def test_integer_document_numbers_are_stored_as_floats():
     ({"id": 5}, "network: id must be a non-empty string, got 5"),
     ({"throughput": {"cpu0": "fast"}},
      "network 'tiny' throughput: cpu0 must be finite and > 0, got 'fast'"),
+    # Only "unsupported" marks a pair that cannot run; null is no rate.
+    ({"throughput": {"cpu0": None}},
+     "network 'tiny' throughput: cpu0 must be finite and > 0, got None"),
     ({"throughput": [5.0]},
      "network 'tiny': throughput must be an object, got [5.0]"),
     ({"layers": [{"name": "l0", "kind": "conv", "gops": float("nan"),
@@ -220,9 +227,11 @@ def test_network_document_values_are_checked(change, message):
 
 def test_network_maps_are_read_only():
     profile = network_by_id("alexnet")
-    for mapping in (profile.throughput, profile.supported):
-        with pytest.raises(TypeError):
-            mapping["a7"] = 99.0
+    with pytest.raises(TypeError):
+        profile.throughput["a7"] = 99.0
+    mobilenet = network_by_id("mobilenet")
+    with pytest.raises(TypeError):
+        mobilenet.throughput["npu"] = 99.0
     assert profile.rate("a7") == 1.1
 
 
@@ -259,8 +268,38 @@ def test_nonpositive_counts_rejected():
 def test_unsupported_pair_is_explicit():
     profile = network_by_id("mobilenet")
     assert profile.supports("npu") is False
-    assert "npu" not in profile.throughput
+    assert "npu" in profile.throughput and profile.throughput["npu"] is None
     assert profile.supports("g72") is True
+
+
+def test_a_none_rate_is_a_known_component_that_cannot_run():
+    profile = NetworkProfile(
+        id="tiny", layers=(LayerProfile("l0", "conv", 1.0, 1.0),),
+        throughput={"cpu0": 5.0, "npu": None})
+    assert profile.supports("npu") is False
+    assert profile.supports("cpu0") is True
+    with pytest.raises(UnsupportedPair,
+                       match="^network 'tiny' is not supported on 'npu'$"):
+        profile.rate("npu")
+    trace = CounterTrace("npu", cache_line_bytes=1,
+                         layers=(TraceRecord("l0", refill_lines=1),))
+    assert attach_trace(profile, trace).layer("l0").dram_access_bytes == 1.0
+    assert serialize_network(profile)["network"]["throughput"] == {
+        "cpu0": 5.0, "npu": "unsupported"}
+
+
+def test_network_layer_lookup_names_the_missing_layer():
+    with pytest.raises(LayerMismatch) as exc:
+        network_by_id("alexnet").layer("zz")
+    assert str(exc.value) == "network 'alexnet' has no layer 'zz'"
+
+
+def test_refusal_shows_a_long_value_by_its_head_and_length():
+    with pytest.raises(MalformedDocument) as exc:
+        number(10**400, "frames", "scenario")
+    assert str(exc.value) == (
+        "scenario: frames must be finite and > 0, got " + "1" + "0" * 59
+        + "... (401 characters)")
 
 
 def test_network_totals_are_layer_sums():

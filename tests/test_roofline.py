@@ -67,6 +67,14 @@ def test_empirical_oi_and_missing_trace():
         empirical_oi(layer(2.0, 1e9))
 
 
+def test_empirical_network_oi_needs_a_trace_on_every_layer():
+    with pytest.raises(MissingTrace) as exc:
+        network_oi(network_by_id("alexnet"), "empirical")
+    assert str(exc.value) == (
+        "network 'alexnet' has untraced layers; empirical OI needs DRAM "
+        "counters on every layer")
+
+
 def test_empirical_at_least_theoretical_for_traced_layers():
     profile = attach_trace(network_by_id("alexnet"), builtin_trace())
     for lyr in profile.layers:

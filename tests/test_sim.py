@@ -440,6 +440,20 @@ def test_unsupported_engagement_propagates():
         simulate(scenario, KIRIN, MOBILENET)
 
 
+@pytest.mark.parametrize("passed, message", [
+    ({"platform": EXYNOS},
+     "scenario names platform 'kirin970' but got 'exynos5422'"),
+    ({"network": network_by_id("googlenet")},
+     "scenario names network 'alexnet' but got 'googlenet'"),
+])
+def test_simulate_refuses_a_profile_the_scenario_does_not_name(passed,
+                                                               message):
+    scenario = Scenario("kirin970", "alexnet", ("a53",), 10)
+    with pytest.raises(MalformedDocument) as exc:
+        simulate(scenario, **passed)
+    assert str(exc.value) == message
+
+
 def test_contention_for_unengaged_component_rejected():
     with pytest.raises(MalformedDocument,
                        match="scenario contention: component must be one "
