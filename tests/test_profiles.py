@@ -204,9 +204,6 @@ def test_integer_document_numbers_are_stored_as_floats():
     ({"id": 5}, "network: id must be a non-empty string, got 5"),
     ({"throughput": {"cpu0": "fast"}},
      "network 'tiny' throughput: cpu0 must be finite and > 0, got 'fast'"),
-    # Only "unsupported" marks a pair that cannot run; null is no rate.
-    ({"throughput": {"cpu0": None}},
-     "network 'tiny' throughput: cpu0 must be finite and > 0, got None"),
     ({"throughput": [5.0]},
      "network 'tiny': throughput must be an object, got [5.0]"),
     ({"layers": [{"name": "l0", "kind": "conv", "gops": float("nan"),
@@ -216,6 +213,9 @@ def test_integer_document_numbers_are_stored_as_floats():
      "layer 'l0': mem_access_bytes must be finite and > 0, got None"),
     ({"op_scale": 1.5}, "network 'tiny': op_scale must be in (0, 1], got 1.5"),
     ({"op_scale": 0}, "network 'tiny': op_scale must be in (0, 1], got 0"),
+    # Only "unsupported" marks a pair that cannot run; null is no rate.
+    ({"throughput": {"cpu0": None}},
+     "network 'tiny' throughput: cpu0 must be finite and > 0, got None"),
 ])
 def test_network_document_values_are_checked(change, message):
     doc = minimal_network_doc()
