@@ -44,7 +44,8 @@ from itertools import accumulate, islice, repeat
 from typing import Optional
 
 from .errors import InfeasibleTarget
-from .profiles import NetworkProfile, Platform, ids, keys, number, obj, one_of
+from .profiles import (NetworkProfile, Platform, ids, keys, number, obj, one_of,
+                       shown)
 from .sim import Scenario, SimResult, effective_rates, simulate
 
 THROUGHPUT_SCALE = 0.02   # one residual unit = 2% relative throughput error
@@ -206,8 +207,8 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
     if target_throughput > bound * (1.0 + 1e-9):
         raise InfeasibleTarget(
             f"target {target_throughput} imgs/s exceeds the zero-overhead "
-            f"bound {bound:.4g} imgs/s for {network.id!r} on "
-            f"{platform.id!r} {engaged}; measurements and model disagree"
+            f"bound {bound:.4g} imgs/s for {shown(network.id)} on "
+            f"{shown(platform.id)} {shown(engaged)}; measurements and model disagree"
         )
 
     cpu_ids = sorted(
@@ -226,8 +227,8 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
     if target_throughput < floor_throughput:
         raise InfeasibleTarget(
             f"target {target_throughput} imgs/s is below the "
-            f"{floor_throughput:.4g} imgs/s that {network.id!r} on "
-            f"{platform.id!r} {engaged} reaches at the {slowest[0]:g} s "
+            f"{floor_throughput:.4g} imgs/s that {shown(network.id)} on "
+            f"{shown(platform.id)} {shown(engaged)} reaches at the {slowest[0]:g} s "
             f"overhead cap; measurements and model disagree"
         )
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .errors import MalformedDocument, UnknownComponent
 from .profiles import (NetworkProfile, Platform, load_network_profile, load_platform,
-                       load_trace, obj, one_of, reads_document)
+                       load_trace, obj, one_of, reads_document, shown)
 
 DATA_ENV_VAR = "SOCPERF_DATA"
 _BUNDLED_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -75,7 +75,7 @@ def _load_dir(path: str) -> MappingProxyType:
         first = origin.setdefault((kind, entry.id), full)
         if first != full:
             raise MalformedDocument(
-                f"{full}: {kind} id {entry.id!r} is also defined in {first}")
+                f"{full}: {kind} id {shown(entry.id)} is also defined in {first}")
         entries[kind][entry.id] = entry
     return MappingProxyType({kind: MappingProxyType(by_id)
                              for kind, by_id in entries.items()})
@@ -100,7 +100,7 @@ def _by_id(kind: str, entry_id: str):
         return entries[entry_id]
     except (KeyError, TypeError):  # TypeError: an unhashable id
         raise UnknownComponent(
-            f"no {kind} {entry_id!r} in dataset (have: {', '.join(entries)})"
+            f"no {kind} {shown(entry_id)} in dataset (have: {', '.join(entries)})"
         ) from None
 
 

@@ -2,8 +2,9 @@
 
 Identical payloads produce byte-identical output: field order is fixed,
 floats are printed at 4 significant digits, and the SVG is assembled from
-plain strings with no timestamps or generated ids. A CSV report is a list
-of dict rows whose first row's keys are the header.
+plain strings with no timestamps or generated ids, its text escaped. JSON
+is written in one pass, in the layout of json.dumps(indent=2). A CSV
+report is a list of dict rows whose first row's keys are the header.
 """
 
 import json
@@ -14,6 +15,7 @@ from .errors import UnsupportedFormat
 from .sim import SimResult
 
 SVG_WIDTH, SVG_HEIGHT = 720, 480  # roofline plot size, px
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def sig4(value) -> str:
@@ -25,20 +27,37 @@ def sig4(value) -> str:
     return f"{value:.4g}"
 
 
-def _roundtree(payload):
-    if isinstance(payload, float):
-        return float(f"{payload:.4g}")
-    if isinstance(payload, dict):
-        return {k: _roundtree(v) for k, v in payload.items()}
-    if isinstance(payload, (list, tuple)):
-        return [_roundtree(v) for v in payload]
-    return payload
+_QUOTE = json.encoder.encode_basestring_ascii
+_STRICT = json.JSONEncoder(allow_nan=False).encode
+_NAMED = {True: "true", False: "false", None: "null"}.__getitem__
+# JSON text of a value of each exact scalar type, written at C level.
+_SCALARS = {str: _QUOTE, int: int.__repr__, bool: _NAMED, type(None): _NAMED}
+
+
+def _json(value, pad: str) -> str:
+    """value as JSON text in the layout of json.dumps(indent=2), each float
+    rounded to 4 significant digits; pad indents the line value ends on."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    if isinstance(value, float):
+        if math.isfinite(value := float(f"{value:.4g}")):
+            return repr(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        return "{\n" + ",\n".join(
+            f"{inner}{_QUOTE(k) if type(k) is str else _STRICT({k: 0})[1:-4]}: "
+            f"{_json(v, inner)}" for k, v in value.items()) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[\n" + ",\n".join(inner + _json(v, inner) for v in value) + f"\n{pad}]"
+    # An empty container or a subclass of str or int; any other type raises TypeError.
+    return _STRICT(value)
 
 
 def emit_json(payload) -> bytes:
     """Strict JSON: a NaN or infinite value raises ValueError."""
-    return (json.dumps(_roundtree(payload), indent=2, allow_nan=False)
-            + "\n").encode("utf-8")
+    return (_json(payload, "") + "\n").encode("utf-8")
 
 
 def emit_csv(rows: Sequence[dict]) -> bytes:
@@ -102,21 +121,22 @@ def emit_svg_roofline(rows: Sequence[dict], title: str) -> bytes:
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys) * 0.5, max(ys) * 2.0
     margin = 56
+    log_lo_x, log_lo_y = math.log10(lo_x), math.log10(lo_y)
+    span_x = math.log10(hi_x) - log_lo_x or 1.0
+    span_y = math.log10(hi_y) - log_lo_y or 1.0
 
     def px(x: float) -> float:
-        span = math.log10(hi_x) - math.log10(lo_x) or 1.0
-        return margin + (math.log10(x) - math.log10(lo_x)) / span * (width - 2 * margin)
+        return margin + (math.log10(x) - log_lo_x) / span_x * (width - 2 * margin)
 
     def py(y: float) -> float:
-        span = math.log10(hi_y) - math.log10(lo_y) or 1.0
-        return height - margin - (math.log10(y) - math.log10(lo_y)) / span * (height - 2 * margin)
+        return height - margin - (math.log10(y) - log_lo_y) / span_y * (height - 2 * margin)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">{title.translate(_XML_TEXT)}</text>',
         f'<text x="{width / 2:.1f}" y="{height - 12}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">'
         f'operational intensity (FLOPS/byte, log)</text>',
@@ -140,7 +160,7 @@ def emit_svg_roofline(rows: Sequence[dict], title: str) -> bytes:
         )
         parts.append(
             f'<text x="{px(oi) + 6:.2f}" y="{py(gops) - 6:.2f}" '
-            f'font-family="sans-serif" font-size="10">{label}</text>'
+            f'font-family="sans-serif" font-size="10">{label.translate(_XML_TEXT)}</text>'
         )
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")

@@ -58,16 +58,19 @@ _set = object.__setattr__  # stores a checked value on a frozen instance
 # ---------------------------------------------------------------------------
 # Checkers: every input rule of the package is one call to one of these.
 # Each returns the checked value or raises MalformedDocument with the
-# message "<ctx>: <key> must be <rule>, got <value>", where a value whose
-# repr is longer than 80 characters shows its first 60 and its length.
+# message "<ctx>: <key> must be <rule>, got <value>".
 # ---------------------------------------------------------------------------
+
+def shown(value) -> str:
+    """How a message shows a value, id or name: its repr, or for a repr
+    longer than 80 characters its first 60 and its length."""
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:60]}... ({len(text)} characters)"
+
 
 def _refusal(ctx: str, key: str, rule: str, value) -> MalformedDocument:
     where = f"{ctx}: {key}" if ctx else key
-    shown = repr(value)
-    if len(shown) > 80:
-        shown = f"{shown[:60]}... ({len(shown)} characters)"
-    return MalformedDocument(f"{where} must be {rule}, got {shown}")
+    return MalformedDocument(f"{where} must be {rule}, got {shown(value)}")
 
 
 def number(value, key: str, ctx: str, low: float = 0.0, high: float = _INF,
@@ -143,7 +146,7 @@ def unique(names, key: str, ctx: str, error=MalformedDocument) -> None:
     seen = set()
     for name in names:
         if name in seen:
-            raise error(f"{ctx}: duplicate {key} {name!r}")
+            raise error(f"{ctx}: duplicate {key} {shown(name)}")
         seen.add(name)
 
 
@@ -175,7 +178,7 @@ class ComponentSpec:
     host_cluster: Optional[str] = None
 
     def __post_init__(self):
-        ctx = f"component {text(self.id, 'id', 'component')!r}"
+        ctx = f"component {shown(text(self.id, 'id', 'component'))}"
         one_of(self.kind, COMPONENT_KINDS, "kind", ctx)
         for key in ("peak_compute_gops", "sustainable_bandwidth_gbs",
                     "active_power_w", "frequency_ghz"):
@@ -198,7 +201,7 @@ class Platform:
     notes: str = ""
 
     def __post_init__(self):
-        ctx = f"platform {text(self.id, 'id', 'platform')!r}"
+        ctx = f"platform {shown(text(self.id, 'id', 'platform'))}"
         _set(self, "bus_peak_bandwidth_gbs",
              number(self.bus_peak_bandwidth_gbs, "bus_peak_bandwidth_gbs", ctx))
         _set(self, "components", items(self.components, "components", ctx))
@@ -207,7 +210,7 @@ class Platform:
         for comp in self.components:
             if comp.sustainable_bandwidth_gbs > self.bus_peak_bandwidth_gbs:
                 raise BandwidthExceedsBus(
-                    f"platform {self.id!r}: component {comp.id!r} sustainable "
+                    f"{ctx}: component {shown(comp.id)} sustainable "
                     f"bandwidth {comp.sustainable_bandwidth_gbs} GB/s exceeds "
                     f"bus peak {self.bus_peak_bandwidth_gbs} GB/s"
                 )
@@ -218,13 +221,13 @@ class Platform:
             host = by_id.get(comp.host_cluster)
             if host is None:
                 raise DanglingHostCluster(
-                    f"platform {self.id!r}: component {comp.id!r} references "
-                    f"missing host cluster {comp.host_cluster!r}"
+                    f"{ctx}: component {shown(comp.id)} references "
+                    f"missing host cluster {shown(comp.host_cluster)}"
                 )
             if not host.is_cpu:
                 raise DanglingHostCluster(
-                    f"platform {self.id!r}: host cluster {comp.host_cluster!r} "
-                    f"of {comp.id!r} must be a CPU cluster, got kind {host.kind!r}"
+                    f"{ctx}: host cluster {shown(comp.host_cluster)} "
+                    f"of {shown(comp.id)} must be a CPU cluster, got kind {host.kind!r}"
                 )
 
     def component(self, component_id: str) -> ComponentSpec:
@@ -232,7 +235,7 @@ class Platform:
             if comp.id == component_id:
                 return comp
         raise UnknownComponent(
-            f"platform {self.id!r} has no component {component_id!r}"
+            f"platform {shown(self.id)} has no component {shown(component_id)}"
         )
 
 
@@ -253,7 +256,7 @@ class LayerProfile:
     dram_access_bytes: Optional[float] = None
 
     def __post_init__(self):
-        ctx = f"layer {text(self.name, 'name', 'layer')!r}"
+        ctx = f"layer {shown(text(self.name, 'name', 'layer'))}"
         one_of(self.kind, LAYER_KINDS, "kind", ctx)
         _set(self, "gops", number(self.gops, "gops", ctx))
         _set(self, "mem_access_bytes",
@@ -263,7 +266,7 @@ class LayerProfile:
                  number(self.dram_access_bytes, "dram_access_bytes", ctx))
             if self.dram_access_bytes > self.mem_access_bytes:
                 raise CacheTrafficInflated(
-                    f"layer {self.name!r}: dram_access_bytes "
+                    f"{ctx}: dram_access_bytes "
                     f"{self.dram_access_bytes} exceeds mem_access_bytes "
                     f"{self.mem_access_bytes}; caches only reduce traffic"
                 )
@@ -288,7 +291,7 @@ class NetworkProfile:
     notes: str = ""
 
     def __post_init__(self):
-        ctx = f"network {text(self.id, 'id', 'network')!r}"
+        ctx = f"network {shown(text(self.id, 'id', 'network'))}"
         _set(self, "layers", items(self.layers, "layers", ctx))
         unique((layer.name for layer in self.layers), "layer name", ctx)
         where = f"{ctx} throughput"
@@ -327,7 +330,7 @@ class NetworkProfile:
         rate = self.throughput.get(component_id)
         if rate is None:
             raise UnsupportedPair(
-                f"network {self.id!r} is not supported on {component_id!r}"
+                f"network {shown(self.id)} is not supported on {shown(component_id)}"
             )
         return rate
 
@@ -335,7 +338,7 @@ class NetworkProfile:
         for lyr in self.layers:
             if lyr.name == name:
                 return lyr
-        raise LayerMismatch(f"network {self.id!r} has no layer {name!r}")
+        raise LayerMismatch(f"network {shown(self.id)} has no layer {shown(name)}")
 
 
 @dataclass(frozen=True)
@@ -348,7 +351,7 @@ class TraceRecord:
     ext_write_bytes: Optional[int] = None
 
     def __post_init__(self):
-        ctx = f"trace record {text(self.name, 'name', 'trace record')!r}"
+        ctx = f"trace record {shown(text(self.name, 'name', 'trace record'))}"
         has_lines = self.refill_lines is not None
         has_ext = self.ext_read_bytes is not None or self.ext_write_bytes is not None
         if has_lines == has_ext:
@@ -369,7 +372,7 @@ class CounterTrace:
     layers: tuple[TraceRecord, ...] = ()
 
     def __post_init__(self):
-        ctx = f"trace {text(self.component_id, 'component_id', 'trace')!r}"
+        ctx = f"trace {shown(text(self.component_id, 'component_id', 'trace'))}"
         count(self.cache_line_bytes, "cache_line_bytes", ctx)
         unique((record.name for record in self.layers), "layer name", ctx)
 
@@ -454,13 +457,13 @@ def load_platform(doc) -> Platform:
     cores x frequency_ghz x 4 FP32 ops per cycle (cores defaults to 4).
     """
     body = unwrap(doc, "platform", _PLATFORM_DOC)
-    ctx = f"platform {body['id']!r}"
+    ctx = f"platform {shown(body['id'])}"
     components = []
     for raw in items(body["components"], "components", ctx):
         spec = keys(raw, _COMPONENT_DOC, "component", ctx)
         cores = spec.pop("cores")
         if spec["peak_compute_gops"] is None and spec["kind"] in CPU_KINDS:
-            cctx = f"component {spec['id']!r}"
+            cctx = f"component {shown(spec['id'])}"
             spec["peak_compute_gops"] = (
                 count(cores, "cores", cctx)
                 * number(spec["frequency_ghz"], "frequency_ghz", cctx)
@@ -474,7 +477,7 @@ def load_platform(doc) -> Platform:
 def load_network_profile(doc) -> NetworkProfile:
     """Parse and validate a network profile document."""
     body = unwrap(doc, "network", _NETWORK_DOC)
-    ctx = f"network {body['id']!r}"
+    ctx = f"network {shown(body['id'])}"
     layers = tuple(LayerProfile(**keys(raw, _LAYER_DOC, "layer", ctx))
                    for raw in items(body["layers"], "layers", ctx))
     # Only the string "unsupported" marks a pair that cannot run; a null
@@ -494,7 +497,7 @@ def load_network_profile(doc) -> NetworkProfile:
 def load_trace(doc) -> CounterTrace:
     """Parse and validate a counter-trace document."""
     body = unwrap(doc, "trace", _TRACE_DOC)
-    ctx = f"trace {body['component_id']!r}"
+    ctx = f"trace {shown(body['component_id'])}"
     records = tuple(TraceRecord(**keys(raw, _RECORD_DOC, "layer", ctx))
                     for raw in items(body["layers"], "layers", ctx))
     return CounterTrace(body["component_id"], body["cache_line_bytes"], records)
@@ -543,16 +546,16 @@ def attach_trace(profile: NetworkProfile, trace: CounterTrace) -> NetworkProfile
     """
     if trace.component_id not in profile.throughput:
         raise UnknownComponent(
-            f"trace component {trace.component_id!r} is not known to "
-            f"network {profile.id!r}"
+            f"trace component {shown(trace.component_id)} is not known to "
+            f"network {shown(profile.id)}"
         )
     layer_names = {layer.name for layer in profile.layers}
     by_name = {}
     for record in trace.layers:
         if record.name not in layer_names:
             raise LayerMismatch(
-                f"trace names layer {record.name!r} absent from "
-                f"network {profile.id!r}"
+                f"trace names layer {shown(record.name)} absent from "
+                f"network {shown(profile.id)}"
             )
         by_name[record.name] = trace.dram_bytes(record)
     if not by_name:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import MalformedDocument, MissingTrace
 from .profiles import (ComponentSpec, LayerProfile, NetworkProfile, count, number,
-                       one_of, text)
+                       one_of, shown, text)
 
 BOUND_MEMORY = "memory"
 BOUND_COMPUTE = "compute"
@@ -39,7 +39,7 @@ class RooflineModel:
     ceiling_compute_gops: float
 
     def __post_init__(self):
-        ctx = f"roofline {text(self.component_id, 'component_id', 'roofline')!r}"
+        ctx = f"roofline {shown(text(self.component_id, 'component_id', 'roofline'))}"
         number(self.roof_bandwidth_gbs, "roof_bandwidth_gbs", ctx)
         number(self.ceiling_compute_gops, "ceiling_compute_gops", ctx)
 
@@ -68,7 +68,7 @@ class RooflinePoint:
     oi_kind: str
 
     def __post_init__(self):
-        ctx = f"roofline point {self.workload!r}"
+        ctx = f"roofline point {shown(self.workload)}"
         number(self.oi, "oi", ctx)
         number(self.performance_gops, "performance_gops", ctx)
         one_of(self.bound, (BOUND_MEMORY, BOUND_COMPUTE), "bound", ctx)
@@ -86,17 +86,17 @@ def _oi(gops: float, nbytes: float, key: str, ctx: str) -> float:
 def theoretical_oi(layer: LayerProfile) -> float:
     """Operations per byte over all data touched (FLOPS/byte)."""
     return _oi(layer.gops, layer.mem_access_bytes, "mem_access_bytes",
-               f"layer {layer.name!r}")
+               f"layer {shown(layer.name)}")
 
 
 def empirical_oi(layer: LayerProfile) -> float:
     """Operations per byte of measured DRAM traffic (FLOPS/byte)."""
     if layer.dram_access_bytes is None:
         raise MissingTrace(
-            f"layer {layer.name!r} has no DRAM counters; attach a trace first"
+            f"layer {shown(layer.name)} has no DRAM counters; attach a trace first"
         )
     return _oi(layer.gops, layer.dram_access_bytes, "dram_access_bytes",
-               f"layer {layer.name!r}")
+               f"layer {shown(layer.name)}")
 
 
 def attainable(model: RooflineModel, oi: float) -> float:
@@ -115,7 +115,7 @@ def network_oi(profile: NetworkProfile, kind: str = OI_THEORETICAL) -> float:
     This matches plotting one point per network rather than averaging
     per-layer intensities.
     """
-    ctx = f"network {profile.id!r}"
+    ctx = f"network {shown(profile.id)}"
     if one_of(kind, OI_KINDS, "kind", "network OI") == OI_THEORETICAL:
         return _oi(profile.total_gops, profile.total_mem_access_bytes,
                    "mem_access_bytes", ctx)

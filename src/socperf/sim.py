@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, Optional
 from .dataset import network_by_id, platform_by_id
 from .errors import MalformedDocument
 from .profiles import (NetworkProfile, Platform, _set, count, ids, keys, number,
-                       obj, one_of, reads_document, text, unique, unwrap)
+                       obj, one_of, reads_document, shown, text, unique, unwrap)
 
 
 # The largest jitter cv whose square, which simulate takes, is finite.
@@ -272,7 +272,7 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
                              ("network", scenario.network_id, network.id)):
         if got != named:
             raise MalformedDocument(
-                f"scenario names {kind} {named!r} but got {got!r}")
+                f"scenario names {kind} {shown(named)} but got {shown(got)}")
 
     # Components are indexed by rank, their position in id order. Heap
     # entries are (completion time, rank, frame); ranks are unique, so

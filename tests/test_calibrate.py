@@ -58,6 +58,15 @@ def test_target_above_what_the_first_claims_allow_is_infeasible(rates, target,
         f"target {target} imgs/s exceeds the zero-overhead bound {bound} ")
 
 
+def test_an_infeasible_target_shows_a_long_id_by_its_head_and_length():
+    network = replace(ALEXNET, id="x" * 10**6)
+    with pytest.raises(InfeasibleTarget) as exc:
+        calibrate(EXYNOS, network, {"throughput": 20.0}, ("a7", "a15", "t628"))
+    message = str(exc.value)
+    assert len(message) < 300 and "zero-overhead bound" in message
+    assert "x" * 59 + "... (1000002 characters)" in message
+
+
 def test_seed_factor_of_a_rate_that_underflows_the_target_is_finite():
     # One frame goes to c0 alone; the seed of c1's factor divides by
     # 1e-300 * (1 / 1e200), which underflows to 0.

@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import re
 import shutil
 import subprocess
@@ -6,14 +8,20 @@ import sys
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
 from socperf import (
+    RooflineModel,
+    RooflinePoint,
     Scenario,
     UnsupportedFormat,
+    builtin_dataset,
+    log_spaced,
     network_by_id,
     platform_by_id,
+    roofline_series,
     simulate,
 )
 from socperf.cli import build_parser, main
@@ -169,6 +177,7 @@ def test_roofline_svg(tmp_path):
     assert code == 0
     assert payload.startswith(b"<svg")
     assert b"</svg>" in payload
+    ElementTree.fromstring(payload)
 
 
 # -- calibrate ----------------------------------------------------------------------
@@ -640,10 +649,120 @@ def test_sig4_formatting():
     assert sig4(12) == "12"
 
 
+def reference_json(payload) -> bytes:
+    """emit_json as it was written before its one-pass writer: a copy of
+    the payload with each float rounded, then json.dumps(indent=2)."""
+    def rounded(value):
+        if isinstance(value, float):
+            return float(f"{value:.4g}")
+        if isinstance(value, dict):
+            return {k: rounded(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [rounded(v) for v in value]
+        return value
+    return (json.dumps(rounded(payload), indent=2, allow_nan=False)
+            + "\n").encode("utf-8")
+
+
+def cli_json_invocations():
+    """A CLI invocation for each kind of JSON payload the CLI builds."""
+    sim = ["simulate", "--platform", "exynos5422", "--network", "alexnet",
+           "--components", "a7,a15,t628", "--frames", "500"]
+    fit = ["calibrate", "--platform", "kirin970", "--network", "googlenet",
+           "--frames", "500"]
+    runs = [["tables", "--which", which, "--format", "json", "--frames", "500"]
+            for which in ("1", "2", "3")]
+    runs += [sim, sim + ["--contention", "a15=0.8,t628=0.9", "--overhead", "1e-3"],
+             sim + ["--cv", "0.2", "--seed", "7"],
+             fit + ["--components", "a53,a73,g72,npu"],
+             fit + ["--components", "a73,g72", "--target-throughput", "20",
+                    "--target-composition", "a73=0.25,g72=0.75"]]
+    platforms, networks = builtin_dataset()
+    for platform in platforms:
+        for comp in platform.components:
+            roofline = ["roofline", "--platform", platform.id, "--component",
+                        comp.id, "--format", "json"]
+            runs.append(roofline + ["--samples", "500"])
+            runs += [roofline + ["--network", net.id] for net in networks
+                     if net.supports(comp.id)]
+    return runs
+
+
+def test_emit_json_matches_json_dumps_on_every_cli_payload(tmp_path,
+                                                           monkeypatch):
+    payloads = []
+
+    def recording(payload):
+        payloads.append(payload)
+        return emit_json(payload)
+    monkeypatch.setattr("socperf.cli.emit_json", recording)
+    runs = cli_json_invocations()
+    for args in runs:
+        assert main(args + ["--out", str(tmp_path / "out.json")]) == 0
+    assert len(payloads) == len(runs)
+    for payload in payloads:
+        assert emit_json(payload) == reference_json(payload)
+
+
+def random_json_value(rng: random.Random, depth: int):
+    leaves = ["", "plain", "\u00e9t\u00e9 \u2028 \U0001f600", "\x00\x1f\"\\/\t\n",
+              -0.0, 0.0, 5e-324, 1e300, -1e300, 2.5, 10**30, -(10**40), 0, 7,
+              True, False, None, (), [], {}]
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.3:
+            return math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1074, 1023))
+        return rng.choice(leaves)
+    children = [random_json_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    kind = rng.randrange(3)
+    if kind == 0:  # mostly str keys, some that json.dumps converts
+        keys = [rng.choice((1, -2, 2.5, True, None)) if rng.random() < 0.1
+                else f"{rng.choice(leaves[:4])}{i}" for i in range(len(children))]
+        return dict(zip(keys, children))
+    return children if kind == 1 else tuple(children)
+
+
+def test_emit_json_matches_json_dumps_on_a_seeded_corpus():
+    rng = random.Random(15)
+    for _ in range(300):
+        value = random_json_value(rng, 5)
+        assert emit_json(value) == reference_json(value)
+
+
+@pytest.mark.parametrize("depth", range(5))
+def test_emit_json_writes_empty_containers_at_every_depth(depth):
+    for empty in ({}, [], ()):
+        value = empty
+        for _ in range(depth):
+            value = {"k": [1, value, ()], "e": {}}
+        assert emit_json(value) == reference_json(value)
+
+
 def test_emit_json_refuses_non_finite_values():
-    for value in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError):
-            emit_json({"x": [1.0, value]})
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        value = bad
+        for _ in range(4):
+            with pytest.raises(ValueError):
+                emit_json(value)
+            value = {"x": [1.0, value]}
+
+
+def test_emit_json_refuses_types_json_has_no_form_for():
+    for bad in ({1}, b"x", object()):
+        value = bad
+        for _ in range(3):
+            for write in (emit_json, reference_json):
+                with pytest.raises(TypeError):
+                    write(value)
+            value = {"x": [1.0, value]}
+
+
+def test_emit_svg_roofline_escapes_its_text():
+    point = RooflinePoint("conv<1>&x", 2.0, 1.0, "memory", "theoretical")
+    rows = roofline_series(RooflineModel("c", 1.0, 10.0), [point],
+                           log_spaced(0.1, 100.0, 9))
+    root = ElementTree.fromstring(emit_svg_roofline(rows, "a&b"))
+    texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "a&b" in texts and "conv<1>&x[theoretical]" in texts
 
 
 def test_emit_svg_roofline_needs_grid_rows():

@@ -15,6 +15,7 @@ from socperf import (
     LayerProfile,
     MalformedDocument,
     NetworkProfile,
+    SocPerfError,
     TraceRecord,
     UnknownComponent,
     UnsupportedPair,
@@ -300,6 +301,58 @@ def test_refusal_shows_a_long_value_by_its_head_and_length():
     assert str(exc.value) == (
         "scenario: frames must be finite and > 0, got " + "1" + "0" * 59
         + "... (401 characters)")
+
+
+LONG_ID = "x" * 10**6
+LONG_SHOWN = "'" + "x" * 59 + "... (1000002 characters)"
+
+
+def network_with(**body_changes):
+    doc = minimal_network_doc()
+    doc["network"].update(body_changes)
+    return doc
+
+
+@pytest.mark.parametrize("refuse,key", [
+    (lambda: load_network_profile(network_with(id=LONG_ID, op_scale=2)),
+     "op_scale"),
+    (lambda: load_network_profile(network_with(id=LONG_ID, layers="l0")),
+     "layers"),
+    (lambda: load_network_profile(network_with(
+        id=LONG_ID, throughput={"cpu0": -1.0})), "cpu0"),
+    (lambda: load_network_profile(network_with(layers=[
+        {"name": LONG_ID, "kind": "conv", "gops": -1.0,
+         "mem_access_bytes": 1.0}])), "gops"),
+    (lambda: load_platform(platform_with(
+        id=LONG_ID, bus_peak_bandwidth_gbs=-1.0)), "bus_peak_bandwidth_gbs"),
+    (lambda: load_platform(platform_with(id=LONG_ID, components="cpu0")),
+     "components"),
+    (lambda: load_platform(platform_with(
+        {"id": LONG_ID, "active_power_w": -1.0})), "active_power_w"),
+    (lambda: load_platform(platform_with(
+        {"id": LONG_ID, "peak_compute_gops": None, "cores": 0})), "cores"),
+    (lambda: load_platform(platform_with(
+        {"id": LONG_ID, "sustainable_bandwidth_gbs": 99.0})),
+     "sustainable bandwidth"),
+    (lambda: load_trace({"trace": {"component_id": LONG_ID, "layers": []}}),
+     "layers"),
+    (lambda: load_trace({"trace": {
+        "component_id": LONG_ID, "cache_line_bytes": 0,
+        "layers": [{"name": "l0", "refill_lines": 1}]}}), "cache_line_bytes"),
+    (lambda: TraceRecord(LONG_ID), "refill_lines"),
+    (lambda: network_by_id("alexnet").layer(LONG_ID), "has no layer"),
+    (lambda: network_by_id("alexnet").rate(LONG_ID), "is not supported on"),
+    (lambda: platform_by_id("exynos5422").component(LONG_ID), "has no component"),
+    (lambda: platform_by_id(LONG_ID), "in dataset"),
+], ids=["network", "network-loader", "throughput", "layer", "platform",
+        "platform-loader", "component", "component-loader", "bus", "trace-loader",
+        "trace", "trace-record", "layer-lookup", "rate", "component-lookup",
+        "dataset-lookup"])
+def test_a_long_id_in_a_refusal_is_shown_by_its_head_and_length(refuse, key):
+    with pytest.raises(SocPerfError) as exc:
+        refuse()
+    message = str(exc.value)
+    assert len(message) < 300 and key in message and LONG_SHOWN in message
 
 
 def test_network_totals_are_layer_sums():

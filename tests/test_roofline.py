@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -73,6 +74,20 @@ def test_empirical_network_oi_needs_a_trace_on_every_layer():
     assert str(exc.value) == (
         "network 'alexnet' has untraced layers; empirical OI needs DRAM "
         "counters on every layer")
+
+
+def test_a_long_network_id_in_an_oi_refusal_is_shown_by_its_head_and_length():
+    long_id = "x" * 10**6
+    untraced = replace(network_by_id("alexnet"), id=long_id)
+    # 1e300 operations over 1e-300 bytes: the OI overflows to inf.
+    dense = replace(untraced, layers=(layer(1e300, 1e-300),))
+    for profile, kind, key in ((untraced, "empirical", "has untraced layers"),
+                               (dense, "theoretical", "mem_access_bytes")):
+        with pytest.raises(SocPerfError) as exc:
+            network_oi(profile, kind)
+        message = str(exc.value)
+        assert len(message) < 300 and key in message
+        assert "x" * 59 + "... (1000002 characters)" in message
 
 
 def test_empirical_at_least_theoretical_for_traced_layers():

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -452,6 +453,18 @@ def test_simulate_refuses_a_profile_the_scenario_does_not_name(passed,
     with pytest.raises(MalformedDocument) as exc:
         simulate(scenario, **passed)
     assert str(exc.value) == message
+
+
+def test_simulate_shows_a_long_id_it_was_handed_by_its_head_and_length():
+    long_id = "x" * 10**6
+    shown = "'" + "x" * 59 + "... (1000002 characters)"
+    with pytest.raises(MalformedDocument) as exc:
+        simulate(Scenario("kirin970", "alexnet", ("a53",), 10),
+                 replace(KIRIN, id=long_id))
+    assert str(exc.value) == f"scenario names platform 'kirin970' but got {shown}"
+    with pytest.raises(MalformedDocument) as exc:
+        simulate(Scenario("exynos5422", long_id, ("a7",), 10), EXYNOS, ALEXNET)
+    assert str(exc.value) == f"scenario names network {shown} but got 'alexnet'"
 
 
 def test_contention_for_unengaged_component_rejected():
