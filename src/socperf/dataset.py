@@ -100,7 +100,7 @@ def _by_id(kind: str, entry_id: str):
         return entries[entry_id]
     except (KeyError, TypeError):  # TypeError: an unhashable id
         raise UnknownComponent(
-            f"no {kind} {shown(entry_id)} in dataset (have: {', '.join(entries)})"
+            f"no {kind} {shown(entry_id)} in dataset (have: {shown(list(entries))})"
         ) from None
 
 

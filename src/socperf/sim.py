@@ -38,10 +38,10 @@ from .profiles import (NetworkProfile, Platform, _set, count, ids, keys, number,
 # The largest jitter cv whose square, which simulate takes, is finite.
 _MAX_JITTER_CV = 1e154
 # The most frames one run takes, refused before anything is allocated.
-# simulate allocates 1 byte per frame up front and costs about 730 ns per
-# frame (some 7 s at the cap). A run that records events allocates 9 more
-# bytes per frame for its log below 257 engaged components (about 100 MB
-# at the cap) and costs about 950 ns per frame.
+# simulate allocates nothing per frame and costs about 460 ns per frame
+# (some 5 s at the cap). A run that records events allocates 9 bytes per
+# frame for its log below 257 engaged components (about 90 MB at the cap)
+# and costs about 660 ns per frame.
 _MAX_FRAMES = 10 ** 7
 
 
@@ -110,8 +110,9 @@ def load_scenario(doc) -> Scenario:
 class ReorderBuffer:
     """Holds out-of-order completions, releases the sequence 0,1,2,...
 
-    simulate applies this release rule inline; the class replays a
-    recorded completion order on its own. Occupancy is counted with the
+    simulate does not use it: it takes the high water from the completion
+    count. The class is kept only for the benchmark's replay probe and goes
+    with that probe (ROADMAP item 1). Occupancy is counted with the
     just-arrived frame included, so a frame passing straight through still
     registers. high_water is the largest occupancy seen; with components of
     very different speeds it grows well beyond the component count while a
@@ -216,8 +217,8 @@ class SimResult:
     an EventLog: iterating it yields every claim, completion and release as
     a SimEvent, in the order the run made them, derived from a log of 9
     bytes per frame. Nothing is cached: each pass derives the events
-    again, costs about twice as much as the recorded run itself (some
-    2 us per frame) and allocates 1 byte per frame while it lasts.
+    again, costs more than twice as much as the recorded run itself (some
+    1.5 us per frame) and allocates 1 byte per frame while it lasts.
     """
 
     scenario: Scenario
@@ -303,12 +304,6 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
         ranks = array(code, [0]) * n_frames
         times = array("d", [0.0]) * n_frames
 
-    # Reorder buffer: done[f] flags a completed frame held behind the
-    # lowest unreleased frame next_expected; the spare last byte stays 0
-    # and stops the release scan.
-    done = bytearray(n_frames + 1)
-    next_expected = held = high_water = 0
-
     # At time 0 the component of rank r claims frame r.
     heap: list[tuple[float, int, int]] = []
     for rank in range(min(len(order), n_frames)):
@@ -316,7 +311,15 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
                 if jitter else service[rank])
         heap.append((draw, rank, rank))
     heapq.heapify(heap)
-    next_frame = len(heap)
+    # Frames release strictly in order, so the reorder buffer's high water
+    # is the largest c - f over all completions, f the frame completed and
+    # c its 1-based position in completion order. The c-th completion, with
+    # e <= f the lowest unreleased frame, leaves c - e >= c - f frames held,
+    # equal when f is the head; occupancy only rises between head arrivals,
+    # and the run ends on one. next_frame counts on through the drain, so
+    # it is c + started - 1 at every completion.
+    next_frame = started = len(heap)
+    lag = 0  # the largest next_frame - f so far
 
     heapreplace, heappop = heapq.heapreplace, heapq.heappop
     while heap:
@@ -325,42 +328,22 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
         if record_events:
             ranks[frame] = rank
             times[frame] = now
-        if frame == next_expected:
-            # occupancy counts the arriving head frame
-            if held >= high_water:
-                high_water = held + 1
-            nxt = frame + 1
-            while done[nxt]:
-                nxt += 1
-            held -= nxt - frame - 1
-            next_expected = nxt
-        elif frame < next_expected or done[frame]:
-            raise MalformedDocument(f"frame {frame} completed twice")
-        else:
-            done[frame] = 1
-            held += 1
-            if held > high_water:
-                high_water = held
+        if next_frame - frame > lag:
+            lag = next_frame - frame
         if next_frame < n_frames:
             draw = (processing[rank] * lognormvariate(mu, sigma) + overhead
                     if jitter else service[rank])
             heapreplace(heap, (now + draw, rank, next_frame))
-            next_frame += 1
         else:
             # A component runs back to back from time 0, so its busy time
             # is the completion time of its last frame, the same running sum.
             busy[rank] = now
             heappop(heap)
+        next_frame += 1
     makespan = now  # the last completion
     throughput = n_frames / makespan
     for key, value in (("makespan_s", makespan), ("throughput", throughput)):
         number(value, key, "scenario result")  # a sum or ratio can overflow
-
-    if next_expected != n_frames:
-        raise MalformedDocument(
-            f"simulation ended with {next_expected} of {n_frames} "
-            f"frames released"
-        )
 
     frames_per_component = dict(zip(order, frames_done))
     busy_time = dict(zip(order, busy))
@@ -384,6 +367,6 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
         energy_per_component_j=energy_per_component,
         energy_j=energy,
         energy_efficiency=efficiency,
-        reorder_high_water=high_water,
+        reorder_high_water=lag - started + 1,
         events=EventLog(order, ranks, times) if record_events else None,
     )

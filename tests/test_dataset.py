@@ -235,6 +235,27 @@ def test_data_dir_id_in_two_files_names_both(tmp_path, monkeypatch,
                               f"{item_id!r} is also defined in {original}")
 
 
+def test_data_dir_unknown_id_refusal_bounds_the_ids_it_lists(tmp_path,
+                                                             monkeypatch):
+    bundled_copy(tmp_path)
+    doc = json.loads((tmp_path / "alexnet.json").read_text())
+    doc["network"]["id"] = "n" * 10 ** 6
+    (tmp_path / "alexnet.json").write_text(json.dumps(doc))
+    monkeypatch.setenv("SOCPERF_DATA", str(tmp_path))
+    with pytest.raises(socperf.UnknownComponent) as exc:
+        network_by_id("zz")
+    message = str(exc.value)
+    assert message.startswith("no network 'zz' in dataset (have: ['nnn")
+    assert len(message) < 300 and "\n" not in message
+
+
+def test_unknown_id_refusal_lists_the_bundled_ids():
+    with pytest.raises(socperf.UnknownComponent) as exc:
+        platform_by_id("zz")
+    assert str(exc.value) == (
+        "no platform 'zz' in dataset (have: ['exynos5422', 'kirin970'])")
+
+
 def test_data_dir_bad_json_exits_1_naming_the_file(tmp_path, monkeypatch,
                                                    capsys):
     bundled_copy(tmp_path)

@@ -475,9 +475,23 @@ def test_contention_for_unengaged_component_rejected():
                  contention={"t628": 0.5})
 
 
+def test_plain_run_allocates_nothing_per_frame():
+    frames = 10 ** 5
+    scenario = Scenario("kirin970", "alexnet", ("a53", "a73", "g72", "npu"),
+                        frames)
+    tracemalloc.start()
+    try:
+        result = simulate(scenario, KIRIN, ALEXNET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.events is None
+    assert peak < 16 * 1024
+
+
 def test_recorded_run_keeps_a_small_frame_log():
-    # The log holds a rank byte and a completion time per frame; with the
-    # reorder buffer's done-flag that is 10 bytes per frame.
+    # The log holds a rank byte and a completion time per frame, 9 bytes
+    # per frame; the event loop itself keeps nothing per frame.
     frames = 10 ** 5
     scenario = Scenario("kirin970", "alexnet", ("a53", "a73", "g72", "npu"),
                         frames)
@@ -488,7 +502,7 @@ def test_recorded_run_keeps_a_small_frame_log():
     finally:
         tracemalloc.stop()
     assert result.events is not None
-    assert peak <= 12 * frames
+    assert peak <= 9.5 * frames
 
 
 def test_recorded_run_above_the_frame_cap_is_refused():
