@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -123,6 +124,41 @@ def test_simulate_scenario_file(tmp_path):
     assert code == 0
     doc = json.loads(payload)
     assert doc["throughput_imgs_per_s"] == pytest.approx(3.1, rel=1e-6)
+
+
+# The stdout of jittered runs, recorded before the jitter factors were drawn
+# by sim._lognormal; no other test pins the bytes of a jittered payload.
+JITTERED_FLAGS = [
+    "simulate", "--platform", "exynos5422", "--network", "alexnet",
+    "--components", "a7,a15,t628", "--frames", "500", "--cv", "0.2",
+    "--seed", "7"]
+JITTERED_SCENARIO = {"scenario": {
+    "platform": "kirin970", "network": "alexnet",
+    "components": ["a53", "a73", "g72", "npu"], "frames": 2000,
+    "dispatch_overhead_s": 0.001, "jitter": {"seed": 7, "cv": 0.1}}}
+
+
+@pytest.mark.parametrize("source, fmt, digest", [
+    ("flags", "json",
+     "a65a9a61c174039e66e3ffb36ccee3eeba5685660b084e6b69c625447aa8e3bd"),
+    ("flags", "csv",
+     "5725e29466931d09765caa2108466fe7fe56199f8406b98cece32c3e819c658e"),
+    ("scenario", "json",
+     "e2a5d1f4ca69fa1457e6d4d0beaf7a97218ffbc4ce2b392d398efd309fe58df6"),
+    ("scenario", "csv",
+     "6b74b53ee2a05ff240cf0b540fde2179f17f9e33b954b79ee7b0836c97275e8a"),
+])
+def test_jittered_simulate_stdout_is_pinned(tmp_path, capsysbinary, source,
+                                            fmt, digest):
+    if source == "flags":
+        args = JITTERED_FLAGS
+    else:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(JITTERED_SCENARIO))
+        args = ["simulate", "--scenario", str(path)]
+    assert main(args + ["--format", fmt]) == 0
+    out, err = capsysbinary.readouterr()
+    assert (hashlib.sha256(out).hexdigest(), err) == (digest, b"")
 
 
 def test_simulate_csv_per_component_rows(tmp_path):

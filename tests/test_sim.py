@@ -20,7 +20,7 @@ from socperf import (
     platform_by_id,
     simulate,
 )
-from socperf.sim import _MAX_FRAMES, ReorderBuffer
+from socperf.sim import _MAX_FRAMES, _MAX_JITTER_CV, ReorderBuffer, _lognormal
 
 EXYNOS = platform_by_id("exynos5422")
 KIRIN = platform_by_id("kirin970")
@@ -403,6 +403,32 @@ def test_seeded_jitter_run_is_pinned(overhead, makespan, busy, frames,
     assert result.reorder_high_water == high_water
 
 
+@pytest.mark.parametrize("cv", [1e-9, 0.01, 0.1, 1, 3, 1e3, _MAX_JITTER_CV])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40])
+def test_jitter_factors_are_the_stdlib_lognormal_draws(seed, cv):
+    sigma = math.sqrt(math.log(1.0 + cv ** 2))
+    draw = random.Random(seed).lognormvariate
+    factors = _lognormal(seed, cv)
+    assert ([repr(next(factors)) for _ in range(5000)]
+            == [repr(draw(-0.5 * sigma * sigma, sigma)) for _ in range(5000)])
+
+
+@pytest.mark.parametrize("overhead", [0.0, 0.002])
+@pytest.mark.parametrize("frames", [1, 2, 3])
+def test_jittered_run_shorter_than_its_engagement_draws_at_time_0(frames,
+                                                                   overhead):
+    # Fewer frames than components: every draw is a claim at time 0.
+    scenario = Scenario("kirin970", "alexnet", ("a53", "a73", "g72", "npu"),
+                        frames, dispatch_overhead_s=overhead, jitter_seed=7,
+                        jitter_cv=0.3)
+    result = simulate(scenario, KIRIN, ALEXNET, record_events=True)
+    *fields, log = greedy_oracle(effective_rates(scenario, KIRIN, ALEXNET),
+                                 frames, overhead, draws=jitter_draws(scenario))
+    assert [result.frames_per_component, result.makespan_s,
+            result.busy_time_s] == fields
+    assert logged(result.events) == oracle_events(log)
+
+
 def test_ties_resolve_by_component_id_order():
     platform = synthetic_platform([(2.0, 1.0), (2.0, 1.0)])
     network = synthetic_network([2.0, 2.0])
@@ -475,17 +501,29 @@ def test_contention_for_unengaged_component_rejected():
                  contention={"t628": 0.5})
 
 
-def test_plain_run_allocates_nothing_per_frame():
-    frames = 10 ** 5
+def traced_run(frames, record_events=False, **jitter):
+    """A run of the four kirin970 components and the peak bytes it
+    allocated."""
     scenario = Scenario("kirin970", "alexnet", ("a53", "a73", "g72", "npu"),
-                        frames)
+                        frames, **jitter)
     tracemalloc.start()
     try:
-        result = simulate(scenario, KIRIN, ALEXNET)
+        result = simulate(scenario, KIRIN, ALEXNET, record_events)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_plain_run_allocates_nothing_per_frame():
+    result, peak = traced_run(10 ** 5)
     assert result.events is None
+    assert peak < 16 * 1024
+
+
+def test_jittered_run_allocates_nothing_per_frame():
+    # The jitter factors are drawn one at a time, never buffered.
+    _, peak = traced_run(10 ** 5, jitter_seed=7, jitter_cv=0.1)
     assert peak < 16 * 1024
 
 
@@ -493,14 +531,7 @@ def test_recorded_run_keeps_a_small_frame_log():
     # The log holds a rank byte and a completion time per frame, 9 bytes
     # per frame; the event loop itself keeps nothing per frame.
     frames = 10 ** 5
-    scenario = Scenario("kirin970", "alexnet", ("a53", "a73", "g72", "npu"),
-                        frames)
-    tracemalloc.start()
-    try:
-        result = simulate(scenario, KIRIN, ALEXNET, record_events=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_run(frames, record_events=True)
     assert result.events is not None
     assert peak <= 9.5 * frames
 
