@@ -18,8 +18,9 @@ exactly, bit for bit, from each component's running sum of its service
 time and the completion at which the last frame is claimed, in memory
 that does not grow with N. So every candidate is scored without
 simulating it; simulate runs only where the polish starts and, if the
-polish moved x, where it ends, and the returned result comes from
-simulate.
+polish moved x, where it ends. The fit returns the Scenario it simulated
+last, which holds the fitted overhead and CPU factors, with that
+simulation and the residuals.
 
 A target above the zero-overhead bound, or below the closed-form
 throughput at the seed's overhead cap (about 1049 time units, with the
@@ -65,11 +66,11 @@ _SEARCH_OVERHEAD_CEILING = 0.25
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    platform_id: str
-    network_id: str
-    engaged: tuple[str, ...]
-    dispatch_overhead_s: float
-    contention: dict[str, float]
+    """A fit: the fitted Scenario, its score and residuals against the
+    target, and its simulation. result.scenario is scenario, so
+    simulate(fit.scenario, platform, network) re-runs the fit."""
+
+    scenario: Scenario
     objective: float
     residual_throughput_rel: float
     residual_composition: Optional[dict[str, float]]
@@ -277,11 +278,7 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
                       for cid, share in target_shares.items()}
                      if target_shares else None)
     return CalibrationResult(
-        platform_id=platform.id,
-        network_id=network.id,
-        engaged=engaged,
-        dispatch_overhead_s=x[0],
-        contention=dict(best.scenario.contention),
+        scenario=best.scenario,
         objective=best_score,
         residual_throughput_rel=(best.throughput - target_throughput) / target_throughput,
         residual_composition=residual_comp,

@@ -90,26 +90,38 @@ def _cmd_roofline(args) -> bytes:
     return emit_svg_roofline(rows, f"{args.platform}/{args.component} roofline")
 
 
+# simulate's scenario flags, with the value an absent one takes.
+_SCENARIO_FLAGS = {"platform": None, "network": None, "components": None,
+                   "frames": 10000, "overhead": 0.0, "contention": None,
+                   "seed": 0, "cv": 0.0}
+
+
 def _scenario_from_args(args) -> Scenario:
+    given = {name: value for name in _SCENARIO_FLAGS
+             if (value := getattr(args, name)) is not None}
     if args.scenario:
+        if given:
+            raise SocPerfError("simulate takes --scenario or scenario flags, "
+                               f"not both (given: --{', --'.join(given)})")
         return load_scenario(Path(args.scenario))
+    flags = {**_SCENARIO_FLAGS, **given}
     missing = [name for name in ("platform", "network", "components")
-               if not getattr(args, name)]
+               if not flags[name]]
     if missing:
         raise SocPerfError(
             f"simulate needs --scenario or --platform/--network/--components "
             f"(missing: {', '.join(missing)})"
         )
     return Scenario(
-        platform_id=args.platform,
-        network_id=args.network,
-        engaged=tuple(args.components.split(",")),
-        frame_count=args.frames,
-        dispatch_overhead_s=args.overhead,
-        contention=_parse_id_values(args.contention, "--contention",
+        platform_id=flags["platform"],
+        network_id=flags["network"],
+        engaged=tuple(flags["components"].split(",")),
+        frame_count=flags["frames"],
+        dispatch_overhead_s=flags["overhead"],
+        contention=_parse_id_values(flags["contention"], "--contention",
                                     "id=factor"),
-        jitter_seed=args.seed,
-        jitter_cv=args.cv,
+        jitter_seed=flags["seed"],
+        jitter_cv=flags["cv"],
     )
 
 
@@ -152,11 +164,11 @@ def _cmd_calibrate(args) -> bytes:
         observed = _observed(obs)
     fit = calibrate(platform, network, observed, engaged, frames=args.frames)
     payload = {
-        "platform": fit.platform_id,
-        "network": fit.network_id,
-        "components": list(fit.engaged),
-        "dispatch_overhead_s": fit.dispatch_overhead_s,
-        "contention": dict(sorted(fit.contention.items())),
+        "platform": fit.scenario.platform_id,
+        "network": fit.scenario.network_id,
+        "components": list(fit.scenario.engaged),
+        "dispatch_overhead_s": fit.scenario.dispatch_overhead_s,
+        "contention": dict(sorted(fit.scenario.contention.items())),
         "objective": fit.objective,
         "residual_throughput_rel": fit.residual_throughput_rel,
         "residual_composition": None if fit.residual_composition is None
@@ -210,14 +222,14 @@ def _coexec_table_rows(which: int, frames: int) -> list[dict]:
             "coexec_sim_imgs_s": fit.result.throughput,
             "gain_sim_pct": gain_sim,
             "gain_meas_pct": obs.gain_pct,
-            "fitted_overhead_s": fit.dispatch_overhead_s,
+            "fitted_overhead_s": fit.scenario.dispatch_overhead_s,
             "residual_throughput_pct": 100.0 * fit.residual_throughput_rel,
         }
         if obs.composition_pct:
             for cid in sorted(obs.composition_pct):
                 row[f"share_sim_{cid}_pct"] = 100.0 * fit.result.composition[cid]
                 row[f"share_meas_{cid}_pct"] = obs.composition_pct[cid]
-                row[f"factor_{cid}"] = fit.contention.get(cid)
+                row[f"factor_{cid}"] = fit.scenario.contention.get(cid)
         rows.append(row)
     return rows
 
@@ -263,12 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--platform")
     p.add_argument("--network")
     p.add_argument("--components", help="comma-separated component ids")
-    p.add_argument("--frames", type=int, default=10000)
-    p.add_argument("--overhead", type=float, default=0.0,
+    p.add_argument("--frames", type=int)
+    p.add_argument("--overhead", type=float,
                    help="dispatch overhead in seconds per frame")
     p.add_argument("--contention", help="id=factor[,id=factor...]")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cv", type=float, default=0.0,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--cv", type=float,
                    help="service-time jitter coefficient of variation")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out")

@@ -455,6 +455,7 @@ def load_platform(doc) -> Platform:
 
     CPU clusters may omit peak_compute_gops; it is then derived as
     cores x frequency_ghz x 4 FP32 ops per cycle (cores defaults to 4).
+    cores is refused on any other component.
     """
     body = unwrap(doc, "platform", _PLATFORM_DOC)
     ctx = f"platform {shown(body['id'])}"
@@ -462,12 +463,15 @@ def load_platform(doc) -> Platform:
     for raw in items(body["components"], "components", ctx):
         spec = keys(raw, _COMPONENT_DOC, "component", ctx)
         cores = spec.pop("cores")
+        cctx = f"component {shown(spec['id'])}"
         if spec["peak_compute_gops"] is None and spec["kind"] in CPU_KINDS:
-            cctx = f"component {shown(spec['id'])}"
             spec["peak_compute_gops"] = (
                 count(cores, "cores", cctx)
                 * number(spec["frequency_ghz"], "frequency_ghz", cctx)
                 * FP32_OPS_PER_CORE_CYCLE)
+        elif "cores" in raw:
+            raise _refusal(cctx, "cores", "given only by a CPU cluster that "
+                           "omits peak_compute_gops", cores)
         components.append(ComponentSpec(**spec))
     body["components"] = tuple(components)
     return Platform(**body)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import MalformedDocument, MissingTrace
-from .profiles import (ComponentSpec, LayerProfile, NetworkProfile, count, number,
-                       one_of, shown, text)
+from .profiles import (ComponentSpec, LayerProfile, NetworkProfile, _set, count,
+                       number, one_of, shown, text)
 
 BOUND_MEMORY = "memory"
 BOUND_COMPUTE = "compute"
@@ -40,8 +40,8 @@ class RooflineModel:
 
     def __post_init__(self):
         ctx = f"roofline {shown(text(self.component_id, 'component_id', 'roofline'))}"
-        number(self.roof_bandwidth_gbs, "roof_bandwidth_gbs", ctx)
-        number(self.ceiling_compute_gops, "ceiling_compute_gops", ctx)
+        for key in ("roof_bandwidth_gbs", "ceiling_compute_gops"):
+            _set(self, key, number(getattr(self, key), key, ctx))
 
     @property
     def ridge_oi(self) -> float:
@@ -69,8 +69,8 @@ class RooflinePoint:
 
     def __post_init__(self):
         ctx = f"roofline point {shown(self.workload)}"
-        number(self.oi, "oi", ctx)
-        number(self.performance_gops, "performance_gops", ctx)
+        for key in ("oi", "performance_gops"):
+            _set(self, key, number(getattr(self, key), key, ctx))
         one_of(self.bound, (BOUND_MEMORY, BOUND_COMPUTE), "bound", ctx)
         one_of(self.oi_kind, OI_KINDS, "oi_kind", ctx)
 

@@ -215,7 +215,7 @@ def test_criterion_4_full_soc_coexec_reproduction(table3_fits):
             f"{obs.network_id}: thr {fit.result.throughput:.2f} vs "
             f"{obs.coexec_imgs_s} ({thr_err * 100:.2f}%), g72 "
             f"{comp_errs['g72']:.2f}pp, npu {comp_errs['npu']:.2f}pp, "
-            f"h={fit.dispatch_overhead_s * 1e3:.2f}ms, factors={ {k: round(v, 3) for k, v in sorted(fit.contention.items())} }")
+            f"h={fit.scenario.dispatch_overhead_s * 1e3:.2f}ms, factors={ {k: round(v, 3) for k, v in sorted(fit.scenario.contention.items())} }")
         if thr_err > 0.02 or any(e > 3.0 for e in comp_errs.values()):
             bad.append(details[-1])
     report(4, not bad, "residuals: " + " | ".join(details))

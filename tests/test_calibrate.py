@@ -1,14 +1,17 @@
+import json
 import random
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from socperf import (InfeasibleTarget, MalformedDocument, Scenario,
-                     network_by_id, observations_for_table, platform_by_id,
-                     simulate)
-from socperf.calibrate import calibrate
+                     builtin_dataset, network_by_id, observations_for_table,
+                     platform_by_id, simulate)
+from socperf.calibrate import CalibrationResult, calibrate
 from socperf.cli import _observed
 from test_sim import synthetic_network, synthetic_platform
 
@@ -23,18 +26,18 @@ ALEXNET = network_by_id("alexnet")
 def test_fit_throughput_only_exynos_alexnet():
     fit = calibrate(EXYNOS, ALEXNET, {"throughput": 10.3},
                     ("a7", "a15", "t628"))
-    assert fit.dispatch_overhead_s > 0
+    assert fit.scenario.dispatch_overhead_s > 0
     assert abs(fit.residual_throughput_rel) < 0.02
     assert fit.result.throughput == pytest.approx(10.3, rel=0.02)
-    assert fit.contention == {"a15": 1.0, "a7": 1.0}
+    assert fit.scenario.contention == {"a15": 1.0, "a7": 1.0}
     assert fit.residual_composition is None
 
 
 def test_target_at_rate_sum_needs_no_overhead():
     fit = calibrate(EXYNOS, ALEXNET, {"throughput": 12.0},
                     ("a7", "a15", "t628"))
-    assert fit.dispatch_overhead_s == 0.0
-    assert all(f == 1.0 for f in fit.contention.values())
+    assert fit.scenario.dispatch_overhead_s == 0.0
+    assert all(f == 1.0 for f in fit.scenario.contention.values())
 
 
 def test_target_above_bound_is_infeasible():
@@ -142,8 +145,9 @@ def test_fit_is_covariant_under_a_power_of_two_time_scale(monkeypatch, j):
             fits.append((fit, len(sims)))
         (base, base_sims), (scaled, scaled_sims) = fits
         assert scaled_sims == base_sims
-        assert scaled.dispatch_overhead_s == base.dispatch_overhead_s / scale
-        assert scaled.contention == base.contention
+        assert (scaled.scenario.dispatch_overhead_s
+                == base.scenario.dispatch_overhead_s / scale)
+        assert scaled.scenario.contention == base.scenario.contention
         assert scaled.objective == base.objective
         assert scaled.residual_throughput_rel == base.residual_throughput_rel
         assert scaled.residual_composition == base.residual_composition
@@ -162,8 +166,8 @@ def test_fit_with_composition_targets():
     assert fit.result.composition["g72"] == pytest.approx(0.4747, abs=0.03)
     assert fit.result.composition["npu"] == pytest.approx(0.4968, abs=0.03)
     # only CPU clusters get fitted availability factors
-    assert set(fit.contention) == {"a53", "a73"}
-    assert all(0 < f <= 1 for f in fit.contention.values())
+    assert set(fit.scenario.contention) == {"a53", "a73"}
+    assert all(0 < f <= 1 for f in fit.scenario.contention.values())
     assert fit.residual_composition is not None
 
 
@@ -171,17 +175,22 @@ def test_calibration_deterministic():
     observed = {"throughput": 10.3}
     a = calibrate(EXYNOS, ALEXNET, observed, ("a7", "a15", "t628"))
     b = calibrate(EXYNOS, ALEXNET, observed, ("a7", "a15", "t628"))
-    assert a.dispatch_overhead_s == b.dispatch_overhead_s
-    assert a.contention == b.contention
+    assert a.scenario.dispatch_overhead_s == b.scenario.dispatch_overhead_s
+    assert a.scenario.contention == b.scenario.contention
     assert a.result.throughput == b.result.throughput
 
 
 def test_calibration_result_scenario_round_trip():
     fit = calibrate(EXYNOS, ALEXNET, {"throughput": 10.3},
                     ("a7", "a15", "t628"))
-    scenario = replace(fit.result.scenario, frame_count=2000)
-    assert scenario.dispatch_overhead_s == fit.dispatch_overhead_s
+    assert fit.result.scenario is fit.scenario
+    assert simulate(fit.scenario, EXYNOS, ALEXNET) == fit.result
+    scenario = replace(fit.scenario, frame_count=2000)
+    assert scenario.dispatch_overhead_s == fit.scenario.dispatch_overhead_s
     assert scenario.engaged == ("a7", "a15", "t628")
+    assert [f.name for f in fields(CalibrationResult)] == [
+        "scenario", "objective", "residual_throughput_rel",
+        "residual_composition", "result"]
 
 
 def test_target_below_overhead_cap_is_infeasible():
@@ -194,7 +203,7 @@ def test_target_needing_more_than_a_quarter_second_overhead_still_fits():
     # reaches past it, so a lower target is fitted, not refused.
     fit = calibrate(EXYNOS, network_by_id("resnet50"), {"throughput": 2.32},
                     ("a7", "a15", "t628"))
-    assert fit.dispatch_overhead_s > 0.25
+    assert fit.scenario.dispatch_overhead_s > 0.25
     assert abs(fit.residual_throughput_rel) < 0.02
 
 
@@ -308,3 +317,57 @@ def test_simulated_keeps_no_per_frame_state():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+# The fit recovery corpus. Each objective in CORPUS was recorded by
+# corpus_objectives() before any later change to the fit; a change that
+# lowers one may record it again, and none may raise one.
+CORPUS = Path(__file__).with_name("fit_corpus.json")
+CORPUS_OVERHEADS = (0.0, 1e-3, 1e-2, 0.1, 0.3, 1.0)
+CORPUS_FRAMES = 2000
+
+
+def corpus_cases():
+    """(case, platform, network, engaged, target) of every bundled
+    engagement of two or more components at each overhead of
+    CORPUS_OVERHEADS: a throughput target and, when a CPU cluster is
+    engaged, a throughput and composition target at CPU factors drawn in
+    [0.3, 1]. Each target is the jitter-free simulation of its case."""
+    platforms, networks = builtin_dataset()
+    for platform in platforms:
+        for network in networks:
+            ids = [c.id for c in platform.components if network.supports(c.id)]
+            for engaged in (e for k in range(2, len(ids) + 1)
+                            for e in combinations(ids, k)):
+                cpus = [c for c in engaged if platform.component(c).is_cpu]
+                for overhead in CORPUS_OVERHEADS:
+                    case = (f"{platform.id}/{network.id}/{'+'.join(engaged)}"
+                            f"/{overhead!r}")
+                    rng = random.Random(case)
+                    kinds = {"throughput": {}}
+                    if cpus:
+                        kinds["composition"] = {
+                            cid: rng.uniform(0.3, 1.0) for cid in cpus}
+                    for kind, contention in kinds.items():
+                        run = simulate(Scenario(
+                            platform.id, network.id, engaged, CORPUS_FRAMES,
+                            overhead, contention), platform, network)
+                        target = {"throughput": run.throughput}
+                        if contention:
+                            target["composition"] = dict(run.composition)
+                        yield f"{case}/{kind}", platform, network, engaged, target
+
+
+def corpus_objectives() -> dict[str, float]:
+    return {case: calibrate(platform, network, target, engaged,
+                            frames=CORPUS_FRAMES).objective
+            for case, platform, network, engaged, target in corpus_cases()}
+
+
+def test_no_corpus_fit_is_refused_or_scores_worse_than_recorded():
+    recorded = json.loads(CORPUS.read_text())
+    objectives = corpus_objectives()  # a refused fit raises here
+    assert len(objectives) == 792
+    assert objectives.keys() == recorded.keys()
+    assert {case: (got, recorded[case]) for case, got in objectives.items()
+            if not got <= recorded[case]} == {}

@@ -25,7 +25,7 @@ from socperf import (
     roofline_series,
     simulate,
 )
-from socperf.cli import build_parser, main
+from socperf.cli import main
 from socperf.emit import (
     emit_csv,
     emit_json,
@@ -302,6 +302,28 @@ def test_simulate_without_scenario_names_the_missing_flags(capsys):
     assert capsys.readouterr().err == (
         "socperf: simulate needs --scenario or --platform/--network/"
         "--components (missing: network, components)\n")
+
+
+def test_simulate_refuses_scenario_flags_beside_a_scenario_file(tmp_path,
+                                                               capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(JITTERED_SCENARIO))
+    out = tmp_path / "x"
+    assert main(["simulate", "--scenario", str(path), "--cv", "0.5",
+                 "--frames", "7", "--platform", "kirin970",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "socperf: simulate takes --scenario or scenario flags, not both "
+        "(given: --platform, --frames, --cv)\n")
+    for flag, value in (("--network", "alexnet"), ("--components", "a53"),
+                        ("--overhead", "0"), ("--contention", ""),
+                        ("--seed", "0"), ("--frames", "10000")):
+        assert main(["simulate", "--scenario", str(path), flag, value,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.endswith(f"(given: {flag})\n")
+    assert not out.exists()
+    assert main(["simulate", "--scenario", str(path), "--format", "csv",
+                 "--out", str(out)]) == 0
 
 
 def test_unwritable_output_is_io_error(tmp_path):
@@ -640,20 +662,32 @@ def test_custom_platform_sim_result_csv():
     assert sim_result_to_csv(custom) == sim_result_to_csv(bundled)
 
 
-def test_readme_commands_parse():
-    """Every socperf command of the README's "Command line" block parses."""
+def test_readme_commands_parse(tmp_path, monkeypatch, capsysbinary):
+    """Every socperf command of the README's "Command line" block runs,
+    beside the README's scenario file, exits 0 and writes output, and the
+    simulate throughput is the one its comment gives."""
     text = README.read_text(encoding="utf-8")
     block = re.search(r"## Command line\s+```sh\n(.*?)```", text, re.S).group(1)
+    scenario = re.search(r"Scenario files look like:\s+```json\n(.*?)```",
+                         text, re.S).group(1)
+    (tmp_path / "scenario.json").write_text(scenario)
+    monkeypatch.chdir(tmp_path)
     commands = []
     for line in block.replace("\\\n", " ").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line.startswith("socperf "):
-            commands.append(line.split()[1:])
+        line, _, comment = line.partition("#")
+        if line.strip().startswith("socperf "):
+            commands.append((line.split()[1:], comment.strip()))
     assert len(commands) >= 9
-    parser = build_parser()
-    for argv in commands:
-        args = parser.parse_args(argv)
-        assert args.command == argv[0]
+    assert [comment for _, comment in commands if comment] == ["~12.0 imgs/s"]
+    for argv, comment in commands:
+        assert main(argv) == 0, argv
+        out, err = capsysbinary.readouterr()
+        if "--out" in argv:
+            out = Path(argv[argv.index("--out") + 1]).read_bytes()
+        assert out and not err, argv
+        if comment:
+            throughput = json.loads(out)["throughput_imgs_per_s"]
+            assert f"~{throughput:.1f} imgs/s" == comment
 
 
 def test_readme_library_sketch_runs_and_matches_its_comments():

@@ -161,6 +161,13 @@ def platform_with(component_changes=(), **body_changes):
      "frequency_ghz, host_cluster, got 'bogus'"),
     ({"platform": {}, "bogus": 1},
      "document key must be one of platform, got 'bogus'"),
+    (platform_with({"cores": -3}),
+     "component 'cpu0': cores must be given only by a CPU cluster that omits "
+     "peak_compute_gops, got -3"),
+    (platform_with({"kind": "gpu", "peak_compute_gops": None,
+                    "cores": "not a number"}),
+     "component 'cpu0': cores must be given only by a CPU cluster that omits "
+     "peak_compute_gops, got 'not a number'"),
 ])
 def test_platform_document_values_are_checked(doc, message):
     with pytest.raises(MalformedDocument) as exc:

@@ -27,6 +27,7 @@ from socperf import (
     roofline_series,
     theoretical_oi,
 )
+from socperf.emit import emit_csv, emit_json
 from socperf.roofline import _MAX_SAMPLES, achieved_gops
 
 T628 = RooflineModel("t628", roof_bandwidth_gbs=6.15, ceiling_compute_gops=57.6)
@@ -215,6 +216,18 @@ def test_point_validation():
     with pytest.raises(MalformedDocument):
         RooflinePoint("w", oi=1.0, performance_gops=1.0, bound="bogus",
                       oi_kind="theoretical")
+
+
+def test_int_built_models_and_points_emit_like_float_built_ones():
+    rows = [roofline_series(
+        RooflineModel("x", bandwidth, ceiling),
+        [RooflinePoint("w", oi, gops, "memory", "theoretical")],
+        log_spaced(0.5, 8.0, 5))
+        for bandwidth, ceiling, oi, gops in ((10, 20, 1, 3),
+                                             (10.0, 20.0, 1.0, 3.0))]
+    assert emit_json(rows[0]) == emit_json(rows[1])
+    assert emit_csv(rows[0]) == emit_csv(rows[1])
+    assert b'"roofline_gops": 20.0' in emit_json(rows[0])
 
 
 def test_npu_roofline_everything_memory_bound():
