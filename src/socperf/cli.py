@@ -26,7 +26,6 @@ from .emit import (
     sim_result_to_csv,
 )
 from .errors import SocPerfError, UnknownComponent
-from .profiles import count
 from .roofline import (
     RooflineModel,
     layer_points,
@@ -235,9 +234,14 @@ def _coexec_table_rows(which: int, frames: int) -> list[dict]:
 
 
 def _cmd_tables(args) -> bytes:
-    count(args.frames, "frames", "scenario")
-    rows = (_throughput_table_rows() if args.which == 1
-            else _coexec_table_rows(args.which, args.frames))
+    if args.which == 1:
+        if args.frames is not None:
+            raise SocPerfError("tables --which 1 takes no --frames; it "
+                               "prints measured rates and simulates nothing")
+        rows = _throughput_table_rows()
+    else:
+        rows = _coexec_table_rows(
+            args.which, 10000 if args.frames is None else args.frames)
     return emit_json(rows) if args.format == "json" else emit_csv(rows)
 
 
@@ -299,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="regenerate summary tables")
     p.add_argument("--which", type=int, required=True, choices=(1, 2, 3))
-    p.add_argument("--frames", type=int, default=10000)
+    p.add_argument("--frames", type=int,
+                   help="frames per fitted run of tables 2 and 3 (default 10000)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
     return parser

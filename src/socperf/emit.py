@@ -4,7 +4,7 @@ Identical payloads produce byte-identical output: field order is fixed,
 floats are printed at 4 significant digits, and the SVG is assembled from
 plain strings with no timestamps or generated ids, its text escaped. JSON
 is written in one pass, in the layout of json.dumps(indent=2). A CSV
-report is a list of dict rows whose first row's keys are the header.
+report is a list of dict rows that share one set of keys, the header.
 """
 
 import json
@@ -12,6 +12,7 @@ import math
 from typing import Sequence
 
 from .errors import UnsupportedFormat
+from .profiles import shown
 from .sim import SimResult
 
 SVG_WIDTH, SVG_HEIGHT = 720, 480  # roofline plot size, px
@@ -19,12 +20,15 @@ _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def sig4(value) -> str:
-    """Cell text: "" for None, a str as is, a float to 4 significant digits."""
+    """Cell text: "" for None, a str as is, a float to 4 significant digits.
+    A NaN or infinite value raises ValueError, as in emit_json."""
     if value is None:
         return ""
     if isinstance(value, (int, str)):
         return str(value)
-    return f"{value:.4g}"
+    if math.isfinite(value):
+        return f"{value:.4g}"
+    raise ValueError(f"CSV cells must be finite, got {value!r}")
 
 
 _QUOTE = json.encoder.encode_basestring_ascii
@@ -61,11 +65,19 @@ def emit_json(payload) -> bytes:
 
 
 def emit_csv(rows: Sequence[dict]) -> bytes:
-    """CSV of a non-empty list of dict rows: the first row's keys are the
-    header, and each cell is sig4 of the row's value (empty if absent)."""
-    header = list(rows[0])
+    """CSV of a non-empty list of dict rows that all have the first row's
+    keys, which are the header; each cell is sig4 of the row's value. Any
+    other list raises UnsupportedFormat, since it is not one table."""
+    if not rows:
+        raise UnsupportedFormat("a CSV report needs at least one row")
+    header = rows[0].keys()
     lines = [",".join(header)]
-    lines.extend(",".join(sig4(row.get(key)) for key in header) for row in rows)
+    for i, row in enumerate(rows):
+        if row.keys() != header:
+            raise UnsupportedFormat(
+                f"CSV row {i} has keys {shown(list(row))}, not the header "
+                f"{shown(list(header))}")
+        lines.append(",".join(sig4(row[key]) for key in header))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -159,6 +159,7 @@ def layer_points(profile: NetworkProfile, model: RooflineModel,
     the maximum the roofline allows for its intensity. Layers without DRAM
     counters are skipped when empirical points are requested.
     """
+    one_of(kind, OI_KINDS, "kind", "layer points")
     points = []
     for layer in profile.layers:
         if kind == OI_EMPIRICAL:

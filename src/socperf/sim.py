@@ -28,7 +28,7 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .dataset import network_by_id, platform_by_id
 from .errors import MalformedDocument
@@ -152,34 +152,28 @@ class SimEvent(NamedTuple):
     frame: int
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class EventLog:
-    """The claims, completions and releases of a recorded run, derived
-    from its frame log each time it is iterated.
+    """The frame log of a recorded run: ids holds the engaged ids in rank
+    (id) order, and ids[ranks[f]] ran frame f and completed it at times[f].
+    The columns are the run's own arrays and must not be written; repr
+    shows none of them, so a recorded result's repr stays short.
 
-    The log holds, per frame, the rank of the component that ran it and
-    its completion time. Frame r < k (k engaged components) is claimed by
-    rank r at time 0; the i-th completion lets its component claim frame
-    k + i at once, so it completes the frame that component ran before
-    frame k + i, and the last k completions follow in (time, rank) order,
-    the order the heap pops them. A completion of the lowest unreleased
-    frame releases it and every completed frame after it.
+    Iterating the log derives the run's claims, completions and releases.
+    Frame r < k (k engaged components) is claimed by rank r at time 0; the
+    i-th completion lets its component claim frame k + i at once, so it
+    completes the frame that component ran before frame k + i, and the
+    last k completions follow in (time, rank) order, the order the heap
+    pops them. A completion of the lowest unreleased frame releases it and
+    every completed frame after it.
     """
 
-    __slots__ = ("_ids", "_ranks", "_times")
-
-    def __init__(self, ids: list[str], ranks: array, times: array):
-        self._ids, self._ranks, self._times = ids, ranks, times
-
-    def __eq__(self, other):
-        # The log fixes the events and the events fix the log, so equal
-        # recorded runs compare equal without deriving either.
-        if not isinstance(other, EventLog):
-            return NotImplemented
-        return ((self._ids, self._ranks, self._times)
-                == (other._ids, other._ranks, other._times))
+    ids: tuple[str, ...]
+    ranks: array
+    times: array
 
     def __iter__(self):
-        ids, ranks, times = self._ids, self._ranks, self._times
+        ids, ranks, times = self.ids, self.ranks, self.times
         event = tuple.__new__  # builds a SimEvent without its Python __new__
         n_frames = len(times)
         running = list(range(min(len(ids), n_frames)))  # frame held by rank
@@ -215,12 +209,13 @@ class EventLog:
 class SimResult:
     """Output of one co-execution run.
 
-    events is None unless the run was recorded. A recorded run's events are
-    an EventLog: iterating it yields every claim, completion and release as
-    a SimEvent, in the order the run made them, derived from a log of 9
-    bytes per frame. Nothing is cached: each pass derives the events
-    again, costs more than twice as much as the recorded run itself (some
-    1.5 us per frame) and allocates 1 byte per frame while it lasts.
+    events is None unless the run was recorded, and then the run's
+    EventLog: events.ids, events.ranks and events.times say which component
+    ran each frame and when it completed, in 9 bytes per frame. Iterating
+    it yields every claim, completion and release as a SimEvent, in the
+    order the run made them. Nothing is cached: each pass derives the
+    events again, costs more than twice as much as the recorded run itself
+    (some 1.5 us per frame) and allocates 1 byte per frame while it lasts.
     """
 
     scenario: Scenario
@@ -233,7 +228,7 @@ class SimResult:
     energy_j: float
     energy_efficiency: float
     reorder_high_water: int
-    events: Optional[Iterable[SimEvent]] = None
+    events: Optional[EventLog] = None
 
 
 def effective_rates(scenario: Scenario, platform: Platform,
@@ -386,5 +381,5 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
         energy_j=energy,
         energy_efficiency=efficiency,
         reorder_high_water=lag - started + 1,
-        events=EventLog(order, ranks, times) if record_events else None,
+        events=EventLog(tuple(order), ranks, times) if record_events else None,
     )

@@ -1,3 +1,4 @@
+import heapq
 import json
 import random
 import sys
@@ -317,6 +318,29 @@ def test_simulated_keeps_no_per_frame_state():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def last_claim_oracle(service, claims):
+    """The frames each rank runs and the makespan, from a walk over every
+    completion in (time, rank) order on the running sums."""
+    heap = [(s, r) for r, s in enumerate(service)]
+    heapq.heapify(heap)
+    done = [0] * len(service)
+    for _ in range(claims):
+        time, r = heapq.heappop(heap)
+        done[r] += 1
+        heapq.heappush(heap, (time + service[r], r))
+    return [n + 1 for n in done], max(heap)[0]
+
+
+@pytest.mark.parametrize("service,claims", [
+    # Reciprocals that sum past the float range put the first start at 0,
+    # so the walk leaves its windows and widens them, once and three times.
+    ([1e-308, 1e-308], 100), ([5e-309, 1e-300, 3e-308], 1000),
+    ([1.0, 2.0], 10 ** 5)], ids=repr)
+def test_last_claim_equals_a_heap_walk(service, claims):
+    assert (CALIBRATE._last_claim(service, claims)
+            == last_claim_oracle(service, claims))
 
 
 # The fit recovery corpus. Each objective in CORPUS was recorded by

@@ -326,6 +326,26 @@ def test_simulate_refuses_scenario_flags_beside_a_scenario_file(tmp_path,
                  "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("frames", ["7", "10000", "100000000000"])
+def test_tables_1_takes_no_frames(tmp_path, capsys, frames):
+    out = tmp_path / "x"
+    assert main(["tables", "--which", "1", "--frames", frames,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "socperf: tables --which 1 takes no --frames; it prints measured "
+        "rates and simulates nothing\n")
+    assert not out.exists()
+
+
+def test_tables_2_and_3_leave_the_frames_rule_to_the_scenario(tmp_path,
+                                                              capsys):
+    for which in ("2", "3"):
+        assert main(["tables", "--which", which, "--frames", "0",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (
+            "socperf: scenario: frames must be an integer >= 1, got 0\n")
+
+
 def test_unwritable_output_is_io_error(tmp_path):
     code = main(["tables", "--which", "1", "--out", str(tmp_path)])
     assert code == 2
@@ -603,6 +623,8 @@ def test_scenario_path_that_looks_like_json_is_a_file(tmp_path, monkeypatch,
     (["roofline", "--platform", "kirin970", "--component", "a53",
       "--samples", "100001"],
      "OI grid: samples must be an integer <= 100000, got 100001"),
+    (["tables", "--which", "2", "--frames", "100000000000"],
+     "scenario: frames must be an integer <= 10000000, got 100000000000"),
 ])
 def test_count_above_its_cap_exits_1(tmp_path, capsys, args, message):
     assert main(args + ["--out", str(tmp_path / "x")]) == 1
@@ -740,8 +762,9 @@ def cli_json_invocations():
            "--components", "a7,a15,t628", "--frames", "500"]
     fit = ["calibrate", "--platform", "kirin970", "--network", "googlenet",
            "--frames", "500"]
-    runs = [["tables", "--which", which, "--format", "json", "--frames", "500"]
-            for which in ("1", "2", "3")]
+    runs = [["tables", "--which", "1", "--format", "json"]]
+    runs += [["tables", "--which", which, "--format", "json", "--frames", "500"]
+             for which in ("2", "3")]
     runs += [sim, sim + ["--contention", "a15=0.8,t628=0.9", "--overhead", "1e-3"],
              sim + ["--cv", "0.2", "--seed", "7"],
              fit + ["--components", "a53,a73,g72,npu"],
@@ -844,3 +867,19 @@ def test_emit_svg_roofline_needs_grid_rows():
 def test_emit_csv_layout():
     payload = emit_csv([{"a": 1, "b": None}, {"a": "x", "b": 2.5}])
     assert payload == b"a,b\n1,\nx,2.5\n"
+
+
+@pytest.mark.parametrize("rows,error,message", [
+    ([], UnsupportedFormat, "a CSV report needs at least one row"),
+    ([{"a": 1}, {"a": 2, "b": 3}], UnsupportedFormat,
+     "CSV row 1 has keys ['a', 'b'], not the header ['a']"),
+    ([{"a": 1, "b": 2}, {"b": 3}], UnsupportedFormat,
+     "CSV row 1 has keys ['b'], not the header ['a', 'b']"),
+    ([{"a": math.nan}], ValueError, "CSV cells must be finite, got nan"),
+    ([{"a": 1.0}, {"a": -math.inf}], ValueError,
+     "CSV cells must be finite, got -inf"),
+])
+def test_emit_csv_refuses_what_is_not_one_table(rows, error, message):
+    with pytest.raises(error) as exc:
+        emit_csv(rows)
+    assert str(exc.value) == message

@@ -91,6 +91,17 @@ def test_a_long_network_id_in_an_oi_refusal_is_shown_by_its_head_and_length():
         assert "x" * 59 + "... (1000002 characters)" in message
 
 
+def test_an_unknown_oi_kind_is_refused_as_the_argument():
+    profile = network_by_id("alexnet")
+    for call, ctx in ((lambda: network_oi(profile, "bogus"), "network OI"),
+                      (lambda: layer_points(profile, A15, "bogus"),
+                       "layer points")):
+        with pytest.raises(MalformedDocument) as exc:
+            call()
+        assert str(exc.value) == (
+            f"{ctx}: kind must be one of theoretical, empirical, got 'bogus'")
+
+
 def test_empirical_at_least_theoretical_for_traced_layers():
     profile = attach_trace(network_by_id("alexnet"), builtin_trace())
     for lyr in profile.layers:

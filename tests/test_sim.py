@@ -2,7 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -20,7 +20,8 @@ from socperf import (
     platform_by_id,
     simulate,
 )
-from socperf.sim import _MAX_FRAMES, _MAX_JITTER_CV, ReorderBuffer, _lognormal
+from socperf.sim import (_MAX_FRAMES, _MAX_JITTER_CV, EventLog, ReorderBuffer,
+                         _lognormal)
 
 EXYNOS = platform_by_id("exynos5422")
 KIRIN = platform_by_id("kirin970")
@@ -557,6 +558,47 @@ def test_recorded_run_with_300_components():
     assert logged(result.events) == oracle_events(log)
     releases = [e.frame for e in result.events if e.kind == "release"]
     assert releases == list(range(1000))
+
+
+@pytest.mark.parametrize("jitter_cv", [0.0, 0.3])
+@pytest.mark.parametrize("platform_id", ["exynos5422", "kirin970"])
+def test_frame_log_columns_restate_the_result(platform_id, jitter_cv):
+    platform = platform_by_id(platform_id)
+    engaged = tuple(c.id for c in platform.components
+                    if ALEXNET.supports(c.id))
+    scenario = Scenario(platform_id, "alexnet", engaged, 3000,
+                        jitter_seed=3, jitter_cv=jitter_cv)
+    result = simulate(scenario, platform, ALEXNET, record_events=True)
+    log = result.events
+    assert [f.name for f in fields(EventLog)] == ["ids", "ranks", "times"]
+    assert log.ids == tuple(sorted(engaged))
+    assert len(log.ranks) == len(log.times) == 3000
+    # Frame f ran on ids[ranks[f]] and completed at times[f]; a component
+    # runs back to back from time 0, so its busy time is its last one.
+    frames = dict.fromkeys(log.ids, 0)
+    last = dict.fromkeys(log.ids, 0.0)
+    for rank, time in zip(log.ranks, log.times):
+        cid = log.ids[rank]
+        frames[cid] += 1
+        last[cid] = max(last[cid], time)
+    assert frames == result.frames_per_component
+    assert last == result.busy_time_s
+    assert max(log.times) == result.makespan_s
+    assert simulate(scenario, platform, ALEXNET,
+                    record_events=True).events == log
+    slower = replace(scenario, dispatch_overhead_s=1e-3)
+    assert simulate(slower, platform, ALEXNET,
+                    record_events=True).events != log
+    assert log.__eq__(tuple(log)) is NotImplemented
+    for name in ("ids", "ranks", "times"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(log, name, getattr(log, name))
+
+
+def test_recorded_result_repr_stays_short():
+    result = simulate(Scenario("kirin970", "alexnet", ("a53", "npu"), 10 ** 6),
+                      KIRIN, ALEXNET, record_events=True)
+    assert len(repr(result)) < 1024
 
 
 def test_engaged_component_not_on_the_platform_rejected():
