@@ -43,11 +43,11 @@ EXIT_USAGE = 2
 
 def _parse_id_values(text: Optional[str], flag: str,
                      form: str) -> dict[str, float]:
-    """Parse a flag value of comma-separated entries of the given form."""
+    """Parse a flag value of comma-separated entries of the given form; an
+    empty entry, as in "", "," or a trailing comma, is refused like any
+    malformed one."""
     values: dict[str, float] = {}
-    for item in (text or "").split(","):
-        if not item:
-            continue
+    for item in () if text is None else text.split(","):
         name, _, value = item.partition("=")
         name = name.strip()
         if name in values:

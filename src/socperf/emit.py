@@ -3,8 +3,10 @@
 Identical payloads produce byte-identical output: field order is fixed,
 floats are printed at 4 significant digits, and the SVG is assembled from
 plain strings with no timestamps or generated ids, its text escaped. JSON
-is written in one pass, in the layout of json.dumps(indent=2). A CSV
-report is a list of dict rows that share one set of keys, the header.
+is written in one pass, in the layout of json.dumps(indent=2); a float is
+written as its f"{v:.4g}" text when that text is fixed-point (it has a "."
+and no "e"), and otherwise as the repr of the float that text parses to.
+A CSV report is a list of dict rows that share one set of keys, the header.
 """
 
 import json
@@ -20,22 +22,35 @@ _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def sig4(value) -> str:
-    """Cell text: "" for None, a str as is, a float to 4 significant digits.
-    A NaN or infinite value raises ValueError, as in emit_json."""
+    """Cell text: "" for None, a float to 4 significant digits, a str or an
+    int as is. A NaN or infinite value raises ValueError, as in emit_json."""
     if value is None:
         return ""
-    if isinstance(value, (int, str)):
-        return str(value)
-    if math.isfinite(value):
-        return f"{value:.4g}"
-    raise ValueError(f"CSV cells must be finite, got {value!r}")
+    if isinstance(value, float) or not isinstance(value, (int, str)):
+        if math.isfinite(value):
+            return f"{value:.4g}"
+        raise ValueError(f"CSV cells must be finite, got {value!r}")
+    return str(value)
+
+
+def _float(value: float) -> str:
+    """value rounded to 4 significant digits, as JSON text. A fixed-point
+    text is a decimal of at most 4 significant digits whose magnitude is in
+    [1e-4, 1e4), which is already the repr of the float it parses to."""
+    text = f"{value:.4g}"
+    if "." in text and "e" not in text:
+        return text
+    if math.isfinite(value := float(text)):
+        return repr(value)
+    raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
 
 
 _QUOTE = json.encoder.encode_basestring_ascii
 _STRICT = json.JSONEncoder(allow_nan=False).encode
 _NAMED = {True: "true", False: "false", None: "null"}.__getitem__
-# JSON text of a value of each exact scalar type, written at C level.
-_SCALARS = {str: _QUOTE, int: int.__repr__, bool: _NAMED, type(None): _NAMED}
+# JSON text of a value of each exact scalar type.
+_SCALARS = {str: _QUOTE, int: int.__repr__, float: _float, bool: _NAMED,
+            type(None): _NAMED}
 
 
 def _json(value, pad: str) -> str:
@@ -45,16 +60,18 @@ def _json(value, pad: str) -> str:
     if scalar is not None:
         return scalar(value)
     if isinstance(value, float):
-        if math.isfinite(value := float(f"{value:.4g}")):
-            return repr(value)
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return _float(value)
     inner = pad + "  "
+    get = _SCALARS.get
     if isinstance(value, dict) and value:
-        return "{\n" + ",\n".join(
+        return "{\n" + ",\n".join([
             f"{inner}{_QUOTE(k) if type(k) is str else _STRICT({k: 0})[1:-4]}: "
-            f"{_json(v, inner)}" for k, v in value.items()) + f"\n{pad}}}"
+            f"{write(v) if (write := get(type(v))) else _json(v, inner)}"
+            for k, v in value.items()]) + f"\n{pad}}}"
     if isinstance(value, (list, tuple)) and value:
-        return "[\n" + ",\n".join(inner + _json(v, inner) for v in value) + f"\n{pad}]"
+        return "[\n" + ",\n".join([
+            inner + (write(v) if (write := get(type(v))) else _json(v, inner))
+            for v in value]) + f"\n{pad}]"
     # An empty container or a subclass of str or int; any other type raises TypeError.
     return _STRICT(value)
 
@@ -77,7 +94,7 @@ def emit_csv(rows: Sequence[dict]) -> bytes:
             raise UnsupportedFormat(
                 f"CSV row {i} has keys {shown(list(row))}, not the header "
                 f"{shown(list(header))}")
-        lines.append(",".join(sig4(row[key]) for key in header))
+        lines.append(",".join([sig4(row[key]) for key in header]))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -553,6 +553,31 @@ def test_calibrate_refuses_target_that_is_not_finite_and_positive(
       "--components", "a7,a15,t628", "--frames", "400",
       "--target-composition", "a7=0.5"],
      "socperf: --target-composition needs --target-throughput\n"),
+    (["calibrate", "--platform", "kirin970", "--network", "alexnet",
+      "--components", "a73,g72", "--target-throughput", "20",
+      "--target-composition", ","],
+     "socperf: --target-composition entries look like id=fraction, got ''\n"),
+    (["calibrate", "--platform", "kirin970", "--network", "alexnet",
+      "--components", "a73,g72", "--target-throughput", "20",
+      "--target-composition", ""],
+     "socperf: --target-composition entries look like id=fraction, got ''\n"),
+    (["calibrate", "--platform", "kirin970", "--network", "alexnet",
+      "--components", "a73,g72", "--target-throughput", "20",
+      "--target-composition", "a73=0.25,,g72=0.75"],
+     "socperf: --target-composition entries look like id=fraction, got ''\n"),
+    (["calibrate", "--platform", "kirin970", "--network", "alexnet",
+      "--components", "a73,g72", "--target-throughput", "20",
+      "--target-composition", "a73=0.25,g72=0.75,"],
+     "socperf: --target-composition entries look like id=fraction, got ''\n"),
+    (["simulate", "--platform", "kirin970", "--network", "alexnet",
+      "--components", "a53,npu", "--contention", "a53=0.5,"],
+     "socperf: --contention entries look like id=factor, got ''\n"),
+    (["simulate", "--platform", "kirin970", "--network", "alexnet",
+      "--components", "a53,npu", "--contention", ","],
+     "socperf: --contention entries look like id=factor, got ''\n"),
+    (["simulate", "--platform", "kirin970", "--network", "alexnet",
+      "--components", "a53,npu", "--contention", ""],
+     "socperf: --contention entries look like id=factor, got ''\n"),
 ])
 def test_malformed_entry_names_its_flag(tmp_path, capsys, args, message):
     assert main(args + ["--out", str(tmp_path / "x.json")]) == 1
@@ -819,6 +844,31 @@ def test_emit_json_matches_json_dumps_on_a_seeded_corpus():
     for _ in range(300):
         value = random_json_value(rng, 5)
         assert emit_json(value) == reference_json(value)
+
+
+def test_emit_json_writes_every_float_as_json_dumps_of_the_rounded_float():
+    """A float whose 4-significant-digit text is fixed-point is written as
+    that text, any other as the repr of the rounded float: both must equal
+    reference_json, bare and inside a dict and a list."""
+    edges = [9.9995e-05, 1e-4, 9999.4, 9999.5, 1e4, 1234.0, 5.0, 0.0, -0.0,
+             5e-324, 1e16, 1e300]
+    rng = random.Random(20)
+    # About 48 floats of either sign in each of the 2,098 binades, the 52
+    # subnormal ones included.
+    seeded = [math.ldexp(rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 2.0), exp)
+              for exp in range(-1074, 1024) for _ in range(48)]
+    values = edges + seeded
+    for value in edges + seeded[::8]:  # six a binade: json.dumps is slow bare
+        assert emit_json(value) == reference_json(value)
+    assert emit_json(values) == reference_json(values)
+    mapping = {f"k{i}": value for i, value in enumerate(values)}
+    assert emit_json(mapping) == reference_json(mapping)
+    # Every text of at most 4 significant digits in [1e-4, 1e4), either sign.
+    decimals = [sign * float(f"{digits}e{exp}") for sign in (1.0, -1.0)
+                for digits in range(1000, 10000) for exp in range(-7, 1)]
+    assert emit_json(decimals) == reference_json(decimals)
+    subclassed = [type("Sub", (float,), {})(value) for value in edges]
+    assert emit_json(subclassed) == reference_json(subclassed)
 
 
 @pytest.mark.parametrize("depth", range(5))

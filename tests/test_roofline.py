@@ -165,6 +165,21 @@ def test_series_has_exact_knee():
         expected = min(57.6, oi * 6.15)
         assert row["roofline_gops"] == pytest.approx(expected)
         assert row["bound"] == ("memory" if oi < T628.ridge_oi else "compute")
+    # Every grid row is attainable and classify bit for bit, the ridge and
+    # its two float neighbours included.
+    for model in (T628, A15, A7, RooflineModel("x", 3.0, 10.0)):
+        ridge = model.ridge_oi
+        below, above = math.nextafter(ridge, 0.0), math.nextafter(ridge, math.inf)
+        grid = sorted({*log_spaced(0.01, 1000.0, 61), below, ridge, above})
+        rows = roofline_series(model, [], grid)
+        assert [row["oi_flops_per_byte"] for row in rows] == grid
+        for row in rows:
+            oi = row["oi_flops_per_byte"]
+            assert row["roofline_gops"].hex() == attainable(model, oi).hex()
+            assert row["bound"] == classify(model, oi)
+        at = grid.index(ridge)
+        assert [row["bound"] for row in rows[at - 1:at + 2]] == [
+            "memory", "compute", "compute"]
 
 
 def test_series_point_passthrough_and_errors():
