@@ -15,10 +15,11 @@ One objective scores all three: the worst normalized error of the
 throughput and of each targeted share. Calibration never jitters, and
 without jitter _simulated computes the throughput and shares of a run
 exactly, bit for bit, from each component's running sum of its service
-time and the completion at which the last frame is claimed, in memory
-that does not grow with N. So every candidate is scored without
-simulating it; simulate runs only where the polish starts and, if the
-polish moved x, where it ends. The fit returns the Scenario it simulated
+time and the completion at which the last frame is claimed
+(sim._last_claim, which plain simulate runs use too), in memory that
+does not grow with N. So every candidate is scored without simulating
+it; simulate runs only where the polish starts and, if the polish moved
+x, where it ends. The fit returns the Scenario it simulated
 last, which holds the fitted overhead and CPU factors, with that
 simulation and the residuals.
 
@@ -40,14 +41,13 @@ minimax form centers it.
 
 import math
 from dataclasses import dataclass, replace
-from heapq import heapify, heapreplace
-from itertools import accumulate, islice, repeat
 from typing import Optional
 
 from .errors import InfeasibleTarget
 from .profiles import (NetworkProfile, Platform, ids, keys, number, obj, one_of,
                        shown)
-from .sim import Scenario, SimResult, effective_rates, simulate
+from .sim import (Scenario, SimResult, _last_claim, effective_rates,
+                  simulate)
 
 THROUGHPUT_SCALE = 0.02   # one residual unit = 2% relative throughput error
 COMPOSITION_SCALE = 0.03  # one residual unit = 3 points of frame share
@@ -133,48 +133,9 @@ def _simulated(rates: dict[str, float], x: list[float],
         ran = [1] * frames + [0] * (k - frames)
         makespan = max(service[:frames])
     else:
-        ran, makespan = _last_claim(service, frames - k)
+        ran, busy = _last_claim(service, frames - k)
+        makespan = max(busy)
     return frames / makespan, {cid: n / frames for cid, n in zip(order, ran)}
-
-
-def _last_claim(service: list[float], claims: int) -> tuple[list[int], float]:
-    """The frames each rank runs and the makespan when the last frame is
-    claimed at completion number claims.
-
-    Up to a time t, between t*sum(1/s_r) - k and t*sum(1/s_r) completions
-    happen, up to rounding. The completions up to start = (claims - pad) /
-    sum(1/s_r), pad > k, come first in (time, rank) order and number fewer
-    than claims, so the walk counts them and merges forward from there.
-    Each rank keeps only a window of its sums around start; if start
-    overshoots or the count or the walk leaves a window, pad grows and the
-    walk starts over.
-    """
-    rate_sum = sum(1.0 / s for s in service)
-    pad = len(service) + 4
-    while True:
-        start = max(0, claims - pad) / rate_sum
-        low = [max(0, int(start / s) - pad) for s in service]
-        # sums[r][i]: when rank r completes its (low[r] + i + 1)-th frame.
-        sums = [list(islice(accumulate(repeat(s)), lo, lo + 3 * pad))
-                for s, lo in zip(service, low)]
-        done = [sum(t <= start for t in grid) for grid in sums]
-        todo = claims - sum(low) - sum(done)
-        # Each count must end inside its window: past its first sum, unless
-        # that is the first frame, and short of its last.
-        if todo >= 0 and all((n > 0 or lo == 0) and n < len(grid)
-                             for n, lo, grid in zip(done, low, sums)):
-            heap = [(grid[n], r)
-                    for r, (n, grid) in enumerate(zip(done, sums))]
-            heapify(heap)
-            for _ in range(todo):
-                r = heap[0][1]
-                done[r] += 1
-                if done[r] == len(sums[r]):
-                    break
-                heapreplace(heap, (sums[r][done[r]], r))
-            else:
-                return [lo + n + 1 for lo, n in zip(low, done)], max(heap)[0]
-        pad *= 4
 
 
 def calibrate(platform: Platform, network: NetworkProfile, observed: dict,

@@ -1,4 +1,3 @@
-import heapq
 import json
 import random
 import sys
@@ -222,10 +221,27 @@ def test_calibrate_refuses_malformed_input(observed, engaged, message):
     assert str(exc.value) == message
 
 
+def test_fit_whose_run_overflows_the_float_range_is_refused():
+    # At 1e-306 imgs/s, 10^4 frames take some 10^310 s: the running sums
+    # pass the float range, as the jitter-free run of the same scenario does.
+    platform = synthetic_platform([(1.0, 1.0)] * 2)
+    network = synthetic_network([1.1e-306, 3.1e-306])
+    message = "scenario result: makespan_s must be finite and > 0, got inf"
+    with pytest.raises(MalformedDocument) as exc:
+        calibrate(platform, network, {"throughput": 1e-306}, ("c0", "c1"))
+    assert str(exc.value) == message
+    with pytest.raises(MalformedDocument) as exc:
+        simulate(Scenario(platform.id, network.id, ("c0", "c1"), 10000),
+                 platform, network)
+    assert str(exc.value) == message
+
+
 def record_fits(monkeypatch, fits):
     """Run calibrate on each (observation, target scale, frames) and return
     the number of simulate calls of each fit and, for every x that
-    _simulated scored, its result and the jitter-free run of x."""
+    _simulated scored, its result and the jitter-free run of x. The run
+    records its events, so it comes from the heap loop and not from the
+    running sums that _simulated shares with a plain run."""
     sims, scored = [], []
     simulate, simulated = CALIBRATE.simulate, CALIBRATE._simulated
 
@@ -252,7 +268,7 @@ def record_fits(monkeypatch, fits):
         for got, factors, overhead, n in scored:
             pairs.append((got, simulate(
                 Scenario(platform.id, network.id, obs.engaged, n, overhead,
-                         factors), platform, network)))
+                         factors), platform, network, record_events=True)))
         scored.clear()
     return sims, pairs
 
@@ -289,7 +305,7 @@ def test_simulated_equals_simulate_on_every_scored_candidate(
 def test_simulated_equals_simulate_on_ties_and_short_runs(rates):
     # Equal and 2:1 rates complete frames at the same times, so ties pop in
     # id order; N <= k leaves components without a frame, and 1e-3 against
-    # 40 leaves the slow one a single frame.
+    # 40 leaves the slow one a single frame. The recorded run is the heap's.
     k = len(rates)
     engaged = tuple(f"c{i}" for i in reversed(range(k)))
     platform = synthetic_platform([(1.0, 1.0)] * k)
@@ -304,7 +320,7 @@ def test_simulated_equals_simulate_on_ties_and_short_runs(rates):
                 contention = dict(zip(engaged, factors))
                 run = simulate(Scenario(platform.id, network.id, engaged,
                                         frames, overhead, contention),
-                               platform, network)
+                               platform, network, record_events=True)
                 assert CALIBRATE._simulated(rates_by_id, x, frames) == (
                     run.throughput, run.composition)
 
@@ -318,29 +334,6 @@ def test_simulated_keeps_no_per_frame_state():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-
-
-def last_claim_oracle(service, claims):
-    """The frames each rank runs and the makespan, from a walk over every
-    completion in (time, rank) order on the running sums."""
-    heap = [(s, r) for r, s in enumerate(service)]
-    heapq.heapify(heap)
-    done = [0] * len(service)
-    for _ in range(claims):
-        time, r = heapq.heappop(heap)
-        done[r] += 1
-        heapq.heappush(heap, (time + service[r], r))
-    return [n + 1 for n in done], max(heap)[0]
-
-
-@pytest.mark.parametrize("service,claims", [
-    # Reciprocals that sum past the float range put the first start at 0,
-    # so the walk leaves its windows and widens them, once and three times.
-    ([1e-308, 1e-308], 100), ([5e-309, 1e-300, 3e-308], 1000),
-    ([1.0, 2.0], 10 ** 5)], ids=repr)
-def test_last_claim_equals_a_heap_walk(service, claims):
-    assert (CALIBRATE._last_claim(service, claims)
-            == last_claim_oracle(service, claims))
 
 
 # The fit recovery corpus. Each objective in CORPUS was recorded by

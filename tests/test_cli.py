@@ -500,6 +500,29 @@ def test_subnormal_document_values_exit_1_with_one_line(
     assert capsys.readouterr().err == f"socperf: {message}\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["calibrate", "--target-throughput", "1e-306"], ["simulate"]])
+def test_run_past_the_float_range_exits_1_with_one_line(
+        tmp_path, monkeypatch, capsys, command):
+    # Rates of about 1e-306 imgs/s put 10^4 frames past the float range.
+    data = resources.files("socperf") / "data"
+    for item in data.iterdir():
+        if item.name.endswith(".json"):
+            shutil.copy(str(item), tmp_path / item.name)
+    doc = json.loads((data / "alexnet.json").read_text())
+    throughput = doc["network"]["throughput"]
+    for cid in throughput:
+        throughput[cid] *= 1e-306
+    (tmp_path / "alexnet.json").write_text(json.dumps(doc))
+    monkeypatch.setenv("SOCPERF_DATA", str(tmp_path))
+    args = command[:1] + ["--platform", "exynos5422", "--network", "alexnet",
+                          "--components", "a7,a15"] + command[1:]
+    assert main(args + ["--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (
+        "socperf: scenario result: makespan_s must be finite and > 0, "
+        "got inf\n")
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--overhead", "nan"), ("--overhead", "inf"),
     ("--cv", "nan"), ("--cv", "inf"),

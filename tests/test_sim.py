@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 import random
@@ -20,8 +21,9 @@ from socperf import (
     platform_by_id,
     simulate,
 )
-from socperf.sim import (_MAX_FRAMES, _MAX_JITTER_CV, EventLog, ReorderBuffer,
-                         _lognormal)
+import socperf.sim as SIM
+from socperf.sim import (_MAX_FRAMES, _MAX_JITTER_CV, _SUMS_MIN_FRAMES,
+                         EventLog, ReorderBuffer, _last_claim, _lognormal)
 
 EXYNOS = platform_by_id("exynos5422")
 KIRIN = platform_by_id("kirin970")
@@ -599,6 +601,166 @@ def test_recorded_result_repr_stays_short():
     result = simulate(Scenario("kirin970", "alexnet", ("a53", "npu"), 10 ** 6),
                       KIRIN, ALEXNET, record_events=True)
     assert len(repr(result)) < 1024
+
+
+# -- the running sums of a plain run ------------------------------------------
+
+def last_claim_oracle(service, claims):
+    """The frames each rank runs and when it completes its last, from a
+    walk over every completion in (time, rank) order on the running sums."""
+    heap = [(s, r) for r, s in enumerate(service)]
+    heapq.heapify(heap)
+    done = [0] * len(service)
+    for _ in range(claims):
+        time, r = heapq.heappop(heap)
+        done[r] += 1
+        heapq.heappush(heap, (time + service[r], r))
+    return [n + 1 for n in done], [time for time, _ in sorted(
+        heap, key=lambda entry: entry[1])]
+
+
+@pytest.mark.parametrize("service,claims", [
+    # Reciprocals that sum past the float range, a 2:1 pair far out, ties
+    # within and across ranks, and service times one ulp apart.
+    ([1e-308, 1e-308], 100), ([5e-309, 1e-300, 3e-308], 1000),
+    ([1.0, 2.0], 10 ** 5), ([0.5, 0.25, 0.5], 999),
+    ([1.0, math.nextafter(1.0, 2.0)], 5000)], ids=repr)
+def test_last_claim_equals_a_heap_walk(service, claims):
+    assert _last_claim(service, claims) == last_claim_oracle(service, claims)
+
+
+def outcome(scenario, platform, network, record_events):
+    """The run without its frame log, or the refusal's text."""
+    try:
+        return replace(simulate(scenario, platform, network, record_events),
+                       events=None)
+    except MalformedDocument as exc:
+        return str(exc)
+
+
+def sums_families():
+    """(name, scenario, platform, network) of seeded jitter-free runs."""
+    platforms, networks = builtin_dataset()
+    for platform in platforms:
+        for network in networks:
+            usable = [c.id for c in platform.components
+                      if network.supports(c.id)]
+            for engaged in (e for k in range(1, len(usable) + 1)
+                            for e in itertools.combinations(usable, k)):
+                yield ("bundled", Scenario(platform.id, network.id, engaged,
+                                           2000, 1e-3), platform, network)
+    rng = random.Random(22)
+    cases = [("random", [rng.uniform(0.3, 60.0) for _ in range(k)],
+              rng.choice([0.0, 1e-3, rng.uniform(0.0, 0.25)]))
+             for k in range(1, 9) for _ in range(6)]
+    for k in range(1, 9):
+        rate = rng.uniform(0.3, 60.0)
+        cases.append(("identical", [rate] * k, 0.0))
+        cases.append(("1e-9 apart", [rate * (1 + i * 1e-9) for i in range(k)],
+                      1e-3))
+        ulps = [1 / rate]
+        for _ in range(k - 1):
+            ulps.append(math.nextafter(ulps[-1], 0.0))
+        cases.append(("1 ulp apart", [1 / s for s in ulps], 0.0))
+    cases.append(("32 identical", [3.0] * 32, 1e-3))
+    # Rates in small integer ratios complete frames at equal times, where
+    # a rank below another goes first, and repeat some rates exactly.
+    cases += [("exact ties", rates, 0.0) for rates in (
+        [6.0, 4.0, 1.0, 3.0], [2.0, 3.0, 1.0, 2.0, 6.0], [6.0, 1.0, 6.0, 1.0],
+        [6.0, 3.0, 3.0], [3.0, 0.5, 0.5, 3.0, 3.0], [9.0, 3.0, 3.0])]
+    # Subnormal service times, alone (throughput past the float range),
+    # beside a normal one and beside one so long that the slow rank's
+    # weight in the guessed run underflows; overheads that put the sums
+    # past the range, at 10^4 frames only in the last sum or long before
+    # the last claim.
+    cases += [("subnormal", [1.5e308, 1.2e308], 0.0),
+              ("subnormal", [1.5e308, 1.0], 0.0),
+              ("subnormal", [1.5e308, 1e-17], 0.0),
+              ("overflowing", [1.0], 1.798e304),
+              ("overflowing", [1.0], 1e306),
+              ("overflowing", [1.0, 2.0], 1e306),
+              ("overflowing", [2.0, 3.0, 5.0], 1e305)]
+    for name, rates, overhead in cases:
+        k = len(rates)
+        platform = synthetic_platform([(rate, 1.0) for rate in rates])
+        network = synthetic_network(rates)
+        ids = tuple(f"c{i}" for i in range(k))
+        for frames in sorted({k, k + 1, _SUMS_MIN_FRAMES - 1, _SUMS_MIN_FRAMES,
+                              10 ** 4}):
+            yield name, Scenario("synth", "synthnet", ids, frames, overhead), \
+                platform, network
+
+
+def test_plain_run_equals_the_heap_run_field_for_field():
+    # A recorded run always takes the heap loop; a plain one takes the
+    # running sums where it can, and must give the same result or refusal.
+    refused = 0
+    for name, scenario, platform, network in sums_families():
+        plain = outcome(scenario, platform, network, False)
+        assert plain == outcome(scenario, platform, network, True), (
+            name, scenario)
+        refused += isinstance(plain, str)
+    assert refused == 13
+
+
+def test_run_past_the_float_range_is_refused_before_its_sums_grow():
+    # 10^5 frames of 1e306 s each: the sums leave the float range long
+    # before the last claim, and no window of them is kept.
+    platform = synthetic_platform([(1.0, 1.0)])
+    network = synthetic_network([1.0])
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedDocument,
+                           match="makespan_s must be finite and > 0, got inf"):
+            simulate(Scenario("synth", "synthnet", ("c0",), 10 ** 5, 1e306),
+                     platform, network)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def recorded_paths(monkeypatch):
+    """What each _high_water call returned; a run took the heap loop
+    unless the last call returned a high water."""
+    calls, high_water = [], SIM._high_water
+
+    def recording(*args, **kwargs):
+        calls.append(high_water(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(SIM, "_high_water", recording)
+    return calls
+
+
+@pytest.mark.parametrize("rates,frames,sums", [
+    ("kirin970", 10 ** 4, True),
+    ("kirin970", 240, False),
+    # Rates 1e-9 apart, falling in id order: the slowest rank is the last,
+    # its first completion has c - f = 1, below every other rank's bound,
+    # and walking them all would cost more than the heap loop. Rising, the
+    # slowest rank is the first, its first completion has c - f = 8, which
+    # meets every bound, and no rank is walked.
+    ([3.0 * (1 - i * 1e-9) for i in range(8)], 10 ** 4, False),
+    ([3.0 * (1 + i * 1e-9) for i in range(8)], 10 ** 4, True),
+], ids=["kirin970_at_1e4", "kirin970_at_240", "near_equal_x8_falling",
+        "near_equal_x8_rising"])
+def test_each_family_takes_its_path(monkeypatch, rates, frames, sums):
+    if rates == "kirin970":
+        run = (Scenario("kirin970", "alexnet", ("a53", "a73", "g72", "npu"),
+                        frames), KIRIN, ALEXNET)
+    else:
+        ids = tuple(f"c{i}" for i in range(len(rates)))
+        run = (Scenario("synth", "synthnet", ids, frames),
+               synthetic_platform([(rate, 1.0) for rate in rates]),
+               synthetic_network(rates))
+    calls = recorded_paths(monkeypatch)
+    result = simulate(*run)
+    assert (bool(calls) and calls[-1] is not None) == sums
+    assert result.reorder_high_water == simulate(
+        *run, record_events=True).reorder_high_water
+    if sums:
+        assert calls[-1] == result.reorder_high_water
 
 
 def test_engaged_component_not_on_the_platform_rejected():
