@@ -44,8 +44,6 @@ from .profiles import (
     load_network_profile,
     load_platform,
     load_trace,
-    serialize_network,
-    serialize_platform,
 )
 from .roofline import (
     RooflineModel,

@@ -508,34 +508,6 @@ def load_trace(doc) -> CounterTrace:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (inverse of the loaders; load(serialize(x)) == x). The key
-# tables above list each document's keys; the writers rebuild only the
-# nested lists and the "unsupported" throughput entries.
-# ---------------------------------------------------------------------------
-
-def _document(instance, table: dict) -> dict:
-    """instance's value of each key of a document table, in its order, less
-    those equal to the key's default (as is a key it lacks, like cores)."""
-    return {key: value for key, default in table.items()
-            if (value := getattr(instance, key, default)) != default}
-
-
-def serialize_platform(platform: Platform) -> dict:
-    body = _document(platform, _PLATFORM_DOC)
-    body["components"] = [_document(comp, _COMPONENT_DOC)
-                          for comp in platform.components]
-    return {"platform": body}
-
-
-def serialize_network(profile: NetworkProfile) -> dict:
-    body = _document(profile, _NETWORK_DOC)
-    body["layers"] = [_document(layer, _LAYER_DOC) for layer in profile.layers]
-    body["throughput"] = {cid: UNSUPPORTED if rate is None else rate
-                          for cid, rate in profile.throughput.items()}
-    return {"network": body}
-
-
-# ---------------------------------------------------------------------------
 # Trace attachment
 # ---------------------------------------------------------------------------
 

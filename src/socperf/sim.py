@@ -22,7 +22,8 @@ and at least _SUMS_MIN_FRAMES) skips the event loop: its frame counts,
 busy times and makespan follow from each component's running sums
 (_last_claim), and its reorder high water from a walk of the components
 that can set it (_high_water), bit for bit. The event loop runs every
-other run, and a plain one whose walk would cost more than the loop.
+other run, and a plain one whose walk, planned on frame counts guessed
+from the rates, would cost more than the loop.
 
 The event loop is single threaded; identical scenarios yield bit-identical
 results. Independent scenarios can safely run concurrently since nothing
@@ -58,7 +59,8 @@ _MAX_FRAMES = 10 ** 7
 # frames the sums and the event loop cost about the same, and at 1,000 the
 # sums cost about half. Past this many walk steps per frame for the high
 # water the event loop runs instead; a step is one float addition, and a
-# rank visit counts as four.
+# rank visit counts as four. The budget is applied once, to the run
+# guessed from the rates, and the real run is then walked in full.
 _SUMS_MIN_FRAMES = 1000
 _WALK_STEPS_PER_FRAME = 4
 
@@ -293,62 +295,61 @@ def _last_claim(service: list[float],
     in the jitter-free run whose last frame is claimed at completion
     number claims.
 
-    Rank r completes its j-th frame at the j-fold float sum of its service
-    time s_r, whatever the others do, and completions pop in (time, rank)
-    order. Up to a time t, between t*sum(1/s_r) - k and t*sum(1/s_r)
-    completions happen, up to rounding. The completions up to start =
-    (claims - pad) / sum(1/s_r), pad > k, come first in (time, rank) order
-    and number fewer than claims, so the walk counts them and merges
-    forward from there. Each rank keeps only a window of its sums around
-    start; if start overshoots or the count or the walk leaves a window,
-    pad grows and the walk starts over. A start past the float range is
-    refused as the makespan, which passes it too: the N completions by the
-    makespan M number at most M*sum(1/s_r)/(1 - N*eps), so M is above
-    start by a factor of at least (1 + (pad + k)/N)(1 - N*eps) > 1 + 5e-7
-    at N <= 10^7.
+    Rank r completes its j-th frame at S_r(j), the j-fold float sum of its
+    service time s_r, whatever the others do, and completions pop in
+    (time, rank) order. The completions up to start = max(0, claims -
+    pad) / sum(1/s_r), pad = k + 4, come first in that order; the walk
+    counts them and merges forward from there. Rank r keeps only the
+    4*pad sums after its first low_r = max(0, int(start/s_r) - pad).
+
+    Why those sums are enough, for claims < N <= _MAX_FRAMES and each s_r
+    at least 2^-1024, as the reciprocal of a finite rate is. An addition
+    rounds by at most 2^-53 of its result, so |S_r(j) - j*s_r| <= j^2 *
+    s_r * 2^-53 < s_r/64 for j <= N + 1; start/s_r is below claims, so
+    c_r, the count of S_r(j) <= start, is within 1 of floor(start/s_r)
+    and within 2 of int(start/s_r). Then 0 <= c_r - low_r <= pad + 2:
+    every sum up to start lies in the window. The c_r add up to at most
+    start*sum(1/s_r) + k and at least that less 2k, and the roundings of
+    start and of the rate sum move start*sum(1/s_r) off claims - pad by
+    under 0.02, so the merge pops todo more sums, 0 <= todo <= pad + 2k
+    (at start = 0, todo = claims <= pad).
+    Each rank's last completion is its next sum after the merge, at most
+    (pad + 2) + todo + 1 <= 4*pad sums into its window.
+
+    A start past the float range is refused as the makespan, which passes
+    it too: the N completions by the makespan M number at most
+    M*sum(1/s_r)/(1 - N*eps), so M is above start by a factor of at least
+    (1 + (pad + k)/N)(1 - N*eps) > 1 + 5e-7 at N <= 10^7.
     """
     scale = min(service)  # sum(scale / s) lies in [1, k], so it is finite
     rate_sum = sum(scale / s for s in service)
     pad = len(service) + 4
-    while True:
-        start = max(0, claims - pad) / rate_sum * scale
-        if start == math.inf:
-            number(start, "makespan_s", "scenario result")
-        low = [max(0, int(start / s) - pad) for s in service]
-        # sums[r][i]: when rank r completes its (low[r] + i + 1)-th frame.
-        sums = [list(islice(accumulate(repeat(s)), lo, lo + 3 * pad))
-                for s, lo in zip(service, low)]
-        done = [sum(t <= start for t in grid) for grid in sums]
-        todo = claims - sum(low) - sum(done)
-        # Each count must end inside its window: past its first sum, unless
-        # that is the first frame, and short of its last.
-        if todo >= 0 and all((n > 0 or lo == 0) and n < len(grid)
-                             for n, lo, grid in zip(done, low, sums)):
-            heap = [(grid[n], r)
-                    for r, (n, grid) in enumerate(zip(done, sums))]
-            heapq.heapify(heap)
-            for _ in range(todo):
-                r = heap[0][1]
-                done[r] += 1
-                if done[r] == len(sums[r]):
-                    break
-                heapq.heapreplace(heap, (sums[r][done[r]], r))
-            else:
-                return ([lo + n + 1 for lo, n in zip(low, done)],
-                        [grid[n] for n, grid in zip(done, sums)])
-        pad *= 4
+    start = max(0, claims - pad) / rate_sum * scale
+    if start == math.inf:
+        number(start, "makespan_s", "scenario result")
+    low = [max(0, int(start / s) - pad) for s in service]
+    # sums[r][i]: when rank r completes its (low[r] + i + 1)-th frame.
+    sums = [list(islice(accumulate(repeat(s)), lo, lo + 4 * pad))
+            for s, lo in zip(service, low)]
+    done = [sum(t <= start for t in grid) for grid in sums]
+    heap = [(grid[n], r) for r, (n, grid) in enumerate(zip(done, sums))]
+    heapq.heapify(heap)
+    for _ in range(claims - sum(low) - sum(done)):
+        r = heap[0][1]
+        done[r] += 1
+        heapq.heapreplace(heap, (sums[r][done[r]], r))
+    return ([lo + n + 1 for lo, n in zip(low, done)],
+            [grid[n] for n, grid in zip(done, sums)])
 
 
 def _walk_plan(service: list[float], ran: list[int], busy: list[float]
-               ) -> Optional[tuple[int, list[tuple[int, int]]]]:
-    """The largest c - f found without a walk, and the ranks whose bound
-    beats it, slowest first, each with its bound, in the jitter-free run in
-    which rank r runs ran[r] frames, the last completing at busy[r]; or
-    None if walking them would take more than _WALK_STEPS_PER_FRAME steps
-    per frame. Walking rank r takes up to N additions and ran[r] rounds of
-    k - 1 rank visits, a visit costing about four additions. simulate asks
-    this first of a run guessed from the rates, so an over-budget run goes
-    to the event loop before any sums are taken.
+               ) -> tuple[int, list[tuple[int, int]], int]:
+    """The largest c - f found without a walk, the ranks whose bound beats
+    it, slowest first, each with its bound, and the steps a walk of them
+    takes, in the jitter-free run in which rank r runs ran[r] frames, the
+    last completing at busy[r]. The bounds take k*k steps; walking rank r
+    takes up to N additions and ran[r] rounds of k - 1 rank visits, a
+    visit costing about four additions.
 
     The bound. Every time is at most the makespan M, so each sum rounds
     by at most u/2, u = ulp(M): rank q's m-th completion is at least
@@ -380,19 +381,14 @@ def _walk_plan(service: list[float], ran: list[int], busy: list[float]
                 later += min(ran[q], most + 1)
         return max(first, later)
 
-    budget, steps = _WALK_STEPS_PER_FRAME * frames, k * k
-    if steps > budget:
-        return None
     slowest = sorted(range(k), key=service.__getitem__, reverse=True)
-    best, todo = _gaps(service, busy, slowest[0], 1), []
+    best, todo, steps = _gaps(service, busy, slowest[0], 1), [], k * k
     for r in slowest:
         most = bound(r)
         if most > best:
             steps += frames + 4 * k * ran[r]
-            if steps > budget:
-                return None
             todo.append((r, most))
-    return best, todo
+    return best, todo, steps
 
 
 def _gaps(service: list[float], busy: list[float], r: int,
@@ -430,10 +426,9 @@ def _gaps(service: list[float], busy: list[float], r: int,
 
 
 def _high_water(service: list[float], ran: list[int],
-                busy: list[float]) -> Optional[int]:
+                busy: list[float]) -> int:
     """The reorder high water of the jitter-free run in which rank r runs
-    ran[r] frames, the last completing at busy[r]; or None, and the event
-    loop runs, if _walk_plan finds the walk too long.
+    ran[r] frames, the last completing at busy[r].
 
     The high water is the largest c - f over all completions (see
     simulate). Rank r's first completion completes frame r; its j-th,
@@ -441,12 +436,9 @@ def _high_water(service: list[float], ran: list[int],
     frame c' + k - 1, so c - f is the gap c - c' less k - 1. A gap is 1
     plus the other ranks' completions in between. After the first
     completion of the slowest rank, only ranks whose bound beats the best
-    so far are walked.
+    so far are walked (_walk_plan).
     """
-    plan = _walk_plan(service, ran, busy)
-    if plan is None:
-        return None
-    best, todo = plan
+    best, todo, _ = _walk_plan(service, ran, busy)
     for r, most in todo:
         if most > best:
             best = max(best, _gaps(service, busy, r, ran[r]))
@@ -495,24 +487,27 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
     # e <= f the lowest unreleased frame, leaves c - e >= c - f frames held,
     # equal when f is the head; occupancy only rises between head arrivals,
     # and the run ends on one.
-    high_water = None
-    if (not jitter and not record_events and len(order) < n_frames
-            and n_frames >= _SUMS_MIN_FRAMES):
-        # Frame counts guessed from the rates first skip the sums where
-        # the walk would not pay.
+    plain = (not jitter and not record_events and len(order) < n_frames
+             and n_frames >= _SUMS_MIN_FRAMES)
+    if plain:
+        # The walk budget is applied once, to frame counts guessed from the
+        # rates, so an over-budget run goes to the event loop before any
+        # sums are taken.
         least = min(service)
         weights = [least / s for s in service]
         total = sum(weights)  # in [1, k]
         # Every rank runs a frame, as n_frames > k: a weight can underflow.
         guess = [max(1, math.ceil(n_frames * w / total)) for w in weights]
-        if _walk_plan(service, guess,
-                      [n * s for n, s in zip(guess, service)]) is not None:
-            frames_done, busy = _last_claim(service, n_frames - len(order))
-            # Refused before the walk, whose ulp and end caps an infinite
-            # makespan leaves meaningless.
-            makespan = number(max(busy), "makespan_s", "scenario result")
-            high_water = _high_water(service, frames_done, busy)
-    if high_water is None:
+        steps = _walk_plan(service, guess,
+                           [n * s for n, s in zip(guess, service)])[2]
+        plain = steps <= _WALK_STEPS_PER_FRAME * n_frames
+    if plain:
+        frames_done, busy = _last_claim(service, n_frames - len(order))
+        # Refused before the walk, whose ulp and end caps an infinite
+        # makespan leaves meaningless.
+        makespan = number(max(busy), "makespan_s", "scenario result")
+        high_water = _high_water(service, frames_done, busy)
+    else:
         frames_done = [0] * len(order)
         busy = [0.0] * len(order)
         if record_events:

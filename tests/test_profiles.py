@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -27,9 +28,6 @@ from socperf import (
     load_trace,
     network_by_id,
     platform_by_id,
-    quantize_profile,
-    serialize_network,
-    serialize_platform,
 )
 from socperf.profiles import number
 
@@ -292,8 +290,8 @@ def test_a_none_rate_is_a_known_component_that_cannot_run():
     trace = CounterTrace("npu", cache_line_bytes=1,
                          layers=(TraceRecord("l0", refill_lines=1),))
     assert attach_trace(profile, trace).layer("l0").dram_access_bytes == 1.0
-    assert serialize_network(profile)["network"]["throughput"] == {
-        "cpu0": 5.0, "npu": "unsupported"}
+    assert load_network_profile(network_with(
+        throughput={"cpu0": 5.0, "npu": "unsupported"})) == profile
 
 
 def test_network_layer_lookup_names_the_missing_layer():
@@ -370,48 +368,104 @@ def test_network_totals_are_layer_sums():
         l.mem_access_bytes for l in profile.layers)
 
 
-# -- round trips --------------------------------------------------------------
+# -- loaded objects against their documents ----------------------------------
 
-def test_platform_round_trip_bundled():
+def assert_fields(instance, want: dict):
+    """instance holds exactly want's fields, each equal to want's value,
+    numbers as floats."""
+    assert {f.name for f in fields(instance)} == set(want)
+    for name, value in want.items():
+        got = getattr(instance, name)
+        assert got == value, (name, got, value)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            assert type(got) is float, (name, got)
+
+
+def assert_platform_is_its_document(platform, doc):
+    body = doc["platform"]
+    assert_fields(platform, {
+        "id": body["id"],
+        "bus_peak_bandwidth_gbs": body["bus_peak_bandwidth_gbs"],
+        "components": platform.components,
+        "notes": body.get("notes", "")})
+    assert len(platform.components) == len(body["components"])
+    for comp, raw in zip(platform.components, body["components"]):
+        peak = raw.get("peak_compute_gops")
+        if peak is None:  # a CPU cluster: cores x GHz x 4 FP32 ops a cycle
+            peak = raw.get("cores", 4) * raw["frequency_ghz"] * 4
+        assert_fields(comp, {
+            "id": raw["id"], "kind": raw["kind"], "peak_compute_gops": peak,
+            **{key: raw[key] for key in ("sustainable_bandwidth_gbs",
+                                         "active_power_w", "frequency_ghz")},
+            "host_cluster": raw.get("host_cluster")})
+
+
+def assert_network_is_its_document(profile, doc):
+    body = doc["network"]
+    assert_fields(profile, {
+        "id": body["id"],
+        "layers": profile.layers,
+        "throughput": {cid: None if rate == "unsupported" else rate
+                       for cid, rate in body["throughput"].items()},
+        "op_scale": body.get("op_scale", 1.0),
+        "notes": body.get("notes", "")})
+    assert len(profile.layers) == len(body["layers"])
+    for layer, raw in zip(profile.layers, body["layers"]):
+        assert_fields(layer, {
+            **{key: raw[key]
+               for key in ("name", "kind", "gops", "mem_access_bytes")},
+            "dram_access_bytes": raw.get("dram_access_bytes")})
+
+
+def bundled_document(name):
+    with open(DATA / f"{name}.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_each_bundled_platform_is_its_document():
     for pid in ("exynos5422", "kirin970"):
-        platform = platform_by_id(pid)
-        assert load_platform(serialize_platform(platform)) == platform
+        doc = bundled_document(pid)
+        assert_platform_is_its_document(load_platform(doc), doc)
+        assert platform_by_id(pid) == load_platform(doc)
 
 
-def test_network_round_trip_bundled():
+def test_each_bundled_network_is_its_document():
     for nid in ("alexnet", "googlenet", "mobilenet", "resnet50", "squeezenet"):
-        profile = network_by_id(nid)
-        assert load_network_profile(serialize_network(profile)) == profile
-        assert "op_scale" not in serialize_network(profile)["network"]
-        for bits in (16, 8):
-            quantized = quantize_profile(profile, 32, bits)
-            assert quantized.quantized
-            assert load_network_profile(serialize_network(quantized)) == quantized
+        doc = bundled_document(nid)
+        assert_network_is_its_document(load_network_profile(doc), doc)
+        assert network_by_id(nid) == load_network_profile(doc)
 
 
-def test_serialize_network_writes_back_each_bundled_document():
-    for nid in ("alexnet", "googlenet", "mobilenet", "resnet50", "squeezenet"):
-        with open(DATA / f"{nid}.json", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        assert serialize_network(load_network_profile(doc)) == doc
-
-
-def test_serialize_platform_writes_back_a_full_document():
+def test_a_platform_document_with_every_key_is_read_field_by_field():
     doc = minimal_platform_doc()
     doc["platform"]["notes"] = "every optional key set"
-    doc["platform"]["components"].append({
-        "id": "gpu0", "kind": "gpu", "peak_compute_gops": 100.0,
-        "sustainable_bandwidth_gbs": 5.0, "active_power_w": 2.0,
-        "frequency_ghz": 0.8, "host_cluster": "cpu0"})
-    assert serialize_platform(load_platform(doc)) == doc
+    doc["platform"]["components"] += [
+        {"id": "gpu0", "kind": "gpu", "peak_compute_gops": 100.0,
+         "sustainable_bandwidth_gbs": 5.0, "active_power_w": 2.0,
+         "frequency_ghz": 0.8, "host_cluster": "cpu0"},
+        {"id": "cpu1", "kind": "small-cpu", "cores": 2,
+         "sustainable_bandwidth_gbs": 1.0, "active_power_w": 0.5,
+         "frequency_ghz": 1.5},
+        {"id": "cpu2", "kind": "small-cpu", "sustainable_bandwidth_gbs": 1.0,
+         "active_power_w": 0.5, "frequency_ghz": 1.25}]
+    platform = load_platform(doc)
+    assert_platform_is_its_document(platform, doc)
+    assert [c.peak_compute_gops for c in platform.components] == [
+        30.0, 100.0, 12.0, 20.0]
 
 
-def test_network_round_trip_with_dram_counts():
-    profile = attach_trace(network_by_id("alexnet"), builtin_trace())
-    assert load_network_profile(serialize_network(profile)) == profile
+def test_a_network_document_with_every_key_is_read_field_by_field():
+    doc = network_with(op_scale=0.25, notes="every optional key set",
+                       throughput={"cpu0": 5.0, "npu": "unsupported"})
+    doc["network"]["layers"].append({
+        "name": "l1", "kind": "fc", "gops": 0.5, "mem_access_bytes": 8.0,
+        "dram_access_bytes": 2.0})
+    profile = load_network_profile(doc)
+    assert_network_is_its_document(profile, doc)
+    assert profile.quantized and profile.total_dram_access_bytes is None
 
 
-def test_round_trip_random_documents():
+def test_random_documents_are_read_field_by_field():
     rng = random.Random(20240811)
     kinds = ("big-cpu", "small-cpu", "gpu", "npu")
     for _ in range(50):
@@ -428,11 +482,16 @@ def test_round_trip_random_documents():
             })
             if comps[-1]["kind"] in ("gpu", "npu") and rng.random() < 0.5:
                 comps[-1]["host_cluster"] = "c0"
+            elif comps[-1]["kind"].endswith("cpu") and rng.random() < 0.5:
+                del comps[-1]["peak_compute_gops"]
+                if rng.random() < 0.5:
+                    comps[-1]["cores"] = rng.randint(1, 8)
         doc = {"platform": {
             "id": "rand", "bus_peak_bandwidth_gbs": 12.0, "components": comps,
         }}
-        platform = load_platform(doc)
-        assert load_platform(serialize_platform(platform)) == platform
+        if rng.random() < 0.5:
+            doc["platform"]["notes"] = "random"
+        assert_platform_is_its_document(load_platform(doc), doc)
 
         layers = []
         for i in range(rng.randint(1, 6)):
@@ -449,10 +508,12 @@ def test_round_trip_random_documents():
         for comp in comps:
             throughput[comp["id"]] = (
                 "unsupported" if rng.random() < 0.2 else rng.uniform(0.1, 60))
-        net = load_network_profile({"network": {
+        doc = {"network": {
             "id": "randnet", "layers": layers, "throughput": throughput,
-        }})
-        assert load_network_profile(serialize_network(net)) == net
+        }}
+        if rng.random() < 0.5:
+            doc["network"]["op_scale"] = rng.choice([1.0, 0.5, 0.25])
+        assert_network_is_its_document(load_network_profile(doc), doc)
 
 
 def test_load_from_json_text_and_file(tmp_path):

@@ -619,12 +619,34 @@ def last_claim_oracle(service, claims):
         heap, key=lambda entry: entry[1])]
 
 
+def ulps_apart(s, k):
+    """k service times from s down, each one ulp below the last."""
+    service = [s]
+    for _ in range(k - 1):
+        service.append(math.nextafter(service[-1], 0.0))
+    return service
+
+
 @pytest.mark.parametrize("service,claims", [
     # Reciprocals that sum past the float range, a 2:1 pair far out, ties
     # within and across ranks, and service times one ulp apart.
     ([1e-308, 1e-308], 100), ([5e-309, 1e-300, 3e-308], 1000),
     ([1.0, 2.0], 10 ** 5), ([0.5, 0.25, 0.5], 999),
-    ([1.0, math.nextafter(1.0, 2.0)], 5000)], ids=repr)
+    ([1.0, math.nextafter(1.0, 2.0)], 5000),
+    # The cases the window's proof leans on. At most pad = k + 4 claims,
+    # so the walk starts at time 0.
+    ([3.0, 1.0], 1), ([1.0, 2.0, 3.0], 7),
+    # One fast rank among slow ones whose next sums fall just past the
+    # start, so the merge pops pad + k - 1 sums, the most it ever needs.
+    ([1000.0] * 7 + [1.0], 876), ([1.0] + [1000.0] * 7, 876),
+    pytest.param([1.0] + [3.0] * 63, 133, id="[1.0] + [3.0] * 63-133"),
+    # 64 ranks, 8 one ulp apart, and subnormal service times, from the
+    # least a rate allows to the least float.
+    pytest.param([1.0 + i / 64 for i in range(64)], 10 ** 4,
+                 id="64 ranks 1/64 apart-10000"),
+    pytest.param(ulps_apart(1 / 3, 8), 10 ** 5, id="8 ranks 1 ulp apart-100000"),
+    ([5.6e-309, 1.1e-308, 1.7e-308], 10 ** 4),
+    ([5e-324, 1e-323, 1.5e-323, 5e-324], 1000)], ids=repr)
 def test_last_claim_equals_a_heap_walk(service, claims):
     assert _last_claim(service, claims) == last_claim_oracle(service, claims)
 
@@ -658,10 +680,8 @@ def sums_families():
         cases.append(("identical", [rate] * k, 0.0))
         cases.append(("1e-9 apart", [rate * (1 + i * 1e-9) for i in range(k)],
                       1e-3))
-        ulps = [1 / rate]
-        for _ in range(k - 1):
-            ulps.append(math.nextafter(ulps[-1], 0.0))
-        cases.append(("1 ulp apart", [1 / s for s in ulps], 0.0))
+        cases.append(("1 ulp apart",
+                      [1 / s for s in ulps_apart(1 / rate, k)], 0.0))
     cases.append(("32 identical", [3.0] * 32, 1e-3))
     # Rates in small integer ratios complete frames at equal times, where
     # a rank below another goes first, and repeat some rates exactly.
@@ -721,16 +741,22 @@ def test_run_past_the_float_range_is_refused_before_its_sums_grow():
 
 
 def recorded_paths(monkeypatch):
-    """What each _high_water call returned; a run took the heap loop
-    unless the last call returned a high water."""
-    calls, high_water = [], SIM._high_water
+    """What each _high_water call returned, and how many runs took the
+    running sums (called _last_claim)."""
+    calls, claimed = [], []
+    high_water, last_claim = SIM._high_water, SIM._last_claim
 
-    def recording(*args, **kwargs):
-        calls.append(high_water(*args, **kwargs))
+    def recording(*args):
+        calls.append(high_water(*args))
         return calls[-1]
 
+    def claiming(*args):
+        claimed.append(None)
+        return last_claim(*args)
+
     monkeypatch.setattr(SIM, "_high_water", recording)
-    return calls
+    monkeypatch.setattr(SIM, "_last_claim", claiming)
+    return calls, claimed
 
 
 @pytest.mark.parametrize("rates,frames,sums", [
@@ -743,8 +769,11 @@ def recorded_paths(monkeypatch):
     # meets every bound, and no rank is walked.
     ([3.0 * (1 - i * 1e-9) for i in range(8)], 10 ** 4, False),
     ([3.0 * (1 + i * 1e-9) for i in range(8)], 10 ** 4, True),
+    # 64 ranks at 1,000 frames: their bounds alone, k * k = 4,096 steps,
+    # exceed the budget of 4,000.
+    ([0.3 + 0.9 * i for i in range(64)], 1000, False),
 ], ids=["kirin970_at_1e4", "kirin970_at_240", "near_equal_x8_falling",
-        "near_equal_x8_rising"])
+        "near_equal_x8_rising", "x64_at_1e3"])
 def test_each_family_takes_its_path(monkeypatch, rates, frames, sums):
     if rates == "kirin970":
         run = (Scenario("kirin970", "alexnet", ("a53", "a73", "g72", "npu"),
@@ -754,13 +783,13 @@ def test_each_family_takes_its_path(monkeypatch, rates, frames, sums):
         run = (Scenario("synth", "synthnet", ids, frames),
                synthetic_platform([(rate, 1.0) for rate in rates]),
                synthetic_network(rates))
-    calls = recorded_paths(monkeypatch)
+    calls, claimed = recorded_paths(monkeypatch)
     result = simulate(*run)
-    assert (bool(calls) and calls[-1] is not None) == sums
-    assert result.reorder_high_water == simulate(
-        *run, record_events=True).reorder_high_water
-    if sums:
-        assert calls[-1] == result.reorder_high_water
+    # _high_water runs on exactly the runs that take the sums, and always
+    # gives the high water.
+    assert len(calls) == len(claimed) == sums
+    assert calls == [result.reorder_high_water] * sums
+    assert result == replace(simulate(*run, record_events=True), events=None)
 
 
 def test_engaged_component_not_on_the_platform_rejected():
