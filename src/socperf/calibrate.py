@@ -17,10 +17,11 @@ without jitter _simulated computes the throughput and shares of a run
 exactly, bit for bit, from each component's running sum of its service
 time and the completion at which the last frame is claimed
 (sim._last_claim, which plain simulate runs use too), in memory that
-does not grow with N. So every candidate is scored without simulating
-it; simulate runs only where the polish starts and, if the polish moved
-x, where it ends. The fit returns the Scenario it simulated
-last, which holds the fitted overhead and CPU factors, with that
+does not grow with N and in time that barely does (four components take
+about 0.06 ms at N = 10^4, 0.13 ms at 10^6). So every candidate is scored
+without simulating it; simulate runs only where the polish starts and, if
+the polish moved x, where it ends. The fit returns the Scenario it
+simulated last, which holds the fitted overhead and CPU factors, with that
 simulation and the residuals.
 
 A target above the zero-overhead bound, or below the closed-form

@@ -21,7 +21,9 @@ A plain run (no jitter, no recorded events, more frames than components
 and at least _SUMS_MIN_FRAMES) skips the event loop: its frame counts,
 busy times and makespan follow from each component's running sums
 (_last_claim), and its reorder high water from a walk of the components
-that can set it (_high_water), bit for bit. The event loop runs every
+that can set it (_high_water), bit for bit. The sums are reached in a
+few float steps per power of two they pass (_nth_sum), so such a run
+costs about the same at any frame count. The event loop runs every
 other run, and a plain one whose walk, planned on frame counts guessed
 from the rates, would cost more than the loop.
 
@@ -35,7 +37,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -49,18 +51,19 @@ from .profiles import (NetworkProfile, Platform, _set, count, ids, keys, number,
 _MAX_JITTER_CV = 1e154
 # The most frames one run takes, refused before anything is allocated.
 # simulate allocates nothing per frame. A plain run of the four kirin970
-# components costs about 25 ns per frame from the running sums (some
-# 0.25 s at the cap); one in the event loop costs about 450 ns (some 4.5 s),
-# or about 1,380 ns with jitter (some 14 s). A run that records events
+# components takes about 0.15 ms from the running sums at any frame count;
+# one in the event loop costs about 450 ns per frame (some 4.5 s at the
+# cap), or about 1,380 ns with jitter (some 14 s). A run that records events
 # allocates 9 bytes per frame for its log below 257 engaged components
 # (about 90 MB at the cap) and costs about 655 ns per frame.
 _MAX_FRAMES = 10 ** 7
-# A plain run takes the running sums from this many frames on: at 240
-# frames the sums and the event loop cost about the same, and at 1,000 the
-# sums cost about half. Past this many walk steps per frame for the high
-# water the event loop runs instead; a step is one float addition, and a
-# rank visit counts as four. The budget is applied once, to the run
-# guessed from the rates, and the real run is then walked in full.
+# A plain run takes the running sums from this many frames on: for the
+# four kirin970 components they cost about as much as the event loop at
+# 300 frames and a third of it at 1,000. Past this many walk steps per
+# frame for the high water the event loop runs instead; a step is one
+# float addition, and a rank visit counts as four. The budget is applied
+# to the k*k steps of the bounds, then once to the run guessed from the
+# rates, and the real run is then walked in full.
 _SUMS_MIN_FRAMES = 1000
 _WALK_STEPS_PER_FRAME = 4
 
@@ -289,6 +292,34 @@ def _lognormal(seed: int, cv: float):
             yield exp(mu + z * sigma)
 
 
+def _nth_sum(s: float, n: int) -> float:
+    """The n-fold float sum 0.0 + s + ... + s, bit for bit, in a few float
+    steps per power of two it passes.
+
+    Below 2^-1021 and within each [2^e, 2^(e+1)) above, floats are the
+    multiples of one power of two u, and adding s to X*u gives (X + D)*u,
+    D = s/u rounded to nearest, a tie to the even X + D: round(s/u) from
+    an even X. A pass adds s once, which may cross a power of two or reach
+    inf (D = 0 there, as where the sum stops growing), then, unless a tie
+    left X odd, adds m*D at once, X + m*D < 2^53. s/u and x/u are exact.
+    """
+    x = 0.0
+    while n:
+        x += s
+        n -= 1
+        u = math.ulp(x)
+        t, units = s / u, x / u
+        if t % 1 == 0.5 and units % 2:
+            continue
+        step = round(t)
+        if not step:
+            break
+        m = min(n, (2 ** 53 - 1 - int(units)) // step)
+        x = (units + m * step) * u
+        n -= m
+    return x
+
+
 def _last_claim(service: list[float],
                 claims: int) -> tuple[list[int], list[float]]:
     """The frames each rank runs, and when it completes the last of them,
@@ -300,7 +331,9 @@ def _last_claim(service: list[float],
     (time, rank) order. The completions up to start = max(0, claims -
     pad) / sum(1/s_r), pad = k + 4, come first in that order; the walk
     counts them and merges forward from there. Rank r keeps only the
-    4*pad sums after its first low_r = max(0, int(start/s_r) - pad).
+    4*pad sums after its first low_r = max(0, int(start/s_r) - pad):
+    the low_r-th sum comes from _nth_sum, and each of the window's from
+    the one before by the same float addition.
 
     Why those sums are enough, for claims < N <= _MAX_FRAMES and each s_r
     at least 2^-1024, as the reciprocal of a finite rate is. An addition
@@ -329,7 +362,7 @@ def _last_claim(service: list[float],
         number(start, "makespan_s", "scenario result")
     low = [max(0, int(start / s) - pad) for s in service]
     # sums[r][i]: when rank r completes its (low[r] + i + 1)-th frame.
-    sums = [list(islice(accumulate(repeat(s)), lo, lo + 4 * pad))
+    sums = [list(accumulate(repeat(s, 4 * pad), initial=_nth_sum(s, lo)))[1:]
             for s, lo in zip(service, low)]
     done = [sum(t <= start for t in grid) for grid in sums]
     heap = [(grid[n], r) for r, (n, grid) in enumerate(zip(done, sums))]
@@ -488,11 +521,12 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
     # equal when f is the head; occupancy only rises between head arrivals,
     # and the run ends on one.
     plain = (not jitter and not record_events and len(order) < n_frames
-             and n_frames >= _SUMS_MIN_FRAMES)
+             and n_frames >= _SUMS_MIN_FRAMES
+             and len(order) ** 2 <= _WALK_STEPS_PER_FRAME * n_frames)
     if plain:
-        # The walk budget is applied once, to frame counts guessed from the
-        # rates, so an over-budget run goes to the event loop before any
-        # sums are taken.
+        # The walk budget, past its k*k bound visits, is applied to frame
+        # counts guessed from the rates, so an over-budget run goes to the
+        # event loop before any sums are taken.
         least = min(service)
         weights = [least / s for s in service]
         total = sum(weights)  # in [1, k]

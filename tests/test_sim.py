@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import deque
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -23,7 +24,8 @@ from socperf import (
 )
 import socperf.sim as SIM
 from socperf.sim import (_MAX_FRAMES, _MAX_JITTER_CV, _SUMS_MIN_FRAMES,
-                         EventLog, ReorderBuffer, _last_claim, _lognormal)
+                         EventLog, ReorderBuffer, _last_claim, _lognormal,
+                         _nth_sum)
 
 EXYNOS = platform_by_id("exynos5422")
 KIRIN = platform_by_id("kirin970")
@@ -627,6 +629,37 @@ def ulps_apart(s, k):
     return service
 
 
+# Service times whose running sums cross many powers of two: kirin970's
+# on alexnet, bare and with 1 ms of overhead; subnormal ones; ones whose
+# sums land exactly halfway between two floats (1 + k*2^-52 for odd k,
+# odd*2^-60 once the sum passes 2^-7); and one whose sums pass the float
+# range at n = 8.
+NTH_SUM_SERVICE = (
+    [1 / r + h for r in (2.2, 7.6, 32.5) for h in (0.0, 1e-3)]
+    + [5e-324, 1e-323, 2.0 ** -1022]
+    + [1 + k * 2.0 ** -52 for k in (1, 2, 3, 5, 7)]
+    + [odd * 2.0 ** -60 for odd in (1, 3, 2 ** 51 + 1, 2 ** 52 - 1, 3 ** 33)]
+    + [1.7e308 / 7])
+
+
+def test_nth_sum_equals_repeated_addition():
+    for s in NTH_SUM_SERVICE:
+        sums = [0.0, *itertools.accumulate(itertools.repeat(s, 2000))]
+        assert [_nth_sum(s, n) for n in range(2001)] == sums, s.hex()
+    # Halfway steps whose sum crosses 2^-1021 at n = 446 onto an odd
+    # multiple of the new spacing: the step at n = 447 adds q units of it,
+    # and every later one q + 1.
+    s = float.fromhex("0x0.012688b70e62bp-1022")
+    sums = list(itertools.accumulate(itertools.repeat(s, 449)))
+    assert [_nth_sum(s, n) for n in range(446, 450)] == sums[445:]
+    for s in (1 / 2.2, 1 / 32.5 + 1e-3, 2.0 ** -1022 / 3):
+        total = 0.0
+        for n, m in itertools.pairwise((0, 10 ** 4, 10 ** 6, 10 ** 7)):
+            total = deque(itertools.accumulate(itertools.repeat(s, m - n),
+                                               initial=total), maxlen=1)[0]
+            assert _nth_sum(s, m) == total, (s.hex(), m)
+
+
 @pytest.mark.parametrize("service,claims", [
     # Reciprocals that sum past the float range, a 2:1 pair far out, ties
     # within and across ranks, and service times one ulp apart.
@@ -759,22 +792,26 @@ def recorded_paths(monkeypatch):
     return calls, claimed
 
 
-@pytest.mark.parametrize("rates,frames,sums", [
-    ("kirin970", 10 ** 4, True),
-    ("kirin970", 240, False),
+# planned counts the walks planned: one for the run guessed from the rates,
+# if the run is plain and k * k bound visits fit its budget, and one more
+# for the run the sums give, if the guess fits the budget too.
+@pytest.mark.parametrize("rates,frames,sums,planned", [
+    ("kirin970", 10 ** 4, True, 2),
+    ("kirin970", 240, False, 0),
     # Rates 1e-9 apart, falling in id order: the slowest rank is the last,
     # its first completion has c - f = 1, below every other rank's bound,
     # and walking them all would cost more than the heap loop. Rising, the
     # slowest rank is the first, its first completion has c - f = 8, which
     # meets every bound, and no rank is walked.
-    ([3.0 * (1 - i * 1e-9) for i in range(8)], 10 ** 4, False),
-    ([3.0 * (1 + i * 1e-9) for i in range(8)], 10 ** 4, True),
+    ([3.0 * (1 - i * 1e-9) for i in range(8)], 10 ** 4, False, 1),
+    ([3.0 * (1 + i * 1e-9) for i in range(8)], 10 ** 4, True, 2),
     # 64 ranks at 1,000 frames: their bounds alone, k * k = 4,096 steps,
-    # exceed the budget of 4,000.
-    ([0.3 + 0.9 * i for i in range(64)], 1000, False),
+    # exceed the budget of 4,000, so no walk is planned.
+    ([0.3 + 0.9 * i for i in range(64)], 1000, False, 0),
 ], ids=["kirin970_at_1e4", "kirin970_at_240", "near_equal_x8_falling",
         "near_equal_x8_rising", "x64_at_1e3"])
-def test_each_family_takes_its_path(monkeypatch, rates, frames, sums):
+def test_each_family_takes_its_path(monkeypatch, rates, frames, sums,
+                                    planned):
     if rates == "kirin970":
         run = (Scenario("kirin970", "alexnet", ("a53", "a73", "g72", "npu"),
                         frames), KIRIN, ALEXNET)
@@ -784,10 +821,14 @@ def test_each_family_takes_its_path(monkeypatch, rates, frames, sums):
                synthetic_platform([(rate, 1.0) for rate in rates]),
                synthetic_network(rates))
     calls, claimed = recorded_paths(monkeypatch)
+    plans, walk_plan = [], SIM._walk_plan
+    monkeypatch.setattr(SIM, "_walk_plan",
+                        lambda *args: plans.append(None) or walk_plan(*args))
     result = simulate(*run)
     # _high_water runs on exactly the runs that take the sums, and always
     # gives the high water.
     assert len(calls) == len(claimed) == sums
+    assert len(plans) == planned
     assert calls == [result.reorder_high_water] * sums
     assert result == replace(simulate(*run, record_events=True), events=None)
 
