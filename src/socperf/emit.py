@@ -6,7 +6,8 @@ plain strings with no timestamps or generated ids, its text escaped. JSON
 is written in one pass, in the layout of json.dumps(indent=2); a float is
 written as its f"{v:.4g}" text when that text is fixed-point (it has a "."
 and no "e"), and otherwise as the repr of the float that text parses to.
-A CSV report is a list of dict rows that share one set of keys, the header.
+A list of dicts with one key order is a table, its rows filled from one
+layout. A CSV report is a list of dict rows that share the header's keys.
 """
 
 import json
@@ -53,6 +54,11 @@ _SCALARS = {str: _QUOTE, int: int.__repr__, float: _float, bool: _NAMED,
             type(None): _NAMED}
 
 
+def _key(key) -> str:
+    """A dict key as JSON text: json.dumps writes a non-str key as a str."""
+    return _QUOTE(key) if type(key) is str else _STRICT({key: 0})[1:-4]
+
+
 def _json(value, pad: str) -> str:
     """value as JSON text in the layout of json.dumps(indent=2), each float
     rounded to 4 significant digits; pad indents the line value ends on."""
@@ -65,10 +71,19 @@ def _json(value, pad: str) -> str:
     get = _SCALARS.get
     if isinstance(value, dict) and value:
         return "{\n" + ",\n".join([
-            f"{inner}{_QUOTE(k) if type(k) is str else _STRICT({k: 0})[1:-4]}: "
+            f"{inner}{_key(k)}: "
             f"{write(v) if (write := get(type(v))) else _json(v, inner)}"
             for k, v in value.items()]) + f"\n{pad}}}"
     if isinstance(value, (list, tuple)) and value:
+        keys = tuple(value[0]) if type(value[0]) is dict else ()
+        if keys and set(map(type, value)) == {dict} and all(map(keys.__eq__, map(tuple, value))):
+            # A table: cells in document order, so a bad one raises as row by row.
+            cells = (write(v) if (write := get(type(v))) else _json(v, inner + "  ")
+                     for row in value for v in row.values())
+            layout = (f"{inner}{{\n" + ",\n".join(
+                [f"{inner}  {_key(k).replace('%', '%%')}: %s" for k in keys]) + f"\n{inner}}}")
+            return ("[\n" + ",\n".join(map(layout.__mod__, zip(*[cells] * len(keys))))
+                    + f"\n{pad}]")
         return "[\n" + ",\n".join([
             inner + (write(v) if (write := get(type(v))) else _json(v, inner))
             for v in value]) + f"\n{pad}]"
@@ -84,17 +99,20 @@ def emit_json(payload) -> bytes:
 def emit_csv(rows: Sequence[dict]) -> bytes:
     """CSV of a non-empty list of dict rows that all have the first row's
     keys, which are the header; each cell is sig4 of the row's value. Any
-    other list raises UnsupportedFormat, since it is not one table."""
+    other list raises UnsupportedFormat, since it is not one table. The
+    cells are written in one pass in row order, so the first bad cell or
+    row raises, and each line is joined from the cells of its row."""
     if not rows:
         raise UnsupportedFormat("a CSV report needs at least one row")
     header = rows[0].keys()
     lines = [",".join(header)]
-    for i, row in enumerate(rows):
-        if row.keys() != header:
-            raise UnsupportedFormat(
-                f"CSV row {i} has keys {shown(list(row))}, not the header "
-                f"{shown(list(header))}")
-        lines.append(",".join([sig4(row[key]) for key in header]))
+    size = next((i for i, row in enumerate(rows) if row.keys() != header), len(rows))
+    cells = map(sig4, [row[key] for row in rows[:size] for key in header])
+    lines += map(",".join, zip(*[cells] * len(header)) if header else [()] * size)
+    if size < len(rows):
+        raise UnsupportedFormat(
+            f"CSV row {size} has keys {shown(list(rows[size]))}, not the header "
+            f"{shown(list(header))}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

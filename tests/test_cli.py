@@ -26,6 +26,7 @@ from socperf import (
     simulate,
 )
 from socperf.cli import main
+from socperf.profiles import shown
 from socperf.emit import (
     emit_csv,
     emit_json,
@@ -804,45 +805,74 @@ def reference_json(payload) -> bytes:
             + "\n").encode("utf-8")
 
 
-def cli_json_invocations():
-    """A CLI invocation for each kind of JSON payload the CLI builds."""
+def reference_csv(rows) -> bytes:
+    """emit_csv as it was written before its one-pass writer: row by
+    row, each row's keys checked against the header before its cells."""
+    if not rows:
+        raise UnsupportedFormat("a CSV report needs at least one row")
+    header = rows[0].keys()
+    lines = [",".join(header)]
+    for i, row in enumerate(rows):
+        if row.keys() != header:
+            raise UnsupportedFormat(
+                f"CSV row {i} has keys {shown(list(row))}, not the header "
+                f"{shown(list(header))}")
+        lines.append(",".join([sig4(row[key]) for key in header]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def cli_invocations(fmt: str):
+    """A CLI invocation for each kind of payload the CLI builds in fmt
+    (calibrate writes JSON only)."""
     sim = ["simulate", "--platform", "exynos5422", "--network", "alexnet",
            "--components", "a7,a15,t628", "--frames", "500"]
     fit = ["calibrate", "--platform", "kirin970", "--network", "googlenet",
            "--frames", "500"]
-    runs = [["tables", "--which", "1", "--format", "json"]]
-    runs += [["tables", "--which", which, "--format", "json", "--frames", "500"]
-             for which in ("2", "3")]
+    runs = [["tables", "--which", "1"]]
+    runs += [["tables", "--which", which, "--frames", "500"] for which in ("2", "3")]
     runs += [sim, sim + ["--contention", "a15=0.8,t628=0.9", "--overhead", "1e-3"],
-             sim + ["--cv", "0.2", "--seed", "7"],
-             fit + ["--components", "a53,a73,g72,npu"],
-             fit + ["--components", "a73,g72", "--target-throughput", "20",
-                    "--target-composition", "a73=0.25,g72=0.75"]]
+             sim + ["--cv", "0.2", "--seed", "7"]]
+    if fmt == "json":
+        runs += [fit + ["--components", "a53,a73,g72,npu"],
+                 fit + ["--components", "a73,g72", "--target-throughput", "20",
+                        "--target-composition", "a73=0.25,g72=0.75"]]
     platforms, networks = builtin_dataset()
     for platform in platforms:
         for comp in platform.components:
-            roofline = ["roofline", "--platform", platform.id, "--component",
-                        comp.id, "--format", "json"]
+            roofline = ["roofline", "--platform", platform.id, "--component", comp.id]
             runs.append(roofline + ["--samples", "500"])
             runs += [roofline + ["--network", net.id] for net in networks
                      if net.supports(comp.id)]
-    return runs
+    return [run + ["--format", fmt] for run in runs]
+
+
+def cli_payloads(monkeypatch, tmp_path, fmt: str) -> list:
+    """The payload of each of cli_invocations(fmt), as handed to its emitter."""
+    payloads = []
+    emit = {"json": emit_json, "csv": emit_csv}[fmt]
+
+    def recording(payload):
+        payloads.append(payload)
+        return emit(payload)
+    for module in ("cli", "emit"):  # sim_result_to_csv calls emit_csv in emit
+        monkeypatch.setattr(f"socperf.{module}.emit_{fmt}", recording)
+    runs = cli_invocations(fmt)
+    for args in runs:
+        assert main(args + ["--out", str(tmp_path / "out")]) == 0
+    assert len(payloads) == len(runs)
+    return payloads
 
 
 def test_emit_json_matches_json_dumps_on_every_cli_payload(tmp_path,
                                                            monkeypatch):
-    payloads = []
-
-    def recording(payload):
-        payloads.append(payload)
-        return emit_json(payload)
-    monkeypatch.setattr("socperf.cli.emit_json", recording)
-    runs = cli_json_invocations()
-    for args in runs:
-        assert main(args + ["--out", str(tmp_path / "out.json")]) == 0
-    assert len(payloads) == len(runs)
-    for payload in payloads:
+    for payload in cli_payloads(monkeypatch, tmp_path, "json"):
         assert emit_json(payload) == reference_json(payload)
+
+
+def test_emit_csv_matches_the_row_wise_writer_on_every_cli_payload(tmp_path,
+                                                                   monkeypatch):
+    for payload in cli_payloads(monkeypatch, tmp_path, "csv"):
+        assert emit_csv(payload) == reference_csv(payload)
 
 
 def random_json_value(rng: random.Random, depth: int):
@@ -867,6 +897,112 @@ def test_emit_json_matches_json_dumps_on_a_seeded_corpus():
     for _ in range(300):
         value = random_json_value(rng, 5)
         assert emit_json(value) == reference_json(value)
+
+
+# Keys a row layout must write as text: format characters, a quote, and
+# the non-str keys json.dumps converts (1 and True are one dict key).
+TABLE_KEYS = ["a", "100%", "%s", "%%", "{0}", "}{", '"q"', "\u00e9", 1, 2.5, True, None]
+FloatSub = type("FloatSub", (float,), {})
+IntSub = type("IntSub", (int,), {})
+# A dict subclass whose items() json.dumps and the row-wise writer follow.
+DictSub = type("DictSub", (dict,), {"items": lambda self: [*dict.items(self)][::-1]})
+
+
+def random_float(rng: random.Random) -> float:
+    return rng.choice((0.0, -0.0, 5e-324, 1234.0, 9999.5, 1e16,
+                       math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1074, 1023)),
+                       10 ** rng.uniform(-5, 5)))
+
+
+def random_column(rng: random.Random, size: int, nested: bool) -> list:
+    """size cells of one kind: a single scalar type, a mix of them, or
+    (when nested) containers, full and empty."""
+    kind = rng.randrange(8 if nested else 6)
+    cell = [lambda: random_float(rng),
+            lambda: rng.choice((None, random_float(rng), "x/y[theoretical]")),
+            lambda: rng.choice((True, False)),
+            lambda: rng.choice((rng.randint(-10**20, 10**20), IntSub(7))),
+            lambda: FloatSub(random_float(rng)),
+            lambda: rng.choice(("", "memory", "tab\t\"q\"")),
+            lambda: random_json_value(rng, 2),
+            lambda: rng.choice(((), [], {}))][kind]
+    return [cell() for _ in range(size)]
+
+
+def random_table(rng: random.Random, keys: list, nested: bool = True) -> list:
+    """1-50 dict rows built from one key list, so they share one key order."""
+    size = rng.randint(1, 50)
+    columns = [random_column(rng, size, nested) for _ in keys]
+    return [dict(zip(keys, cells)) for cells in zip(*columns)]
+
+
+def test_emit_json_matches_json_dumps_on_seeded_tables():
+    rng = random.Random(25)
+    for case in range(150):
+        table = random_table(rng, rng.sample(TABLE_KEYS, rng.randint(1, 6)))
+        if case % 5 == 1:  # one row with the same keys in another order
+            i = rng.randrange(len(table))
+            table[i] = dict(reversed(table[i].items()))
+        if case % 5 == 2:
+            i = rng.randrange(len(table))
+            table[i] = DictSub(table[i])
+        for value in (table, {"t": tuple(table), "u": [table, 1.5]}):
+            assert emit_json(value) == reference_json(value)
+    nested = [{"a": 1.0}]
+    for _ in range(60):
+        nested = [{"k": 2.5, "t": nested}, {"k": None, "t": []}]
+    assert emit_json(nested) == reference_json(nested)
+
+
+def test_emit_csv_matches_the_row_wise_writer_on_seeded_tables():
+    rng = random.Random(26)
+    str_keys = [key for key in TABLE_KEYS if isinstance(key, str)]
+    for case in range(300):
+        keys = rng.sample(str_keys, rng.randint(1, 6))
+        table = random_table(rng, keys, nested=False)
+        if case % 3 == 1:  # one row with the same keys in another order
+            i = rng.randrange(len(table))
+            table[i] = dict(reversed(table[i].items()))
+        assert emit_csv(table) == reference_csv(table)
+    for table in ([{}], [{}] * 3):  # no keys: each row is an empty line
+        assert emit_csv(table) == reference_csv(table)
+        assert emit_json(table) == reference_json(table)
+    mixed = [{}, {"a": 1}]
+    assert refusal(emit_csv, mixed) == refusal(reference_csv, mixed)
+    assert emit_json(mixed) == reference_json(mixed)
+
+
+def refusal(write, payload) -> tuple:
+    """The class and text of what write raises on payload."""
+    try:
+        write(payload)
+    except (ValueError, TypeError, UnsupportedFormat) as exc:
+        return type(exc), str(exc)
+    pytest.fail(f"{write.__name__} wrote a table with a bad value")
+
+
+def test_a_bad_table_is_refused_at_its_first_bad_value_in_row_order():
+    """NaN, infinities, a float that rounds past the float range, a set and
+    bytes in a table, and then a row whose keys are not the header's, after
+    the first bad cell or before it: both writers raise what the row-wise
+    ones raise."""
+    rng = random.Random(27)
+    big = 1.7976e308  # finite, but its 4-digit text 1.798e+308 is not: bad in JSON only
+    bad = [math.nan, math.inf, -math.inf, big, {1}, b"x"]
+    str_keys = [key for key in TABLE_KEYS if isinstance(key, str)]
+    for case in range(200):
+        keys = rng.sample(str_keys, rng.randint(1, 6))
+        table = random_table(rng, keys, nested=False)
+        spots = sorted(rng.randrange(len(table)) for _ in range(rng.randint(1, 3)))
+        for i in spots:
+            table[i][rng.choice(keys)] = rng.choice(bad)
+        assert refusal(emit_json, table) == refusal(reference_json, table)
+        if any(v is b for row in table for v in row.values() for b in bad if b is not big):
+            assert refusal(emit_csv, table) == refusal(reference_csv, table)
+        at = rng.randint(spots[0] + 1, len(table)) if case % 2 else rng.randint(0, spots[0])
+        table.insert(at, {"extra": 1.0})
+        assert refusal(emit_json, table) == refusal(reference_json, table)
+        assert refusal(emit_csv, table) == refusal(reference_csv, table)
 
 
 def test_emit_json_writes_every_float_as_json_dumps_of_the_rounded_float():

@@ -190,12 +190,11 @@ def test_series_point_passthrough_and_errors():
     assert len(tagged) == 1
     assert tagged[0]["point_label"] == "alexnet[theoretical]"
     assert tagged[0]["point_gops"] == pytest.approx(achieved_gops(profile, "t628"))
-    with pytest.raises(ValueError) as exc:
-        roofline_series(T628, [], [])
-    assert isinstance(exc.value, SocPerfError)
-    with pytest.raises(ValueError) as exc:
-        roofline_series(T628, [], [1.0, 0.5])
-    assert isinstance(exc.value, SocPerfError)
+    for grid in ([], [1.0, 0.5], [1.0, 2.0, 2.0], [1, 2.0, 1.5, 3.0]):
+        with pytest.raises(ValueError) as exc:
+            roofline_series(T628, [], grid)
+        assert isinstance(exc.value, SocPerfError)
+        assert str(exc.value) == "oi_range must be non-empty and strictly increasing"
     with pytest.raises(ValueError):
         roofline_series(T628, [], [-1.0, 2.0])
     with pytest.raises(ValueError):
@@ -236,12 +235,35 @@ def test_layer_points_skip_untraced_for_empirical():
 
 
 def test_point_validation():
-    with pytest.raises(MalformedDocument):
-        RooflinePoint("w", oi=0.0, performance_gops=1.0, bound="memory",
-                      oi_kind="theoretical")
-    with pytest.raises(MalformedDocument):
-        RooflinePoint("w", oi=1.0, performance_gops=1.0, bound="bogus",
-                      oi_kind="theoretical")
+    """Every check of a point holds, and its refusal names the point."""
+    for field, value, message in (
+            ("oi", 0.0, "oi must be finite and > 0, got 0.0"),
+            ("performance_gops", math.inf, "performance_gops must be finite and > 0, got inf"),
+            ("performance_gops", True, "performance_gops must be finite and > 0, got True"),
+            ("bound", "bogus", "bound must be one of memory, compute, got 'bogus'"),
+            ("oi_kind", None, "oi_kind must be one of theoretical, empirical, got None")):
+        fields = {"oi": 1, "performance_gops": 1.0, "bound": "memory",
+                  "oi_kind": "theoretical", field: value}
+        for workload, shown_as in (("w", "'w'"),
+                                   ("x" * 100, f"'{'x' * 59}... (102 characters)")):
+            with pytest.raises(MalformedDocument) as exc:
+                RooflinePoint(workload, **fields)
+            assert str(exc.value) == f"roofline point {shown_as}: {message}"
+    point = RooflinePoint("w", 1, 2, "compute", "empirical")
+    assert (type(point.oi), type(point.performance_gops)) == (float, float)
+
+
+def test_log_spaced_takes_each_sample_as_it_always_did():
+    """Bit for bit the per-sample expression log_spaced once evaluated."""
+    rng = random.Random(25)
+    cases = [(0.1, 1000.0, 97), (1, 1000, 2), (5e-324, 1e308, 1000), (2.0, math.nextafter(2.0, 3.0), 5)]
+    for _ in range(400):
+        lo = 10 ** rng.uniform(-300, 290)
+        cases.append((lo, lo * 10 ** rng.uniform(0.001, 15), rng.randint(2, 300)))
+    for lo, hi, samples in cases:
+        step = (math.log10(hi) - math.log10(lo)) / (samples - 1)
+        old = [10 ** (math.log10(lo) + i * step) for i in range(samples)]
+        assert list(map(float.hex, log_spaced(lo, hi, samples))) == list(map(float.hex, old))
 
 
 def test_int_built_models_and_points_emit_like_float_built_ones():
