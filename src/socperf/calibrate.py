@@ -14,15 +14,16 @@ simulated throughput and shares and reports the simulated residuals.
 One objective scores all three: the worst normalized error of the
 throughput and of each targeted share. Calibration never jitters, and
 without jitter _simulated computes the throughput and shares of a run
-exactly, bit for bit, from each component's running sum of its service
-time and the completion at which the last frame is claimed
-(sim._last_claim, which plain simulate runs use too), in memory that
-does not grow with N and in time that barely does (four components take
-about 0.06 ms at N = 10^4, 0.13 ms at 10^6). So every candidate is scored
-without simulating it; simulate runs only where the polish starts and, if
-the polish moved x, where it ends. The fit returns the Scenario it
-simulated last, which holds the fitted overhead and CPU factors, with that
-simulation and the residuals.
+exactly, bit for bit (checked by
+test_simulated_equals_simulate_on_every_scored_candidate), from each
+component's running sum of its service time and the completion at which
+the last frame is claimed (sim._last_claim, which plain simulate runs
+use too), in memory that does not grow with N and in time that barely
+does (four components take about 0.06 ms at N = 10^4, 0.13 ms at 10^6).
+So every candidate is scored without simulating it; simulate runs only
+where the polish starts and, if the polish moved x, where it ends. The
+fit returns the Scenario it simulated last, which holds the fitted
+overhead and CPU factors, with that simulation and the residuals.
 
 A target above the zero-overhead bound, or below the closed-form
 throughput at the seed's overhead cap (about 1049 time units, with the
@@ -84,8 +85,9 @@ def _unit(rates: dict[str, float]) -> float:
 
     The unit scales every absolute step, seed and ceiling of the fit, so
     rates and target times 2**(16*j) fit the overhead times 2**(-16*j)
-    and the same factors, bit for bit. Rates that sum to more than 1/256
-    and at most 512 imgs/s have a unit of 1 s.
+    and the same factors, bit for bit (checked by
+    test_fit_is_covariant_under_a_power_of_two_time_scale). Rates that
+    sum to more than 1/256 and at most 512 imgs/s have a unit of 1 s.
     """
     _, exponent = math.frexp(1.0 / sum(rates.values()))
     return 2.0 ** (16 * max(-63, min(63, round(exponent / 16))))
@@ -117,7 +119,8 @@ def _objective(throughput: float, shares: dict[str, float],
 def _simulated(rates: dict[str, float], x: list[float],
                frames: int) -> tuple[float, dict[str, float]]:
     """The throughput and composition of the jitter-free simulation of x,
-    bit for bit, computed without running it.
+    bit for bit, computed without running it (checked by
+    test_simulated_equals_simulate_on_every_scored_candidate).
 
     The component of rank r (its position in id order) completes its j-th
     frame at the j-fold float sum of its service time s_r, whatever the

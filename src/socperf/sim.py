@@ -17,15 +17,16 @@ variation and seed, 0 unless set, so jittered runs repeat too) perturbs
 the processing part of the service time. Its factors are Kinderman-Monahan
 draws, identical to those of random.Random(seed).lognormvariate.
 
-A plain run (no jitter, no recorded events, more frames than components
-and at least _SUMS_MIN_FRAMES) skips the event loop: its frame counts,
-busy times and makespan follow from each component's running sums
-(_last_claim), and its reorder high water from a walk of the components
-that can set it (_high_water), bit for bit. The sums are reached in a
-few float steps per power of two they pass (_nth_sum), so such a run
-costs about the same at any frame count. The event loop runs every
-other run, and a plain one whose walk, planned on frame counts guessed
-from the rates, would cost more than the loop.
+A plain run (no jitter, no recorded events, at least _SUMS_MIN_FRAMES
+frames) skips the event loop: its frame counts, busy times and makespan
+follow from each component's running sums (_last_claim), and its reorder
+high water from a walk, planned once on that run, of the components that
+can set it (_high_water), bit for bit (checked by
+test_plain_run_equals_the_heap_run_field_for_field and
+test_plain_runs_at_extreme_magnitudes_equal_the_heap_run). The sums are
+reached in a few float steps per power of two they pass (_nth_sum), so
+such a run costs about the same at any frame count. The event loop runs
+every other run, and a plain one whose bounds or walk would cost more.
 
 The event loop is single threaded; identical scenarios yield bit-identical
 results. Independent scenarios can safely run concurrently since nothing
@@ -59,11 +60,8 @@ _MAX_JITTER_CV = 1e154
 _MAX_FRAMES = 10 ** 7
 # A plain run takes the running sums from this many frames on: for the
 # four kirin970 components they cost about as much as the event loop at
-# 300 frames and a third of it at 1,000. Past this many walk steps per
-# frame for the high water the event loop runs instead; a step is one
-# float addition, and a rank visit counts as four. The budget is applied
-# to the k*k steps of the bounds, then once to the run guessed from the
-# rates, and the real run is then walked in full.
+# 300 frames and a third of it at 1,000. Its bounds and walk get this
+# many steps per frame, a step being a quarter of an event-loop frame.
 _SUMS_MIN_FRAMES = 1000
 _WALK_STEPS_PER_FRAME = 4
 
@@ -293,8 +291,9 @@ def _lognormal(seed: int, cv: float):
 
 
 def _nth_sum(s: float, n: int) -> float:
-    """The n-fold float sum 0.0 + s + ... + s, bit for bit, in a few float
-    steps per power of two it passes.
+    """The n-fold float sum 0.0 + s + ... + s, bit for bit (checked by
+    test_nth_sum_equals_repeated_addition), in a few float steps per power
+    of two it passes.
 
     Below 2^-1021 and within each [2^e, 2^(e+1)) above, floats are the
     multiples of one power of two u, and adding s to X*u gives (X + D)*u,
@@ -375,55 +374,6 @@ def _last_claim(service: list[float],
             [grid[n] for n, grid in zip(done, sums)])
 
 
-def _walk_plan(service: list[float], ran: list[int], busy: list[float]
-               ) -> tuple[int, list[tuple[int, int]], int]:
-    """The largest c - f found without a walk, the ranks whose bound beats
-    it, slowest first, each with its bound, and the steps a walk of them
-    takes, in the jitter-free run in which rank r runs ran[r] frames, the
-    last completing at busy[r]. The bounds take k*k steps; walking rank r
-    takes up to N additions and ran[r] rounds of k - 1 rank visits, a
-    visit costing about four additions.
-
-    The bound. Every time is at most the makespan M, so each sum rounds
-    by at most u/2, u = ulp(M): rank q's m-th completion is at least
-    m*s_q - (m - 1)*u/2, and two consecutive ones of rank r lie at most
-    s_r + u/2 apart. So q completes at most x = (s_r + u/2) / (s_q - u/2)
-    frames before r's first completion, at s_r, and at most 1 + x between
-    two of r's. The rounded (s_r + 2u) / (s_q - 2u) is at least x: its
-    operands round by at most u, and its margin, above 1.5u/M, exceeds
-    the rounding of the quotient. q completes ran[q] frames in all, and
-    for s_q <= 2u nothing tighter holds. If s_q = s_r, q's sums are r's:
-    one lies between two of r's, and before r's first lies one if q < r,
-    none if q > r. Rank r's bound is the larger of 1 - r plus the counts
-    before its first completion and 2 - k plus the counts between two.
-    """
-    k, frames, ulp = len(service), sum(ran), math.ulp(max(busy))
-
-    def bound(r):
-        s, first, later = service[r], 1 - r, 2 - k
-        for q, sq in enumerate(service):
-            if sq == s:
-                first += q < r
-                later += q != r
-            else:
-                # The quotient is capped as a float: it overflows where
-                # s_q is subnormal beside a large s_r.
-                most = (int(min(ran[q], (s + 2 * ulp) / (sq - 2 * ulp)))
-                        if sq > 2 * ulp else ran[q])
-                first += most
-                later += min(ran[q], most + 1)
-        return max(first, later)
-
-    slowest = sorted(range(k), key=service.__getitem__, reverse=True)
-    best, todo, steps = _gaps(service, busy, slowest[0], 1), [], k * k
-    for r in slowest:
-        most = bound(r)
-        if most > best:
-            steps += frames + 4 * k * ran[r]
-            todo.append((r, most))
-    return best, todo, steps
-
-
 def _gaps(service: list[float], busy: list[float], r: int,
           completions: int) -> int:
     """The largest c - f over rank r's first completions completions, the
@@ -458,20 +408,60 @@ def _gaps(service: list[float], busy: list[float], r: int,
     return max(first, gap - k + 1)
 
 
-def _high_water(service: list[float], ran: list[int],
-                busy: list[float]) -> int:
+def _high_water(service: list[float], ran: list[int], busy: list[float],
+                budget: int) -> Optional[int]:
     """The reorder high water of the jitter-free run in which rank r runs
-    ran[r] frames, the last completing at busy[r].
+    ran[r] frames, the last completing at busy[r], or None if its walk
+    would take more than budget steps.
 
     The high water is the largest c - f over all completions (see
     simulate). Rank r's first completion completes frame r; its j-th,
     j > 1, completes the frame it claimed at its (j-1)-th, at position c',
     frame c' + k - 1, so c - f is the gap c - c' less k - 1. A gap is 1
-    plus the other ranks' completions in between. After the first
-    completion of the slowest rank, only ranks whose bound beats the best
-    so far are walked (_walk_plan).
+    plus the other ranks' completions in between. The first completion of
+    the slowest rank gives the best so far. Then, slowest first, only
+    ranks whose bound beats it are walked, rank r in up to N additions
+    and ran[r] rounds of k - 1 rank visits, a visit costing four.
+
+    The bound. Every time is at most the makespan M, so each sum rounds
+    by at most u/2, u = ulp(M): rank q's m-th completion is at least
+    m*s_q - (m - 1)*u/2, and two consecutive ones of rank r lie at most
+    s_r + u/2 apart. So q completes at most x = (s_r + u/2) / (s_q - u/2)
+    frames before r's first completion, at s_r, and at most 1 + x between
+    two of r's. The rounded (s_r + 2u) / (s_q - 2u) is at least x: its
+    operands round by at most u, and its margin, above 1.5u/M, exceeds
+    the rounding of the quotient. q completes ran[q] frames in all, and
+    for s_q <= 2u nothing tighter holds. If s_q = s_r, q's sums are r's:
+    one lies between two of r's, and before r's first lies one if q < r,
+    none if q > r. Rank r's bound is the larger of 1 - r plus the counts
+    before its first completion and 2 - k plus the counts between two.
     """
-    best, todo, _ = _walk_plan(service, ran, busy)
+    k, frames, ulp = len(service), sum(ran), math.ulp(max(busy))
+
+    def bound(r):
+        s, first, later = service[r], 1 - r, 2 - k
+        for q, sq in enumerate(service):
+            if sq == s:
+                first += q < r
+                later += q != r
+            else:
+                # The quotient is capped as a float: it overflows where
+                # s_q is subnormal beside a large s_r.
+                most = (int(min(ran[q], (s + 2 * ulp) / (sq - 2 * ulp)))
+                        if sq > 2 * ulp else ran[q])
+                first += most
+                later += min(ran[q], most + 1)
+        return max(first, later)
+
+    slowest = sorted(range(k), key=service.__getitem__, reverse=True)
+    best, todo = _gaps(service, busy, slowest[0], 1), []
+    for r in slowest:
+        most = bound(r)
+        if most > best:
+            budget -= frames + 4 * k * ran[r]
+            if budget < 0:
+                return None
+            todo.append((r, most))
     for r, most in todo:
         if most > best:
             best = max(best, _gaps(service, busy, r, ran[r]))
@@ -519,29 +509,19 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
     # c its 1-based position in completion order. The c-th completion, with
     # e <= f the lowest unreleased frame, leaves c - e >= c - f frames held,
     # equal when f is the head; occupancy only rises between head arrivals,
-    # and the run ends on one.
-    plain = (not jitter and not record_events and len(order) < n_frames
-             and n_frames >= _SUMS_MIN_FRAMES
-             and len(order) ** 2 <= _WALK_STEPS_PER_FRAME * n_frames)
-    if plain:
-        # The walk budget, past its k*k bound visits, is applied to frame
-        # counts guessed from the rates, so an over-budget run goes to the
-        # event loop before any sums are taken.
-        least = min(service)
-        weights = [least / s for s in service]
-        total = sum(weights)  # in [1, k]
-        # Every rank runs a frame, as n_frames > k: a weight can underflow.
-        guess = [max(1, math.ceil(n_frames * w / total)) for w in weights]
-        steps = _walk_plan(service, guess,
-                           [n * s for n, s in zip(guess, service)])[2]
-        plain = steps <= _WALK_STEPS_PER_FRAME * n_frames
-    if plain:
+    # and the run ends on one. A plain run's walk gets what is left of its
+    # budget after k*k bound visits at 8 steps each, a visit's cost with its
+    # share of the sums' windows; a budget >= 0 implies k < N.
+    budget = _WALK_STEPS_PER_FRAME * n_frames - 8 * len(order) ** 2
+    high_water = None
+    if (not jitter and not record_events and n_frames >= _SUMS_MIN_FRAMES
+            and budget >= 0):
         frames_done, busy = _last_claim(service, n_frames - len(order))
         # Refused before the walk, whose ulp and end caps an infinite
         # makespan leaves meaningless.
         makespan = number(max(busy), "makespan_s", "scenario result")
-        high_water = _high_water(service, frames_done, busy)
-    else:
+        high_water = _high_water(service, frames_done, busy, budget)
+    if high_water is None:
         frames_done = [0] * len(order)
         busy = [0.0] * len(order)
         if record_events:

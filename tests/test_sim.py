@@ -774,8 +774,9 @@ def test_run_past_the_float_range_is_refused_before_its_sums_grow():
 
 
 def recorded_paths(monkeypatch):
-    """What each _high_water call returned, and how many runs took the
-    running sums (called _last_claim)."""
+    """What each _high_water call returned, None for a run that fell back
+    to the event loop, and how many runs took the running sums (called
+    _last_claim)."""
     calls, claimed = [], []
     high_water, last_claim = SIM._high_water, SIM._last_claim
 
@@ -792,26 +793,38 @@ def recorded_paths(monkeypatch):
     return calls, claimed
 
 
-# planned counts the walks planned: one for the run guessed from the rates,
-# if the run is plain and k * k bound visits fit its budget, and one more
-# for the run the sums give, if the guess fits the budget too.
-@pytest.mark.parametrize("rates,frames,sums,planned", [
-    ("kirin970", 10 ** 4, True, 2),
-    ("kirin970", 240, False, 0),
+def seeded_rates(k, seed):
+    rng = random.Random(seed)
+    return [rng.uniform(0.3, 60.0) for _ in range(k)]
+
+
+# path is "sums" for a run that takes them, "loop" for one that takes the
+# event loop at once, and "walk over budget" for one that takes the sums,
+# finds its walk over the budget and then takes the event loop.
+@pytest.mark.parametrize("rates,frames,path", [
+    ("kirin970", 10 ** 4, "sums"),
+    ("kirin970", 240, "loop"),
     # Rates 1e-9 apart, falling in id order: the slowest rank is the last,
     # its first completion has c - f = 1, below every other rank's bound,
     # and walking them all would cost more than the heap loop. Rising, the
     # slowest rank is the first, its first completion has c - f = 8, which
     # meets every bound, and no rank is walked.
-    ([3.0 * (1 - i * 1e-9) for i in range(8)], 10 ** 4, False, 1),
-    ([3.0 * (1 + i * 1e-9) for i in range(8)], 10 ** 4, True, 2),
-    # 64 ranks at 1,000 frames: their bounds alone, k * k = 4,096 steps,
-    # exceed the budget of 4,000, so no walk is planned.
-    ([0.3 + 0.9 * i for i in range(64)], 1000, False, 0),
+    ([3.0 * (1 - i * 1e-9) for i in range(8)], 10 ** 4, "walk over budget"),
+    ([3.0 * (1 + i * 1e-9) for i in range(8)], 10 ** 4, "sums"),
+    # The bound visits alone, k * k at 8 steps each, exceed the budget of
+    # 4 steps per frame from 23 ranks at 1,000 frames and from 71 at 10^4.
+    ([0.3 + 0.9 * i for i in range(64)], 1000, "loop"),
+    # 25 ranks rising 1e-9 apart walk none; their bounds take the whole
+    # budget at 1,250 frames and pass it at 1,249.
+    ([3.0 * (1 + i * 1e-9) for i in range(25)], 1250, "sums"),
+    ([3.0 * (1 + i * 1e-9) for i in range(25)], 1249, "loop"),
+    (seeded_rates(64, 64), 10 ** 4, "walk over budget"),
+    (seeded_rates(100, 100), 10 ** 4, "loop"),
+    (seeded_rates(200, 200), 10 ** 4, "loop"),
 ], ids=["kirin970_at_1e4", "kirin970_at_240", "near_equal_x8_falling",
-        "near_equal_x8_rising", "x64_at_1e3"])
-def test_each_family_takes_its_path(monkeypatch, rates, frames, sums,
-                                    planned):
+        "near_equal_x8_rising", "x64_at_1e3", "x25_at_1250", "x25_at_1249",
+        "seeded_x64_at_1e4", "seeded_x100_at_1e4", "seeded_x200_at_1e4"])
+def test_each_family_takes_its_path(monkeypatch, rates, frames, path):
     if rates == "kirin970":
         run = (Scenario("kirin970", "alexnet", ("a53", "a73", "g72", "npu"),
                         frames), KIRIN, ALEXNET)
@@ -821,16 +834,57 @@ def test_each_family_takes_its_path(monkeypatch, rates, frames, sums,
                synthetic_platform([(rate, 1.0) for rate in rates]),
                synthetic_network(rates))
     calls, claimed = recorded_paths(monkeypatch)
-    plans, walk_plan = [], SIM._walk_plan
-    monkeypatch.setattr(SIM, "_walk_plan",
-                        lambda *args: plans.append(None) or walk_plan(*args))
     result = simulate(*run)
-    # _high_water runs on exactly the runs that take the sums, and always
-    # gives the high water.
-    assert len(calls) == len(claimed) == sums
-    assert len(plans) == planned
-    assert calls == [result.reorder_high_water] * sums
+    # A run takes the sums, and plans its walk, at most once; the walk
+    # gives the high water or None.
+    assert len(calls) == len(claimed)
+    assert calls == {"sums": [result.reorder_high_water], "loop": [],
+                     "walk over budget": [None]}[path]
     assert result == replace(simulate(*run, record_events=True), events=None)
+
+
+def extreme_runs(cases, seed):
+    """(scenario, platform, network) of seeded jitter-free runs of 1 to 8
+    components at 1,000 to 5,000 frames, with rates at 10^+-300: spread
+    around one magnitude, 1e-12 apart, each at its own magnitude, or in
+    small integer ratios that tie exactly; overheads of 0 or 10^[-320,
+    300], and one active power in five at 10^+-300."""
+    rng = random.Random(seed)
+
+    def magnitude():
+        return 10.0 ** rng.uniform(-300.0, 300.0)
+
+    for _ in range(cases):
+        k, m, pattern = rng.randint(1, 8), magnitude(), rng.randrange(4)
+        if pattern == 0:
+            rates = [m * rng.uniform(0.5, 2.0) for _ in range(k)]
+        elif pattern == 1:
+            rates = [m * (1 + i * 1e-12) for i in range(k)]
+            rates.sort(reverse=rng.random() < 0.5)
+        elif pattern == 2:
+            rates = [magnitude() for _ in range(k)]
+        else:  # a power of two keeps the ratios exact
+            scale = 2.0 ** rng.randint(-990, 990)
+            rates = [scale * rng.choice((1, 2, 3, 4, 6)) for _ in range(k)]
+        powers = [magnitude() if rng.random() < 0.2 else 1.0 for _ in rates]
+        overhead = rng.choice((0.0, 10.0 ** rng.uniform(-320.0, 300.0)))
+        frames = rng.choice((1000, 1001, 1500, 2000, 5000))
+        yield (Scenario("synth", "synthnet", tuple(f"c{i}" for i in range(k)),
+                        frames, overhead),
+               synthetic_platform(list(zip(rates, powers))),
+               synthetic_network(rates))
+
+
+def test_plain_runs_at_extreme_magnitudes_equal_the_heap_run(monkeypatch):
+    calls, _ = recorded_paths(monkeypatch)
+    refused = 0
+    for scenario, platform, network in extreme_runs(300, 26):
+        plain = outcome(scenario, platform, network, False)
+        assert plain == outcome(scenario, platform, network, True), scenario
+        refused += isinstance(plain, str)
+    # Most runs take the sums and walk within budget; some are refused.
+    walked = sum(high_water is not None for high_water in calls)
+    assert walked >= 150 and refused >= 10, (walked, refused)
 
 
 def test_engaged_component_not_on_the_platform_rejected():
