@@ -14,12 +14,11 @@ simulated throughput and shares and reports the simulated residuals.
 One objective scores all three: the worst normalized error of the
 throughput and of each targeted share. Calibration never jitters, and
 without jitter _simulated computes the throughput and shares of a run
-exactly, bit for bit (checked by
-test_simulated_equals_simulate_on_every_scored_candidate), from each
-component's running sum of its service time and the completion at which
-the last frame is claimed (sim._last_claim, which plain simulate runs
-use too), in memory that does not grow with N and in time that barely
-does (four components take about 0.06 ms at N = 10^4, 0.13 ms at 10^6).
+bit for bit (checked by
+test_simulated_equals_simulate_on_every_scored_candidate) from the
+running sums that plain simulate runs take (sim._plain_run), in memory
+that does not grow with N and in time that barely does (four components
+take about 0.04 ms at N = 10^4, 0.05 ms at 10^6, in process).
 So every candidate is scored without simulating it; simulate runs only
 where the polish starts and, if the polish moved x, where it ends. The
 fit returns the Scenario it simulated last, which holds the fitted
@@ -48,7 +47,7 @@ from typing import Optional
 from .errors import InfeasibleTarget
 from .profiles import (NetworkProfile, Platform, ids, keys, number, obj, one_of,
                        shown)
-from .sim import (Scenario, SimResult, _last_claim, effective_rates,
+from .sim import (Scenario, SimResult, _plain_run, effective_rates,
                   simulate)
 
 THROUGHPUT_SCALE = 0.02   # one residual unit = 2% relative throughput error
@@ -120,26 +119,14 @@ def _simulated(rates: dict[str, float], x: list[float],
                frames: int) -> tuple[float, dict[str, float]]:
     """The throughput and composition of the jitter-free simulation of x,
     bit for bit, computed without running it (checked by
-    test_simulated_equals_simulate_on_every_scored_candidate).
-
-    The component of rank r (its position in id order) completes its j-th
-    frame at the j-fold float sum of its service time s_r, whatever the
-    others do, and completions pop in (time, rank) order. The last frame
-    is claimed at completion number N-k; a component that has completed c
-    frames by then runs c + 1, and the makespan is the largest of their
-    (c + 1)-th sums. If N <= k, the first N ranks run one frame each.
+    test_simulated_equals_simulate_on_every_scored_candidate): the frames
+    and busy times of sim._plain_run, which plain simulate runs take too.
     """
     factors = dict(zip(rates, x[1:]))
     order = sorted(rates)
     service = [1.0 / (rates[cid] * factors[cid]) + x[0] for cid in order]
-    k = len(order)
-    if frames <= k:
-        ran = [1] * frames + [0] * (k - frames)
-        makespan = max(service[:frames])
-    else:
-        ran, busy = _last_claim(service, frames - k)
-        makespan = max(busy)
-    return frames / makespan, {cid: n / frames for cid, n in zip(order, ran)}
+    ran, busy = _plain_run(service, frames)
+    return frames / max(busy), {cid: n / frames for cid, n in zip(order, ran)}
 
 
 def calibrate(platform: Platform, network: NetworkProfile, observed: dict,

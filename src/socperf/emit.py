@@ -37,10 +37,13 @@ def sig4(value) -> str:
 def _float(value: float) -> str:
     """value rounded to 4 significant digits, as JSON text. A fixed-point
     text is a decimal of at most 4 significant digits whose magnitude is in
-    [1e-4, 1e4), which is already the repr of the float it parses to."""
+    [1e-4, 1e4), which is already the repr of the float it parses to; an
+    integer text (32, -0) is that repr less its ".0"."""
     text = f"{value:.4g}"
     if "." in text and "e" not in text:
         return text
+    if text.lstrip("-").isdigit():
+        return text + ".0"
     if math.isfinite(value := float(text)):
         return repr(value)
     raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")

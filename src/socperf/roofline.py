@@ -14,6 +14,7 @@ All functions here are pure and operate on immutable inputs.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import MalformedDocument, MissingTrace
@@ -43,9 +44,9 @@ class RooflineModel:
         for key in ("roof_bandwidth_gbs", "ceiling_compute_gops"):
             _set(self, key, number(getattr(self, key), key, ctx))
 
-    @property
+    @cached_property
     def ridge_oi(self) -> float:
-        """OI at which the sloped roof meets the flat ceiling."""
+        """OI where the sloped roof meets the flat ceiling, computed once."""
         return self.ceiling_compute_gops / self.roof_bandwidth_gbs
 
     @classmethod

@@ -19,7 +19,7 @@ draws, identical to those of random.Random(seed).lognormvariate.
 
 A plain run (no jitter, no recorded events, at least _SUMS_MIN_FRAMES
 frames) skips the event loop: its frame counts, busy times and makespan
-follow from each component's running sums (_last_claim), and its reorder
+follow from each component's running sums (_plain_run), and its reorder
 high water from a walk, planned once on that run, of the components that
 can set it (_high_water), bit for bit (checked by
 test_plain_run_equals_the_heap_run_field_for_field and
@@ -29,8 +29,8 @@ such a run costs about the same at any frame count. The event loop runs
 every other run, and a plain one whose bounds or walk would cost more.
 
 The event loop is single threaded; identical scenarios yield bit-identical
-results. Independent scenarios can safely run concurrently since nothing
-here shares mutable state.
+results (test_determinism_bit_identical), and independent scenarios can
+safely run concurrently since nothing here shares mutable state.
 """
 
 import heapq
@@ -52,16 +52,17 @@ from .profiles import (NetworkProfile, Platform, _set, count, ids, keys, number,
 _MAX_JITTER_CV = 1e154
 # The most frames one run takes, refused before anything is allocated.
 # simulate allocates nothing per frame. A plain run of the four kirin970
-# components takes about 0.15 ms from the running sums at any frame count;
-# one in the event loop costs about 450 ns per frame (some 4.5 s at the
-# cap), or about 1,380 ns with jitter (some 14 s). A run that records events
-# allocates 9 bytes per frame for its log below 257 engaged components
-# (about 90 MB at the cap) and costs about 655 ns per frame.
+# components takes about 0.08 ms from the running sums at 10^6 frames
+# (0.06 ms at 10^3); one in the event loop costs about 450 ns per frame
+# (some 4.5 s at the cap), or about 1,380 ns with jitter (some 14 s). A
+# run that records events allocates 9 bytes per frame for its log below
+# 257 engaged components (about 90 MB at the cap) and costs 655 ns a frame.
 _MAX_FRAMES = 10 ** 7
 # A plain run takes the running sums from this many frames on: for the
-# four kirin970 components they cost about as much as the event loop at
-# 300 frames and a third of it at 1,000. Its bounds and walk get this
-# many steps per frame, a step being a quarter of an event-loop frame.
+# four kirin970 components they cost as much as the event loop at 200
+# frames and a quarter of it at 1,000, for 12 seeded rates as much at 800.
+# Its bounds and walk get this many steps per frame, a step being a
+# quarter of an event-loop frame.
 _SUMS_MIN_FRAMES = 1000
 _WALK_STEPS_PER_FRAME = 4
 
@@ -292,28 +293,33 @@ def _lognormal(seed: int, cv: float):
 
 def _nth_sum(s: float, n: int) -> float:
     """The n-fold float sum 0.0 + s + ... + s, bit for bit (checked by
-    test_nth_sum_equals_repeated_addition), in a few float steps per power
-    of two it passes.
+    test_nth_sum_equals_repeated_addition and
+    test_nth_sum_equals_repeated_addition_on_seeded_exponents), in a few
+    float steps per power of two it passes.
 
     Below 2^-1021 and within each [2^e, 2^(e+1)) above, floats are the
     multiples of one power of two u, and adding s to X*u gives (X + D)*u,
     D = s/u rounded to nearest, a tie to the even X + D: round(s/u) from
     an even X. A pass adds s once, which may cross a power of two or reach
     inf (D = 0 there, as where the sum stops growing), then, unless a tie
-    left X odd, adds m*D at once, X + m*D < 2^53. s/u and x/u are exact.
+    left X odd, adds m*D at once, X + m*D < 2^53; s/u, x/u, m, n are exact.
     """
-    x = 0.0
+    head = min(n, 32)  # the first 32 additions cost less one by one, in C
+    x = max(accumulate(repeat(s, head)), default=0.0)  # the last sum
+    n, ulp = n - head, math.ulp
     while n:
         x += s
         n -= 1
-        u = math.ulp(x)
+        u = ulp(x)
         t, units = s / u, x / u
         if t % 1 == 0.5 and units % 2:
             continue
         step = round(t)
         if not step:
             break
-        m = min(n, (2 ** 53 - 1 - int(units)) // step)
+        m = (2.0 ** 53 - 1 - units) // step
+        if m >= n:
+            return (units + n * step) * u
         x = (units + m * step) * u
         n -= m
     return x
@@ -323,30 +329,28 @@ def _last_claim(service: list[float],
                 claims: int) -> tuple[list[int], list[float]]:
     """The frames each rank runs, and when it completes the last of them,
     in the jitter-free run whose last frame is claimed at completion
-    number claims.
+    number claims, bit for bit (checked by test_last_claim_equals_a_heap_walk
+    and test_last_claim_equals_a_heap_walk_on_seeded_stress_cases).
 
     Rank r completes its j-th frame at S_r(j), the j-fold float sum of its
     service time s_r, whatever the others do, and completions pop in
-    (time, rank) order. The completions up to start = max(0, claims -
-    pad) / sum(1/s_r), pad = k + 4, come first in that order; the walk
-    counts them and merges forward from there. Rank r keeps only the
-    4*pad sums after its first low_r = max(0, int(start/s_r) - pad):
-    the low_r-th sum comes from _nth_sum, and each of the window's from
-    the one before by the same float addition.
+    (time, rank) order. Each rank's first low_r = max(0, int(start/s_r) -
+    2) are counted at once, start = max(0, claims - pad) / sum(1/s_r) and
+    pad = k + 4; a merge pops the claims - sum(low_r) after them, drawing
+    sums from S_r(low_r + 1) (by _nth_sum) one addition at a time.
 
-    Why those sums are enough, for claims < N <= _MAX_FRAMES and each s_r
+    Why that count is right, for claims < N <= _MAX_FRAMES and each s_r
     at least 2^-1024, as the reciprocal of a finite rate is. An addition
     rounds by at most 2^-53 of its result, so |S_r(j) - j*s_r| <= j^2 *
     s_r * 2^-53 < s_r/64 for j <= N + 1; start/s_r is below claims, so
     c_r, the count of S_r(j) <= start, is within 1 of floor(start/s_r)
-    and within 2 of int(start/s_r). Then 0 <= c_r - low_r <= pad + 2:
-    every sum up to start lies in the window. The c_r add up to at most
-    start*sum(1/s_r) + k and at least that less 2k, and the roundings of
-    start and of the rate sum move start*sum(1/s_r) off claims - pad by
-    under 0.02, so the merge pops todo more sums, 0 <= todo <= pad + 2k
-    (at start = 0, todo = claims <= pad).
-    Each rank's last completion is its next sum after the merge, at most
-    (pad + 2) + todo + 1 <= 4*pad sums into its window.
+    and within 2 of int(start/s_r): low_r <= c_r. The c_r add up to at
+    most start*sum(1/s_r) + k, which the roundings of start and of the
+    rate sum keep under claims - pad + k + 0.02 < claims unless start = 0
+    and every low_r is 0. So the counted completions, all up to start, are
+    among the first claims, and the merge pops the rest of those in order.
+    It pops at most pad + 6k sums, as c_r - low_r <= 4 and the c_r add up
+    to at least start*sum(1/s_r) - 2k.
 
     A start past the float range is refused as the makespan, which passes
     it too: the N completions by the makespan M number at most
@@ -355,23 +359,28 @@ def _last_claim(service: list[float],
     """
     scale = min(service)  # sum(scale / s) lies in [1, k], so it is finite
     rate_sum = sum(scale / s for s in service)
-    pad = len(service) + 4
-    start = max(0, claims - pad) / rate_sum * scale
+    start = max(0, claims - len(service) - 4) / rate_sum * scale
     if start == math.inf:
         number(start, "makespan_s", "scenario result")
-    low = [max(0, int(start / s) - pad) for s in service]
-    # sums[r][i]: when rank r completes its (low[r] + i + 1)-th frame.
-    sums = [list(accumulate(repeat(s, 4 * pad), initial=_nth_sum(s, lo)))[1:]
-            for s, lo in zip(service, low)]
-    done = [sum(t <= start for t in grid) for grid in sums]
-    heap = [(grid[n], r) for r, (n, grid) in enumerate(zip(done, sums))]
+    ran = [max(0, int(start / s) - 2) + 1 for s in service]  # low_r + 1
+    next_sum = [accumulate(repeat(s), initial=_nth_sum(s, n)).__next__
+                for s, n in zip(service, ran)]
+    heap = [(draw(), r) for r, draw in enumerate(next_sum)]
     heapq.heapify(heap)
-    for _ in range(claims - sum(low) - sum(done)):
+    for _ in range(claims + len(service) - sum(ran)):
         r = heap[0][1]
-        done[r] += 1
-        heapq.heapreplace(heap, (sums[r][done[r]], r))
-    return ([lo + n + 1 for lo, n in zip(low, done)],
-            [grid[n] for n, grid in zip(done, sums)])
+        ran[r] += 1
+        heapq.heapreplace(heap, (next_sum[r](), r))
+    return ran, [t for t, _ in sorted(heap, key=lambda entry: entry[1])]
+
+
+def _plain_run(service: list[float],
+               frames: int) -> tuple[list[int], list[float]]:
+    """Each rank's frames run and busy time in the jitter-free run."""
+    idle = len(service) - frames
+    if idle < 0:
+        return _last_claim(service, -idle)
+    return [1] * frames + [0] * idle, service[:frames] + [0.0] * idle
 
 
 def _gaps(service: list[float], busy: list[float], r: int,
@@ -510,13 +519,13 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
     # e <= f the lowest unreleased frame, leaves c - e >= c - f frames held,
     # equal when f is the head; occupancy only rises between head arrivals,
     # and the run ends on one. A plain run's walk gets what is left of its
-    # budget after k*k bound visits at 8 steps each, a visit's cost with its
-    # share of the sums' windows; a budget >= 0 implies k < N.
+    # budget after k*k bound visits at 8 steps each; a budget >= 0 implies
+    # k < N.
     budget = _WALK_STEPS_PER_FRAME * n_frames - 8 * len(order) ** 2
     high_water = None
     if (not jitter and not record_events and n_frames >= _SUMS_MIN_FRAMES
             and budget >= 0):
-        frames_done, busy = _last_claim(service, n_frames - len(order))
+        frames_done, busy = _plain_run(service, n_frames)
         # Refused before the walk, whose ulp and end caps an infinite
         # makespan leaves meaningless.
         makespan = number(max(busy), "makespan_s", "scenario result")

@@ -660,6 +660,28 @@ def test_nth_sum_equals_repeated_addition():
             assert _nth_sum(s, m) == total, (s.hex(), m)
 
 
+def seeded_service_times(rng, cases):
+    """Seeded service times over the whole exponent range, subnormal and
+    overflowing sums included. Half have a random 53-bit mantissa; the
+    others end in an odd bit up to 12 places higher, so their sums first
+    land halfway between two floats after up to 2^13 additions."""
+    for _ in range(cases):
+        mantissa = rng.getrandbits(52) | 1 << 52
+        if rng.random() < 0.5:
+            shift = rng.randint(1, 12)
+            mantissa = (mantissa >> shift | 1) << shift
+        yield math.ldexp(mantissa, rng.randint(-1126, 971))
+
+
+def test_nth_sum_equals_repeated_addition_on_seeded_exponents():
+    rng = random.Random(24)
+    for s in seeded_service_times(rng, 3000):
+        n = rng.choice((rng.randint(0, 64), rng.randint(0, 6000)))
+        sums = list(itertools.accumulate(itertools.repeat(s, n), initial=0.0))
+        for m in {n, *rng.choices(range(n + 1), k=4)}:
+            assert _nth_sum(s, m) == sums[m], (s.hex(), m)
+
+
 @pytest.mark.parametrize("service,claims", [
     # Reciprocals that sum past the float range, a 2:1 pair far out, ties
     # within and across ranks, and service times one ulp apart.
@@ -682,6 +704,46 @@ def test_nth_sum_equals_repeated_addition():
     ([5e-324, 1e-323, 1.5e-323, 5e-324], 1000)], ids=repr)
 def test_last_claim_equals_a_heap_walk(service, claims):
     assert _last_claim(service, claims) == last_claim_oracle(service, claims)
+
+
+def last_claim_stress_cases(rng, cases):
+    """Seeded (service, claims) cases for the window of _last_claim: 1 to
+    12 ranks spread around one magnitude, one ulp apart, one fast rank
+    among slow ones, or in small integer ratios that tie; magnitudes from
+    the least a rate allows (2^-1024) to near the top of the float range,
+    where the sums overflow; claims near pad = k + 4 or up to 3,000."""
+    for _ in range(cases):
+        k, pattern = rng.randint(1, 12), rng.randrange(4)
+        base = rng.choice((rng.uniform(2.0 ** -1024, 2.0 ** -1022),
+                           rng.uniform(1.0, 2.0) * 2.0 ** rng.randint(-60, 60),
+                           rng.uniform(1e306, 1.7e308)))
+        if pattern == 0:
+            service = [base * rng.uniform(0.5, 1.0) for _ in range(k)]
+        elif pattern == 1:
+            service = ulps_apart(base, k)
+        elif pattern == 2:
+            service = [base] * k
+            service[rng.randrange(k)] = base / rng.choice((8.0, 1000.0))
+        else:
+            service = [base / rng.choice((1, 2, 3, 4, 6)) for _ in range(k)]
+        claims = rng.choice((rng.randint(0, 2 * k + 10),
+                             k + 4 + rng.randint(-2, 2), rng.randint(0, 3000)))
+        yield service, claims
+
+
+def test_last_claim_equals_a_heap_walk_on_seeded_stress_cases():
+    refused = 0
+    for service, claims in last_claim_stress_cases(random.Random(23), 1500):
+        want = last_claim_oracle(service, claims)
+        try:
+            got = _last_claim(service, claims)
+        except MalformedDocument:
+            # Refused only where the makespan passes the float range.
+            assert max(want[1]) == math.inf, (service, claims)
+            refused += 1
+            continue
+        assert got == want, (service, claims)
+    assert refused >= 10, refused
 
 
 def outcome(scenario, platform, network, record_events):
@@ -840,6 +902,23 @@ def test_each_family_takes_its_path(monkeypatch, rates, frames, path):
     assert len(calls) == len(claimed)
     assert calls == {"sums": [result.reorder_high_water], "loop": [],
                      "walk over budget": [None]}[path]
+    assert result == replace(simulate(*run, record_events=True), events=None)
+
+
+def test_high_water_bound_keeps_its_rounding_margin():
+    # A rate one ulp below twice the other. The fast rank's (c1) rounded
+    # sums keep pace with twice the slow rank's: its 16th ties the slow
+    # rank's 8th, at 8/3 s, and goes second, and its 18th comes one ulp
+    # before the slow rank's 9th, at 3 s. So c1 completes three frames
+    # between two of c0's, and the high water is 3. Bounding that count
+    # by the bare quotient of the service times, one ulp below 2, would
+    # report 2.
+    rates = [3.0, math.nextafter(6.0, 0.0)]
+    run = (Scenario("synth", "synthnet", ("c0", "c1"), _SUMS_MIN_FRAMES),
+           synthetic_platform([(rate, 1.0) for rate in rates]),
+           synthetic_network(rates))
+    result = simulate(*run)
+    assert result.reorder_high_water == 3
     assert result == replace(simulate(*run, record_events=True), events=None)
 
 
