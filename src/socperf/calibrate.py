@@ -204,11 +204,16 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
         if score < best_score:
             best_score, x = score, trial
 
+    def run(x):  # the simulation of base at x, CPU factors as contention
+        factors = dict(zip(base.engaged, x[1:]))
+        return simulate(replace(base, dispatch_overhead_s=x[0], contention={
+            cid: factors[cid] for cid in cpu_ids}), platform, network)
+
     # Final polish against the simulated score: move one searched coordinate
     # at a time by -2, -1, 1 or 2 steps within its bounds and keep a move
-    # that scores strictly lower. simulate runs where the polish starts and,
-    # if the polish moved x, where it ends.
-    start, best = x, _run(platform, network, base, cpu_ids, x)
+    # that scores strictly lower. The start is simulated as well as scored
+    # only because perfbench/test_checks.py asserts two simulations in a fit.
+    start, best = x, run(x)
     steps = [2e-4 * unit] + [0.01] * (len(coords) - 1)
     for _ in range(2):
         for c, step in zip(coords, steps):
@@ -224,7 +229,7 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
                     best_score, x = score, trial
         steps = [s * 0.25 for s in steps]
     if x is not start:
-        best = _run(platform, network, base, cpu_ids, x)
+        best = run(x)
 
     residual_comp = ({cid: best.composition[cid] - share
                       for cid, share in target_shares.items()}
@@ -236,14 +241,6 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
         residual_composition=residual_comp,
         result=best,
     )
-
-
-def _run(platform: Platform, network: NetworkProfile, base: Scenario,
-         cpu_ids: list[str], x: list[float]) -> SimResult:
-    """The simulation of base at x, with the CPU factors as contention."""
-    factors = dict(zip(base.engaged, x[1:]))
-    return simulate(replace(base, dispatch_overhead_s=x[0], contention={
-        cid: factors[cid] for cid in cpu_ids}), platform, network)
 
 
 def _search(rates: dict[str, float], x: list[float], coords: list[int],

@@ -17,16 +17,16 @@ variation and seed, 0 unless set, so jittered runs repeat too) perturbs
 the processing part of the service time. Its factors are Kinderman-Monahan
 draws, identical to those of random.Random(seed).lognormvariate.
 
-A plain run (no jitter, no recorded events, at least _SUMS_MIN_FRAMES
-frames) skips the event loop: its frame counts, busy times and makespan
-follow from each component's running sums (_plain_run), and its reorder
-high water from a walk, planned once on that run, of the components that
-can set it (_high_water), bit for bit (checked by
-test_plain_run_equals_the_heap_run_field_for_field and
-test_plain_runs_at_extreme_magnitudes_equal_the_heap_run). The sums are
-reached in a few float steps per power of two they pass (_nth_sum), so
-such a run costs about the same at any frame count. The event loop runs
-every other run, and a plain one whose bounds or walk would cost more.
+A plain run (no jitter or recorded events, N >= _SUMS_MIN_FRAMES and
+8k^2 <= _WALK_STEPS_PER_FRAME * N for k components) skips the event loop:
+its frame counts, busy times and makespan follow from the running sums
+(_plain_run, which also scores the fit's candidates), and its reorder
+high water from a walk of the components that can set it (_high_water),
+bit for bit (checked by test_plain_run_equals_the_heap_run_field_for_field
+and test_plain_runs_at_extreme_magnitudes_equal_the_heap_run). The sums
+take a few float steps per power of two they pass (_nth_sum), so a run
+costs about the same at any N. The event loop runs every other run, and
+a plain one whose walk needs more than the 4N - 8k^2 steps left.
 
 The event loop is single threaded; identical scenarios yield bit-identical
 results (test_determinism_bit_identical), and independent scenarios can
@@ -325,12 +325,14 @@ def _nth_sum(s: float, n: int) -> float:
     return x
 
 
-def _last_claim(service: list[float],
-                claims: int) -> tuple[list[int], list[float]]:
+def _plain_run(service: list[float],
+               frames: int) -> tuple[list[int], list[float]]:
     """The frames each rank runs, and when it completes the last of them,
-    in the jitter-free run whose last frame is claimed at completion
-    number claims, bit for bit (checked by test_last_claim_equals_a_heap_walk
-    and test_last_claim_equals_a_heap_walk_on_seeded_stress_cases).
+    in the jitter-free run of N = frames frames, bit for bit (checked by
+    test_last_claim_equals_a_heap_walk and
+    test_last_claim_equals_a_heap_walk_on_seeded_stress_cases). If N < k,
+    the first N ranks run one frame each; else the last frame is claimed
+    at completion number claims = N - k.
 
     Rank r completes its j-th frame at S_r(j), the j-fold float sum of its
     service time s_r, whatever the others do, and completions pop in
@@ -352,14 +354,22 @@ def _last_claim(service: list[float],
     It pops at most pad + 6k sums, as c_r - low_r <= 4 and the c_r add up
     to at least start*sum(1/s_r) - 2k.
 
+    The pad only eases this proof. Rank r's excess c_r - start/s_r is at
+    most c_r(c_r + 1)/2 * 2^-53 to first order, and the c_r add up to
+    about claims, so for N <= 10^7 the excesses add up to under 0.006: the
+    count is right without the pad too, and no test can catch its loss.
+
     A start past the float range is refused as the makespan, which passes
     it too: the N completions by the makespan M number at most
     M*sum(1/s_r)/(1 - N*eps), so M is above start by a factor of at least
     (1 + (pad + k)/N)(1 - N*eps) > 1 + 5e-7 at N <= 10^7.
     """
+    k, idle = len(service), len(service) - frames
+    if idle > 0:
+        return [1] * frames + [0] * idle, service[:frames] + [0.0] * idle
     scale = min(service)  # sum(scale / s) lies in [1, k], so it is finite
     rate_sum = sum(scale / s for s in service)
-    start = max(0, claims - len(service) - 4) / rate_sum * scale
+    start = max(0, frames - 2 * k - 4) / rate_sum * scale
     if start == math.inf:
         number(start, "makespan_s", "scenario result")
     ran = [max(0, int(start / s) - 2) + 1 for s in service]  # low_r + 1
@@ -367,20 +377,11 @@ def _last_claim(service: list[float],
                 for s, n in zip(service, ran)]
     heap = [(draw(), r) for r, draw in enumerate(next_sum)]
     heapq.heapify(heap)
-    for _ in range(claims + len(service) - sum(ran)):
+    for _ in range(frames - sum(ran)):
         r = heap[0][1]
         ran[r] += 1
         heapq.heapreplace(heap, (next_sum[r](), r))
     return ran, [t for t, _ in sorted(heap, key=lambda entry: entry[1])]
-
-
-def _plain_run(service: list[float],
-               frames: int) -> tuple[list[int], list[float]]:
-    """Each rank's frames run and busy time in the jitter-free run."""
-    idle = len(service) - frames
-    if idle < 0:
-        return _last_claim(service, -idle)
-    return [1] * frames + [0] * idle, service[:frames] + [0.0] * idle
 
 
 def _gaps(service: list[float], busy: list[float], r: int,
@@ -388,15 +389,14 @@ def _gaps(service: list[float], busy: list[float], r: int,
     """The largest c - f over rank r's first completions completions, the
     other ranks' completions counted by the heap's own additions up to
     busy, ties in rank order."""
-    k, s, t, c, gap = len(service), service[r], 0.0, 0, 0
+    k, s, t, gap = len(service), service[r], 0.0, 0
+    g = k - r  # the first gap, from a virtual completion at r - k + 1
     # Each other rank's next completion, service time, the float just
     # past its last completion, and whether it goes first on a tie.
     state = [[service[q], service[q], math.nextafter(busy[q], math.inf),
               q < r] for q in range(k) if q != r]
-    for j in range(completions):
+    for _ in range(completions):
         t += s
-        last = c
-        c += 1
         tie = math.nextafter(t, math.inf) if r else t
         for st in state:
             u, sq, end, below = st
@@ -409,12 +409,11 @@ def _gaps(service: list[float], busy: list[float], r: int,
                     u += sq
                     n += 1
                 st[0] = u
-                c += n
-        if not j:
-            first = c - r
-        if c - last > gap:
-            gap = c - last
-    return max(first, gap - k + 1)
+                g += n
+        if g > gap:
+            gap = g
+        g = 1
+    return gap - k + 1
 
 
 def _high_water(service: list[float], ran: list[int], busy: list[float],
@@ -424,13 +423,13 @@ def _high_water(service: list[float], ran: list[int], busy: list[float],
     would take more than budget steps.
 
     The high water is the largest c - f over all completions (see
-    simulate). Rank r's first completion completes frame r; its j-th,
-    j > 1, completes the frame it claimed at its (j-1)-th, at position c',
-    frame c' + k - 1, so c - f is the gap c - c' less k - 1. A gap is 1
-    plus the other ranks' completions in between. The first completion of
-    the slowest rank gives the best so far. Then, slowest first, only
-    ranks whose bound beats it are walked, rank r in up to N additions
-    and ran[r] rounds of k - 1 rank visits, a visit costing four.
+    simulate). Rank r's j-th completion, j > 1, completes the frame it
+    claimed at its (j-1)-th, at position c', frame c' + k - 1, so c - f is
+    the gap c - c' less k - 1; its first completes frame r, as if c' were
+    r - k + 1. A gap is 1 plus the other ranks' completions in between.
+    The first completion of the slowest rank gives the best so far. Then,
+    slowest first, only ranks whose bound beats it are walked, rank r in
+    up to N additions and ran[r] rounds of k - 1 rank visits, four each.
 
     The bound. Every time is at most the makespan M, so each sum rounds
     by at most u/2, u = ulp(M): rank q's m-th completion is at least
@@ -464,6 +463,8 @@ def _high_water(service: list[float], ran: list[int], busy: list[float],
 
     slowest = sorted(range(k), key=service.__getitem__, reverse=True)
     best, todo = _gaps(service, busy, slowest[0], 1), []
+    # Charged rank by rank up to the first overrun: taking every bound
+    # first made a 64-rank run over budget about 1.5 times slower.
     for r in slowest:
         most = bound(r)
         if most > best:
@@ -542,11 +543,9 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
             times = array("d", [0.0]) * n_frames
 
         # At time 0 the component of rank r claims frame r.
-        heap: list[tuple[float, int, int]] = []
-        for rank in range(min(len(order), n_frames)):
-            draw = (processing[rank] * factor() + overhead
-                    if jitter else service[rank])
-            heap.append((draw, rank, rank))
+        heap = [(processing[rank] * factor() + overhead if jitter
+                 else service[rank], rank, rank)
+                for rank in range(min(len(order), n_frames))]
         heapq.heapify(heap)
         # next_frame counts on through the drain, so it is c + started - 1
         # at every completion.
@@ -572,20 +571,16 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
                 busy[rank] = now
                 heappop(heap)
             next_frame += 1
-        makespan = now  # the last completion
+        makespan = number(now, "makespan_s", "scenario result")
         high_water = lag - started + 1
-    throughput = n_frames / makespan
-    for key, value in (("makespan_s", makespan), ("throughput", throughput)):
-        number(value, key, "scenario result")  # a sum or ratio can overflow
+    throughput = number(n_frames / makespan, "throughput", "scenario result")
 
-    frames_per_component = dict(zip(order, frames_done))
-    busy_time = dict(zip(order, busy))
     # Active energy: active power times busy time, summed over the engaged
     # components; idle power is excluded by construction of the active
     # power values.
     energy_per_component = {
-        cid: platform.component(cid).active_power_w * busy_time[cid]
-        for cid in order}
+        cid: platform.component(cid).active_power_w * time
+        for cid, time in zip(order, busy)}
     energy = number(sum(energy_per_component.values()), "energy_j",
                     "scenario result")  # may under- or overflow
     efficiency = number(n_frames / energy, "energy_efficiency",
@@ -594,9 +589,9 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
         scenario=scenario,
         makespan_s=makespan,
         throughput=throughput,
-        frames_per_component=frames_per_component,
-        composition={cid: frames_per_component[cid] / n_frames for cid in order},
-        busy_time_s=busy_time,
+        frames_per_component=dict(zip(order, frames_done)),
+        composition={cid: n / n_frames for cid, n in zip(order, frames_done)},
+        busy_time_s=dict(zip(order, busy)),
         energy_per_component_j=energy_per_component,
         energy_j=energy,
         energy_efficiency=efficiency,

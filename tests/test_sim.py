@@ -24,8 +24,8 @@ from socperf import (
 )
 import socperf.sim as SIM
 from socperf.sim import (_MAX_FRAMES, _MAX_JITTER_CV, _SUMS_MIN_FRAMES,
-                         EventLog, ReorderBuffer, _last_claim, _lognormal,
-                         _nth_sum)
+                         EventLog, ReorderBuffer, _lognormal, _nth_sum,
+                         _plain_run)
 
 EXYNOS = platform_by_id("exynos5422")
 KIRIN = platform_by_id("kirin970")
@@ -703,11 +703,12 @@ def test_nth_sum_equals_repeated_addition_on_seeded_exponents():
     ([5.6e-309, 1.1e-308, 1.7e-308], 10 ** 4),
     ([5e-324, 1e-323, 1.5e-323, 5e-324], 1000)], ids=repr)
 def test_last_claim_equals_a_heap_walk(service, claims):
-    assert _last_claim(service, claims) == last_claim_oracle(service, claims)
+    assert (_plain_run(service, claims + len(service))
+            == last_claim_oracle(service, claims))
 
 
 def last_claim_stress_cases(rng, cases):
-    """Seeded (service, claims) cases for the window of _last_claim: 1 to
+    """Seeded (service, claims) cases for the window of _plain_run: 1 to
     12 ranks spread around one magnitude, one ulp apart, one fast rank
     among slow ones, or in small integer ratios that tie; magnitudes from
     the least a rate allows (2^-1024) to near the top of the float range,
@@ -736,7 +737,7 @@ def test_last_claim_equals_a_heap_walk_on_seeded_stress_cases():
     for service, claims in last_claim_stress_cases(random.Random(23), 1500):
         want = last_claim_oracle(service, claims)
         try:
-            got = _last_claim(service, claims)
+            got = _plain_run(service, claims + len(service))
         except MalformedDocument:
             # Refused only where the makespan passes the float range.
             assert max(want[1]) == math.inf, (service, claims)
@@ -838,9 +839,9 @@ def test_run_past_the_float_range_is_refused_before_its_sums_grow():
 def recorded_paths(monkeypatch):
     """What each _high_water call returned, None for a run that fell back
     to the event loop, and how many runs took the running sums (called
-    _last_claim)."""
+    _plain_run)."""
     calls, claimed = [], []
-    high_water, last_claim = SIM._high_water, SIM._last_claim
+    high_water, plain_run = SIM._high_water, SIM._plain_run
 
     def recording(*args):
         calls.append(high_water(*args))
@@ -848,10 +849,10 @@ def recorded_paths(monkeypatch):
 
     def claiming(*args):
         claimed.append(None)
-        return last_claim(*args)
+        return plain_run(*args)
 
     monkeypatch.setattr(SIM, "_high_water", recording)
-    monkeypatch.setattr(SIM, "_last_claim", claiming)
+    monkeypatch.setattr(SIM, "_plain_run", claiming)
     return calls, claimed
 
 
