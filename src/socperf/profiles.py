@@ -214,11 +214,11 @@ class Platform:
                     f"bandwidth {comp.sustainable_bandwidth_gbs} GB/s exceeds "
                     f"bus peak {self.bus_peak_bandwidth_gbs} GB/s"
                 )
-        by_id = {c.id: c for c in self.components}
+        _set(self, "_by_id", {c.id: c for c in self.components})
         for comp in self.components:
             if comp.host_cluster is None:
                 continue
-            host = by_id.get(comp.host_cluster)
+            host = self._by_id.get(comp.host_cluster)
             if host is None:
                 raise DanglingHostCluster(
                     f"{ctx}: component {shown(comp.id)} references "
@@ -231,12 +231,12 @@ class Platform:
                 )
 
     def component(self, component_id: str) -> ComponentSpec:
-        for comp in self.components:
-            if comp.id == component_id:
-                return comp
-        raise UnknownComponent(
-            f"platform {shown(self.id)} has no component {shown(component_id)}"
-        )
+        try:
+            return self._by_id[component_id]
+        except (KeyError, TypeError):  # TypeError: an unhashable id
+            raise UnknownComponent(
+                f"platform {shown(self.id)} has no component "
+                f"{shown(component_id)}") from None
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ be set explicitly per component, or derived from an opt-in per-hosted-
 accelerator derating. Optional lognormal jitter (given coefficient of
 variation and seed, 0 unless set, so jittered runs repeat too) perturbs
 the processing part of the service time. Its factors are Kinderman-Monahan
-draws, identical to those of random.Random(seed).lognormvariate.
+draws, identical to those of random.Random(seed).lognormvariate. The event
+loop draws one per claim, makes each claim at the completion it replaces
+on a heap of the k frames in flight, and then drains the heap.
 
 A plain run (no jitter or recorded events, N >= _SUMS_MIN_FRAMES and
 8k^2 <= _WALK_STEPS_PER_FRAME * N for k components) skips the event loop:
@@ -37,6 +39,7 @@ import heapq
 import math
 import random
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from types import MappingProxyType
@@ -53,10 +56,10 @@ _MAX_JITTER_CV = 1e154
 # The most frames one run takes, refused before anything is allocated.
 # simulate allocates nothing per frame. A plain run of the four kirin970
 # components takes about 0.08 ms from the running sums at 10^6 frames
-# (0.06 ms at 10^3); one in the event loop costs about 450 ns per frame
-# (some 4.5 s at the cap), or about 1,380 ns with jitter (some 14 s). A
+# (0.06 ms at 10^3); one in the event loop costs about 550 ns per frame
+# (some 5.5 s at the cap), or about 1,150 ns with jitter (some 12 s). A
 # run that records events allocates 9 bytes per frame for its log below
-# 257 engaged components (about 90 MB at the cap) and costs 655 ns a frame.
+# 257 engaged components (about 90 MB at the cap) and costs 680 ns a frame.
 _MAX_FRAMES = 10 ** 7
 # A plain run takes the running sums from this many frames on: for the
 # four kirin970 components they cost as much as the event loop at 200
@@ -235,7 +238,7 @@ class SimResult:
     it yields every claim, completion and release as a SimEvent, in the
     order the run made them. Nothing is cached: each pass derives the
     events again, costs more than twice as much as the recorded run itself
-    (some 1.5 us per frame) and allocates 1 byte per frame while it lasts.
+    (some 2.2 us per frame) and allocates 1 byte per frame while it lasts.
     """
 
     scenario: Scenario
@@ -263,32 +266,15 @@ def effective_rates(scenario: Scenario, platform: Platform,
     """
     components = [platform.component(cid) for cid in scenario.engaged]
     derating = scenario.host_contention_default
+    if derating is not None:
+        hosted = Counter(c.host_cluster for c in components)
     rates = {}
     for comp in components:
         factor = scenario.contention.get(comp.id)
         if factor is None:
-            factor = 1.0 if derating is None else derating ** sum(
-                c.host_cluster == comp.id for c in components)
+            factor = 1.0 if derating is None else derating ** hosted[comp.id]
         rates[comp.id] = network.rate(comp.id) * factor
     return rates
-
-
-def _lognormal(seed: int, cv: float):
-    """Yield lognormal factors of mean 1 and coefficient of variation cv,
-    the same floats random.Random(seed).lognormvariate(mu, sigma) returns
-    one call after another: its Kinderman-Monahan rejection loop, with the
-    same uniforms and the same arithmetic, without its two nested calls
-    per draw."""
-    uniform = random.Random(seed).random
-    sigma = math.sqrt(math.log(1.0 + cv ** 2))
-    mu = -0.5 * sigma * sigma
-    magic, log, exp = random.NV_MAGICCONST, math.log, math.exp
-    while True:
-        u1 = uniform()
-        u2 = 1.0 - uniform()
-        z = magic * (u1 - 0.5) / u2
-        if z * z / 4.0 <= -log(u2):
-            yield exp(mu + z * sigma)
 
 
 def _nth_sum(s: float, n: int) -> float:
@@ -337,39 +323,36 @@ def _plain_run(service: list[float],
     Rank r completes its j-th frame at S_r(j), the j-fold float sum of its
     service time s_r, whatever the others do, and completions pop in
     (time, rank) order. Each rank's first low_r = max(0, int(start/s_r) -
-    2) are counted at once, start = max(0, claims - pad) / sum(1/s_r) and
-    pad = k + 4; a merge pops the claims - sum(low_r) after them, drawing
-    sums from S_r(low_r + 1) (by _nth_sum) one addition at a time.
+    2) are counted at once, start = claims / sum(1/s_r); a merge pops the
+    claims - sum(low_r) after them, drawing sums from S_r(low_r + 1) (by
+    _nth_sum) one addition at a time.
 
     Why that count is right, for claims < N <= _MAX_FRAMES and each s_r
     at least 2^-1024, as the reciprocal of a finite rate is. An addition
-    rounds by at most 2^-53 of its result, so |S_r(j) - j*s_r| <= j^2 *
-    s_r * 2^-53 < s_r/64 for j <= N + 1; start/s_r is below claims, so
-    c_r, the count of S_r(j) <= start, is within 1 of floor(start/s_r)
-    and within 2 of int(start/s_r): low_r <= c_r. The c_r add up to at
-    most start*sum(1/s_r) + k, which the roundings of start and of the
-    rate sum keep under claims - pad + k + 0.02 < claims unless start = 0
-    and every low_r is 0. So the counted completions, all up to start, are
-    among the first claims, and the merge pops the rest of those in order.
-    It pops at most pad + 6k sums, as c_r - low_r <= 4 and the c_r add up
-    to at least start*sum(1/s_r) - 2k.
-
-    The pad only eases this proof. Rank r's excess c_r - start/s_r is at
-    most c_r(c_r + 1)/2 * 2^-53 to first order, and the c_r add up to
-    about claims, so for N <= 10^7 the excesses add up to under 0.006: the
-    count is right without the pad too, and no test can catch its loss.
+    rounds by at most 2^-53 of its result, so |S_r(j) - j*s_r| is within
+    1% of j(j + 1)/2 * s_r * 2^-53 at most, below s_r/64 for j <= N + 1.
+    start/s_r is below claims + 1, so c_r, the count of S_r(j) <= start,
+    is within 1 of floor(start/s_r) and within 2 of int(start/s_r): low_r
+    <= c_r. And c_r - start/s_r is at most 1.01 * c_r(c_r + 1)/2 * 2^-53;
+    as the c_r add up to at most N + 1, these excesses add up to under
+    0.006. The roundings of start and of the rate sum put start*sum(1/s_r)
+    within claims*(k + 3)*2^-53 < 0.012 of claims (k <= N). So the c_r
+    add up to under claims + 1, to at most claims: the counted ones, all
+    up to start, are among the first claims, and the merge pops the rest
+    in order. It pops at most 6k sums, as c_r - low_r <= 4 and the c_r
+    add up to at least start*sum(1/s_r) - 2k.
 
     A start past the float range is refused as the makespan, which passes
     it too: the N completions by the makespan M number at most
     M*sum(1/s_r)/(1 - N*eps), so M is above start by a factor of at least
-    (1 + (pad + k)/N)(1 - N*eps) > 1 + 5e-7 at N <= 10^7.
+    (1 + k/claims)(1 - N*eps)(1 - (k + 3)*eps) > 1 + 9e-8 at N <= 10^7.
     """
     k, idle = len(service), len(service) - frames
     if idle > 0:
         return [1] * frames + [0] * idle, service[:frames] + [0.0] * idle
     scale = min(service)  # sum(scale / s) lies in [1, k], so it is finite
     rate_sum = sum(scale / s for s in service)
-    start = max(0, frames - 2 * k - 4) / rate_sum * scale
+    start = (frames - k) / rate_sum * scale
     if start == math.inf:
         number(start, "makespan_s", "scenario result")
     ran = [max(0, int(start / s) - 2) + 1 for s in service]  # low_r + 1
@@ -511,7 +494,17 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
                for cid, base in zip(order, processing)]
     jitter = scenario.jitter_cv > 0
     if jitter:
-        factor = _lognormal(scenario.jitter_seed, scenario.jitter_cv).__next__
+        # random.Random(seed).lognormvariate's draws, made in the loop
+        # below without its two nested calls. Its Kinderman-Monahan test
+        # accepts z, u2 if z*z/4 <= -log(u2); two candidates in three pass
+        # z*z <= 4.9999 - 5.1362*u2 first, with no log, which costs three
+        # times exp on Python 3.11. As -4*log(u2) >= 5 - 4*e^(1/4)*u2 (the
+        # tangent at u2 = e^(-1/4)), those lie 1e-4 inside the region, far
+        # past any rounding of either side, so the exact test accepts them.
+        uniform = random.Random(scenario.jitter_seed).random
+        sigma = math.sqrt(math.log(1.0 + scenario.jitter_cv ** 2))
+        mu = -0.5 * sigma * sigma
+        magic, log, exp = random.NV_MAGICCONST, math.log, math.exp
 
     n_frames = scenario.frame_count
     # Frames release strictly in order, so the reorder buffer's high water
@@ -542,35 +535,42 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
             ranks = array(code, [0]) * n_frames
             times = array("d", [0.0]) * n_frames
 
-        # At time 0 the component of rank r claims frame r.
-        heap = [(processing[rank] * factor() + overhead if jitter
-                 else service[rank], rank, rank)
-                for rank in range(min(len(order), n_frames))]
-        heapq.heapify(heap)
-        # next_frame counts on through the drain, so it is c + started - 1
-        # at every completion.
-        next_frame = started = len(heap)
-        lag = 0  # the largest next_frame - f so far
-
-        heapreplace, heappop = heapq.heapreplace, heapq.heappop
-        while heap:
-            now, rank, frame = heap[0]
+        # Rank r claims frame r at time 0, and every later claim replaces
+        # the completion that frees its rank: after all time-0 claims, as a
+        # zero-length jittered frame can complete at time 0.
+        started = min(len(order), n_frames)
+        heap = []
+        lag = 0  # the largest c + started - 1 - f so far
+        heappush, heapreplace = heapq.heappush, heapq.heapreplace
+        for next_frame in range(n_frames):
+            if next_frame < started:
+                now, rank = 0.0, next_frame
+            else:
+                now, rank, frame = heap[0]
+                if next_frame - frame > lag:
+                    lag = next_frame - frame
+            if jitter:
+                while True:
+                    u1 = uniform()
+                    u2 = 1.0 - uniform()
+                    z = magic * (u1 - 0.5) / u2
+                    zz = z * z
+                    if zz <= 4.9999 - 5.1362 * u2 or zz / 4.0 <= -log(u2):
+                        break
+                now += processing[rank] * exp(mu + z * sigma) + overhead
+            else:
+                now += service[rank]
             frames_done[rank] += 1
             if record_events:
-                ranks[frame] = rank
-                times[frame] = now
-            if next_frame - frame > lag:
-                lag = next_frame - frame
-            if next_frame < n_frames:
-                draw = (processing[rank] * factor() + overhead
-                        if jitter else service[rank])
-                heapreplace(heap, (now + draw, rank, next_frame))
-            else:
-                # A component runs back to back from time 0, so its busy
-                # time is the completion time of its last frame.
-                busy[rank] = now
-                heappop(heap)
-            next_frame += 1
+                ranks[next_frame] = rank
+                times[next_frame] = now
+            (heappush if next_frame < started else heapreplace)(
+                heap, (now, rank, next_frame))
+        # The last k completions in heap order, at c + started - 1 = n_frames
+        # on; a rank runs back to back, so its last one ends its busy time.
+        for i, (now, rank, frame) in enumerate(sorted(heap), n_frames):
+            lag = max(lag, i - frame)
+            busy[rank] = now
         makespan = number(now, "makespan_s", "scenario result")
         high_water = lag - started + 1
     throughput = number(n_frames / makespan, "throughput", "scenario result")

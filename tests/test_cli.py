@@ -127,8 +127,9 @@ def test_simulate_scenario_file(tmp_path):
     assert doc["throughput_imgs_per_s"] == pytest.approx(3.1, rel=1e-6)
 
 
-# The stdout of jittered runs, recorded before the jitter factors were drawn
-# by sim._lognormal; no other test pins the bytes of a jittered payload.
+# The stdout of jittered runs, recorded while simulate drew its jitter factors
+# by random.Random.lognormvariate itself; no other test pins the bytes of a
+# jittered payload.
 JITTERED_FLAGS = [
     "simulate", "--platform", "exynos5422", "--network", "alexnet",
     "--components", "a7,a15,t628", "--frames", "500", "--cv", "0.2",

@@ -74,6 +74,15 @@ def test_load_bundled_exynos_platform():
     assert platform.component("t628").host_cluster == "a7"
 
 
+@pytest.mark.parametrize("component_id", ["m4", "A7", ["a7"], {"a7": 1}])
+def test_unknown_component_lookup_is_refused_by_its_id(component_id):
+    # An unhashable id is refused like any other unknown one.
+    with pytest.raises(UnknownComponent) as exc:
+        platform_by_id("exynos5422").component(component_id)
+    assert str(exc.value) == (
+        f"platform 'exynos5422' has no component {component_id!r}")
+
+
 def test_load_platform_single_component():
     platform = load_platform(minimal_platform_doc())
     assert len(platform.components) == 1

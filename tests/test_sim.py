@@ -24,8 +24,7 @@ from socperf import (
 )
 import socperf.sim as SIM
 from socperf.sim import (_MAX_FRAMES, _MAX_JITTER_CV, _SUMS_MIN_FRAMES,
-                         EventLog, ReorderBuffer, _lognormal, _nth_sum,
-                         _plain_run)
+                         EventLog, ReorderBuffer, _nth_sum, _plain_run)
 
 EXYNOS = platform_by_id("exynos5422")
 KIRIN = platform_by_id("kirin970")
@@ -408,21 +407,27 @@ def test_seeded_jitter_run_is_pinned(overhead, makespan, busy, frames,
     assert result.reorder_high_water == high_water
 
 
+DRAWS = 5000
+# One component per draw, all at rate 1: each frame is a claim at time 0,
+# so frame f completes at exactly the f-th factor.
+DRAW_RUN = (synthetic_platform([(1.0, 1.0)] * DRAWS),
+            synthetic_network([1.0] * DRAWS))
+
+
 @pytest.mark.parametrize("cv", [1e-9, 0.01, 0.1, 1, 3, 1e3, _MAX_JITTER_CV])
 @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40])
 def test_jitter_factors_are_the_stdlib_lognormal_draws(seed, cv):
     sigma = math.sqrt(math.log(1.0 + cv ** 2))
     draw = random.Random(seed).lognormvariate
-    factors = _lognormal(seed, cv)
-    assert ([repr(next(factors)) for _ in range(5000)]
-            == [repr(draw(-0.5 * sigma * sigma, sigma)) for _ in range(5000)])
+    scenario = Scenario("synth", "synthnet",
+                        tuple(f"c{i}" for i in range(DRAWS)), DRAWS,
+                        jitter_seed=seed, jitter_cv=cv)
+    times = simulate(scenario, *DRAW_RUN, record_events=True).events.times
+    assert ([repr(t) for t in times]
+            == [repr(draw(-0.5 * sigma * sigma, sigma)) for _ in range(DRAWS)])
 
 
-@pytest.mark.parametrize("overhead", [0.0, 0.002])
-@pytest.mark.parametrize("frames", [1, 2, 3])
-def test_jittered_run_shorter_than_its_engagement_draws_at_time_0(frames,
-                                                                   overhead):
-    # Fewer frames than components: every draw is a claim at time 0.
+def assert_jittered_run_is_the_oracle_run(frames, overhead):
     scenario = Scenario("kirin970", "alexnet", ("a53", "a73", "g72", "npu"),
                         frames, dispatch_overhead_s=overhead, jitter_seed=7,
                         jitter_cv=0.3)
@@ -432,6 +437,22 @@ def test_jittered_run_shorter_than_its_engagement_draws_at_time_0(frames,
     assert [result.frames_per_component, result.makespan_s,
             result.busy_time_s] == fields
     assert logged(result.events) == oracle_events(log)
+
+
+@pytest.mark.parametrize("overhead", [0.0, 0.002])
+@pytest.mark.parametrize("frames", [1, 2, 3])
+def test_jittered_run_shorter_than_its_engagement_draws_at_time_0(frames,
+                                                                   overhead):
+    # Fewer frames than components: every draw is a claim at time 0.
+    assert_jittered_run_is_the_oracle_run(frames, overhead)
+
+
+@pytest.mark.parametrize("overhead", [0.0, 0.002])
+@pytest.mark.parametrize("frames", [4, 5])
+def test_jittered_run_at_the_seam_of_its_claims(frames, overhead):
+    # N = k and N = k + 1: the last claim at time 0, then the first claim
+    # made as a completion leaves the heap.
+    assert_jittered_run_is_the_oracle_run(frames, overhead)
 
 
 def test_ties_resolve_by_component_id_order():
@@ -688,11 +709,11 @@ def test_nth_sum_equals_repeated_addition_on_seeded_exponents():
     ([1e-308, 1e-308], 100), ([5e-309, 1e-300, 3e-308], 1000),
     ([1.0, 2.0], 10 ** 5), ([0.5, 0.25, 0.5], 999),
     ([1.0, math.nextafter(1.0, 2.0)], 5000),
-    # The cases the window's proof leans on. At most pad = k + 4 claims,
-    # so the walk starts at time 0.
+    # The cases the window's proof leans on. A few claims, so the merge
+    # starts at or near time 0.
     ([3.0, 1.0], 1), ([1.0, 2.0, 3.0], 7),
     # One fast rank among slow ones whose next sums fall just past the
-    # start, so the merge pops pad + k - 1 sums, the most it ever needs.
+    # start, so the merge pops several sums of the fast rank.
     ([1000.0] * 7 + [1.0], 876), ([1.0] + [1000.0] * 7, 876),
     pytest.param([1.0] + [3.0] * 63, 133, id="[1.0] + [3.0] * 63-133"),
     # 64 ranks, 8 one ulp apart, and subnormal service times, from the
@@ -712,7 +733,7 @@ def last_claim_stress_cases(rng, cases):
     12 ranks spread around one magnitude, one ulp apart, one fast rank
     among slow ones, or in small integer ratios that tie; magnitudes from
     the least a rate allows (2^-1024) to near the top of the float range,
-    where the sums overflow; claims near pad = k + 4 or up to 3,000."""
+    where the sums overflow; claims near k + 4 or up to 3,000."""
     for _ in range(cases):
         k, pattern = rng.randint(1, 12), rng.randrange(4)
         base = rng.choice((rng.uniform(2.0 ** -1024, 2.0 ** -1022),
