@@ -122,11 +122,9 @@ def _simulated(rates: dict[str, float], x: list[float],
     test_simulated_equals_simulate_on_every_scored_candidate): the frames
     and busy times of sim._plain_run, which plain simulate runs take too.
     """
-    factors = dict(zip(rates, x[1:]))
-    order = sorted(rates)
-    service = [1.0 / (rates[cid] * factors[cid]) + x[0] for cid in order]
-    ran, busy = _plain_run(service, frames)
-    return frames / max(busy), {cid: n / frames for cid, n in zip(order, ran)}
+    ranked = sorted(zip(rates, rates.values(), x[1:]))  # in id order
+    ran, busy = _plain_run([1.0 / (r * f) + x[0] for _, r, f in ranked], frames)
+    return frames / max(busy), {c: n / frames for (c, _, _), n in zip(ranked, ran)}
 
 
 def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
@@ -193,21 +191,20 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
                             target_shares)
 
     # The greedy end-of-stream tail puts simulated throughput slightly below
-    # the closed form. Re-run the search against an offset-corrected target
-    # so the simulated residuals, not the closed-form ones, end up centered.
+    # the closed form. Re-run the search against an offset-corrected target,
+    # keeping its point only if it scores strictly lower, so the simulated
+    # residuals, not the closed-form ones, end up centered.
     offset = _closed_form(rates, x)[0] - throughput
-    if offset > 1e-9 / unit:
-        trial = _search(rates, x, coords, target_throughput + offset,
-                        target_shares, unit)
-        score = _objective(*_simulated(rates, trial, frames),
-                           target_throughput, target_shares)
-        if score < best_score:
-            best_score, x = score, trial
+    trial = _search(rates, x, coords, target_throughput + offset,
+                    target_shares, unit)
+    score = _objective(*_simulated(rates, trial, frames),
+                       target_throughput, target_shares)
+    if score < best_score:
+        best_score, x = score, trial
 
     def run(x):  # the simulation of base at x, CPU factors as contention
-        factors = dict(zip(base.engaged, x[1:]))
         return simulate(replace(base, dispatch_overhead_s=x[0], contention={
-            cid: factors[cid] for cid in cpu_ids}), platform, network)
+            cid: x[1 + engaged.index(cid)] for cid in cpu_ids}), platform, network)
 
     # Final polish against the simulated score: move one searched coordinate
     # at a time by -2, -1, 1 or 2 steps within its bounds and keep a move
@@ -277,10 +274,11 @@ def _seed(rates: dict[str, float], coords: list[int], target_throughput: float,
           target_shares: Optional[dict[str, float]], unit: float) -> list[float]:
     """Initial parameters.
 
-    With composition targets, the overhead inverts the implied rates of the
-    fastest components (their factors are pinned at 1.0), and then each
-    searched factor inverts its component's implied rate at that overhead.
-    Otherwise the overhead bisects the closed-form total, factors all 1.0.
+    With composition targets, the overhead is the least finite overhead
+    that a targeted component, CPU cluster or not, implies at factor 1.0
+    (or 0.0 if none does); then each searched factor inverts its
+    component's implied rate at that overhead. Otherwise the overhead
+    bisects the closed-form total, factors all 1.0.
     """
     x = [0.0] + [1.0] * len(rates)
     if not target_shares:
@@ -301,7 +299,7 @@ def _seed(rates: dict[str, float], coords: list[int], target_throughput: float,
                for cid, share in target_shares.items()}
     overheads = [1.0 / want - 1.0 / rates[cid]
                  for cid, want in implied.items() if 0 < want < rates[cid]]
-    x[0] = max(0.0, min(overheads)) if overheads else 0.0
+    x[0] = min(filter(math.isfinite, overheads), default=0.0)
     ids = list(rates)
     for c in coords[1:]:
         want = implied.get(ids[c - 1])

@@ -188,11 +188,13 @@ _MAX_SAMPLES = 10 ** 5
 
 
 def log_spaced(lo: float, hi: float, samples: int) -> list[float]:
-    """Logarithmically spaced OI sample grid, endpoints included."""
+    """Log-spaced OI grid: lo, then 10**(log10(lo) + i*step) for each inner
+    i (hi once that exponent reaches log10(hi), so none overflows), then hi."""
     count(samples, "samples", "OI grid", low=2, high=_MAX_SAMPLES)
-    number(hi, "oi_max", "OI grid", low=number(lo, "oi_min", "OI grid"))
-    step = (math.log10(hi) - (log_lo := math.log10(lo))) / (samples - 1)
-    return [10 ** (log_lo + i * step) for i in range(samples)]
+    hi = number(hi, "oi_max", "OI grid", low=(lo := number(lo, "oi_min", "OI grid")))
+    step = ((log_hi := math.log10(hi)) - (log_lo := math.log10(lo))) / (samples - 1)
+    return [lo, *[10 ** e if (e := log_lo + i * step) < log_hi else hi
+                  for i in range(1, samples - 1)], hi]
 
 
 def roofline_series(model: RooflineModel,

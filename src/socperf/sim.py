@@ -237,8 +237,8 @@ class SimResult:
     ran each frame and when it completed, in 9 bytes per frame. Iterating
     it yields every claim, completion and release as a SimEvent, in the
     order the run made them. Nothing is cached: each pass derives the
-    events again, costs more than twice as much as the recorded run itself
-    (some 2.2 us per frame) and allocates 1 byte per frame while it lasts.
+    events again, in 1,100 ns and a transient byte per frame (recording
+    takes 375 ns per frame; four kirin970 components, 2*10^5 frames).
     """
 
     scenario: Scenario

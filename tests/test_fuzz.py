@@ -2,10 +2,11 @@
 
 Each case starts from a valid scenario, platform or network document, or a
 valid command line, and changes one thing: it drops a key, adds an unknown
-key, or puts a value of another type, NaN, an infinity, a negative or a
-huge number in place of a value. Every case runs through main() in this
-process and must exit 0, 1 or 2 with no traceback and at most one line on
-stderr; on exit 0 it must have written strict JSON.
+key, or puts a value of another type, NaN, an infinity, a negative, a
+huge number, a subnormal or the largest float in place of a value. Every
+case runs through main() in this process and must exit 0, 1 or 2 with no
+traceback and at most one line on stderr; on exit 0 it must have written
+strict JSON.
 
 Flag values are passed as --flag=value. Integer flags (--frames, --seed,
 --samples) get only small values:
@@ -37,7 +38,8 @@ FLAG_CASES = 60
 
 ODD_VALUES = (math.nan, math.inf, -math.inf, -1, 0, 1e300, -1e300, True, "7",
               None, [], {}, "unsupported")
-ODD_FLAG_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e300")
+ODD_FLAG_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e300", "1e-320",
+                   "1.7976931348623157e308")
 DATA = os.path.join(os.path.dirname(socperf.__file__), "data")
 
 SCENARIO = {"platform": "exynos5422", "network": "alexnet",
@@ -189,6 +191,24 @@ def test_cli_fuzz_exits_cleanly(tmp_path, monkeypatch, capsys):
         if problem:
             failures.append(f"{change} -> {problem}")
     assert not failures, "\n".join(failures)
+
+
+def test_cli_at_the_float_range_edges_exits_cleanly(tmp_path, capsys):
+    """Two command lines that once ended in a traceback: a subnormal share
+    target made the seed's overhead infinite, and an OI range up to the
+    largest float overflowed 10 ** log10(oi_max)."""
+    out = tmp_path / "out"
+    assert main(["calibrate", "--platform", "kirin970", "--network", "alexnet",
+                 "--components", "a53,npu", "--target-throughput", "30",
+                 "--target-composition", "npu=1e-320", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert math.isfinite(strict_json(out.read_bytes())["objective"])
+    assert main(["roofline", "--platform", "kirin970", "--component", "npu",
+                 "--oi-min", "2", "--oi-max", "1.7976931348623157e308",
+                 "--samples", "2", "--format", "csv", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = out.read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["2", "225.9", "1.798e+308"]
 
 
 # -- library calls at extreme magnitudes ----------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -254,7 +255,8 @@ def test_point_validation():
 
 
 def test_log_spaced_takes_each_sample_as_it_always_did():
-    """Bit for bit the per-sample expression log_spaced once evaluated."""
+    """Bit for bit the per-sample expression log_spaced once evaluated, at
+    every inner sample; the endpoints are lo and hi themselves."""
     rng = random.Random(25)
     cases = [(0.1, 1000.0, 97), (1, 1000, 2), (5e-324, 1e308, 1000), (2.0, math.nextafter(2.0, 3.0), 5)]
     for _ in range(400):
@@ -263,7 +265,26 @@ def test_log_spaced_takes_each_sample_as_it_always_did():
     for lo, hi, samples in cases:
         step = (math.log10(hi) - math.log10(lo)) / (samples - 1)
         old = [10 ** (math.log10(lo) + i * step) for i in range(samples)]
+        old[0], old[-1] = float(lo), float(hi)
         assert list(map(float.hex, log_spaced(lo, hi, samples))) == list(map(float.hex, old))
+
+
+def test_log_spaced_ends_at_its_bounds_and_never_overflows():
+    """The endpoints are lo and hi exactly, and no sample overflows up to
+    the largest float; an inner sample at or past log10(hi) is hi."""
+    top = sys.float_info.max
+    assert log_spaced(0.3, 7.0, 5)[-1] == 7.0
+    assert log_spaced(2, top, 2) == [2.0, top]
+    rng = random.Random(30)
+    cases = [(5e-324, top, 1000), (math.nextafter(top, 0.0), top, 1000)]
+    for _ in range(200):
+        lo = 10 ** rng.uniform(290, 308.25)
+        cases.append((lo, rng.uniform(lo, top), rng.randint(2, 2000)))
+    for lo, hi, samples in cases:
+        grid = log_spaced(lo, hi, samples)
+        assert (grid[0], grid[-1], len(grid)) == (lo, hi, samples)
+        assert all(map(math.isfinite, grid))
+        assert all(oi <= hi for oi in grid)
 
 
 def test_int_built_models_and_points_emit_like_float_built_ones():
