@@ -22,6 +22,11 @@ SVG_WIDTH, SVG_HEIGHT = 720, 480  # roofline plot size, px
 _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
+# The 4-significant-digit text of a finite value from about ±1.7975e308 up
+# parses to ±inf; it is written as the largest such text not past the value.
+_PAST_RANGE = {"1.798e+308": "1.797e+308", "-1.798e+308": "-1.797e+308"}
+
+
 def sig4(value) -> str:
     """Cell text: "" for None, a float to 4 significant digits, a str or an
     int as is. A NaN or infinite value raises ValueError, as in emit_json."""
@@ -29,7 +34,7 @@ def sig4(value) -> str:
         return ""
     if isinstance(value, float) or not isinstance(value, (int, str)):
         if math.isfinite(value):
-            return f"{value:.4g}"
+            return _PAST_RANGE.get(text := f"{value:.4g}", text)
         raise ValueError(f"CSV cells must be finite, got {value!r}")
     return str(value)
 
@@ -44,7 +49,7 @@ def _float(value: float) -> str:
         return text
     if text.lstrip("-").isdigit():
         return text + ".0"
-    if math.isfinite(value := float(text)):
+    if math.isfinite(value := float(_PAST_RANGE.get(text, text))):
         return repr(value)
     raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
 

@@ -165,8 +165,8 @@ class ComponentSpec:
 
     peak_compute_gops is FP32 unless the component natively computes in a
     narrower format (the NPU peak is its FP16 rating). host_cluster names
-    the CPU cluster that must stay up to drive this component's runtime;
-    it applies to accelerators only.
+    the CPU cluster that drives this accelerator's runtime: validated board
+    metadata that no computation reads.
     """
 
     id: str

@@ -10,14 +10,14 @@ sequence order.
 
 Service time per frame on a component is 1/rate + dispatch overhead,
 where rate is the measured isolated throughput scaled by an availability
-factor. Factors model host-cluster contention: they default to 1.0, can
-be set explicitly per component, or derived from an opt-in per-hosted-
-accelerator derating. Optional lognormal jitter (given coefficient of
-variation and seed, 0 unless set, so jittered runs repeat too) perturbs
-the processing part of the service time. Its factors are Kinderman-Monahan
-draws, identical to those of random.Random(seed).lognormvariate. The event
-loop draws one per claim, makes each claim at the completion it replaces
-on a heap of the k frames in flight, and then drains the heap.
+factor. Factors model host-cluster contention: they default to 1.0 and
+can be set explicitly per component. Optional lognormal jitter (given
+coefficient of variation and seed, 0 unless set, so jittered runs repeat
+too) perturbs the processing part of the service time. Its factors are
+Kinderman-Monahan draws, identical to those of
+random.Random(seed).lognormvariate. The event loop draws one per claim,
+makes each claim at the completion it replaces on a heap of the k frames
+in flight, and then drains the heap.
 
 A plain run (no jitter or recorded events, N >= _SUMS_MIN_FRAMES and
 8k^2 <= _WALK_STEPS_PER_FRAME * N for k components) skips the event loop:
@@ -39,7 +39,6 @@ import heapq
 import math
 import random
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from types import MappingProxyType
@@ -54,12 +53,11 @@ from .profiles import (NetworkProfile, Platform, _set, count, ids, keys, number,
 # The largest jitter cv whose square, which simulate takes, is finite.
 _MAX_JITTER_CV = 1e154
 # The most frames one run takes, refused before anything is allocated.
-# simulate allocates nothing per frame. A plain run of the four kirin970
-# components takes about 0.08 ms from the running sums at 10^6 frames
-# (0.06 ms at 10^3); one in the event loop costs about 550 ns per frame
-# (some 5.5 s at the cap), or about 1,150 ns with jitter (some 12 s). A
-# run that records events allocates 9 bytes per frame for its log below
-# 257 engaged components (about 90 MB at the cap) and costs 680 ns a frame.
+# simulate allocates nothing per frame but a recorded run's log: 9 bytes a
+# frame below 257 engaged components, about 90 MB at the cap. perfbench's
+# long_stream medians (four kirin970 components, Python 3.11.7, 2 vCPUs)
+# read stream_ns_per_frame 0.33 at 10^6 frames, and at 2*10^5 frames
+# jitter_ns_per_frame 1,140 (11 s at the cap) and events_ns_per_frame 650.
 _MAX_FRAMES = 10 ** 7
 # A plain run takes the running sums from this many frames on: for the
 # four kirin970 components they cost as much as the event loop at 200
@@ -83,7 +81,6 @@ class Scenario:
     frame_count: int
     dispatch_overhead_s: float = 0.0
     contention: dict[str, float] = field(default_factory=dict)
-    host_contention_default: Optional[float] = None
     jitter_seed: int = 0
     jitter_cv: float = 0.0
 
@@ -101,10 +98,6 @@ class Scenario:
             number(factor, comp_id, "scenario contention", high=1.0)
             for comp_id, factor
             in obj(self.contention, "contention", "scenario").items()}))
-        if self.host_contention_default is not None:
-            _set(self, "host_contention_default", number(
-                self.host_contention_default, "host_contention_default",
-                "scenario", high=1.0))
         count(self.jitter_seed, "seed", "scenario jitter", low=0)
         _set(self, "jitter_cv", number(self.jitter_cv, "cv", "scenario jitter",
                                        high=_MAX_JITTER_CV, include_low=True))
@@ -113,8 +106,7 @@ class Scenario:
 # Scenario document keys, with the value an absent key takes.
 _SCENARIO_DOC = {
     "platform": None, "network": None, "components": None, "frames": None,
-    "dispatch_overhead_s": 0.0, "contention": {}, "host_contention_default": None,
-    "jitter": {}}
+    "dispatch_overhead_s": 0.0, "contention": {}, "jitter": {}}
 _JITTER_DOC = {"seed": 0, "cv": 0.0}
 
 
@@ -128,8 +120,8 @@ def load_scenario(doc) -> Scenario:
     jitter = keys(body["jitter"], _JITTER_DOC, "jitter", "scenario")
     return Scenario(
         body["platform"], body["network"], body["components"], body["frames"],
-        body["dispatch_overhead_s"], body["contention"],
-        body["host_contention_default"], jitter["seed"], jitter["cv"])
+        body["dispatch_overhead_s"], body["contention"], jitter["seed"],
+        jitter["cv"])
 
 
 class ReorderBuffer:
@@ -237,8 +229,9 @@ class SimResult:
     ran each frame and when it completed, in 9 bytes per frame. Iterating
     it yields every claim, completion and release as a SimEvent, in the
     order the run made them. Nothing is cached: each pass derives the
-    events again, in 1,100 ns and a transient byte per frame (recording
-    takes 375 ns per frame; four kirin970 components, 2*10^5 frames).
+    events again, in a transient byte per frame and 2.6 to 4.2 times the
+    time recording took (in process, four kirin970 components, 2*10^5
+    frames, medians of 7 in 5 runs, Python 3.11.7 on a 2-vCPU host).
     """
 
     scenario: Scenario
@@ -257,24 +250,14 @@ class SimResult:
 def effective_rates(scenario: Scenario, platform: Platform,
                     network: NetworkProfile) -> dict[str, float]:
     """Images/s of each engaged component, in engagement order: measured
-    isolated throughput times an availability factor.
-
-    An explicit contention factor wins. Otherwise, with the opt-in host
-    derating set, a component hosting n engaged accelerators gets
-    host_contention_default ** n (** 0 is 1.0); else the factor is 1.0.
-    An unknown id raises UnknownComponent before any UnsupportedPair.
+    isolated throughput times its contention factor, 1.0 unless set. An
+    unknown id raises UnknownComponent before any UnsupportedPair.
     """
-    components = [platform.component(cid) for cid in scenario.engaged]
-    derating = scenario.host_contention_default
-    if derating is not None:
-        hosted = Counter(c.host_cluster for c in components)
-    rates = {}
-    for comp in components:
-        factor = scenario.contention.get(comp.id)
-        if factor is None:
-            factor = 1.0 if derating is None else derating ** hosted[comp.id]
-        rates[comp.id] = network.rate(comp.id) * factor
-    return rates
+    for cid in scenario.engaged:
+        platform.component(cid)
+    factors = scenario.contention
+    return {cid: network.rate(cid) * factors.get(cid, 1.0)
+            for cid in scenario.engaged}
 
 
 def _nth_sum(s: float, n: int) -> float:
@@ -485,8 +468,8 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
     # simultaneous completions pop in id order.
     order = sorted(scenario.engaged)
     rates = effective_rates(scenario, platform, network)
-    # Checked once per run: a derating or an overhead that is valid on
-    # its own can still underflow a rate or overflow a time.
+    # Checked once per run: a contention factor or an overhead that is
+    # valid on its own can still underflow a rate or overflow a time.
     processing = [1.0 / number(rates[cid], cid, "scenario effective rate")
                   for cid in order]
     overhead = scenario.dispatch_overhead_s

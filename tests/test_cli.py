@@ -376,14 +376,14 @@ def test_usage_error_is_one_line(capsys):
 def test_scenario_that_underflows_a_rate_exits_1_naming_it(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({
-        "platform": "kirin970", "network": "alexnet",
-        "components": ["a53", "g72", "npu"], "frames": 100,
-        "host_contention_default": 1e-200}))
+        "platform": "exynos5422", "network": "resnet50",
+        "components": ["a7", "t628"], "frames": 100,
+        "contention": {"a7": 5e-324}}))
     code = main(["simulate", "--scenario", str(path),
                  "--out", str(tmp_path / "x")])
     assert code == 1
     assert capsys.readouterr().err == (
-        "socperf: scenario effective rate: a53 must be finite and > 0, "
+        "socperf: scenario effective rate: a7 must be finite and > 0, "
         "got 0.0\n")
 
 
@@ -639,14 +639,20 @@ def test_calibrate_accepts_a_zero_share(tmp_path):
 
 def test_scenario_file_error_names_the_file(tmp_path, capsys):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps({"platform": "exynos5422", "network": "alexnet",
-                                "components": ["a7"], "frames": 2.7}))
-    code = main(["simulate", "--scenario", str(path),
-                 "--out", str(tmp_path / "x")])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        f"socperf: {path}: scenario: frames must be an integer >= 1, "
-        f"got 2.7\n")
+    base = {"platform": "exynos5422", "network": "alexnet",
+            "components": ["a7"], "frames": 100}
+    for change, message in (
+            ({"frames": 2.7},
+             "scenario: frames must be an integer >= 1, got 2.7"),
+            ({"host_contention_default": 0.5},
+             "scenario key must be one of platform, network, components, "
+             "frames, dispatch_overhead_s, contention, jitter, "
+             "got 'host_contention_default'")):
+        path.write_text(json.dumps({**base, **change}))
+        code = main(["simulate", "--scenario", str(path),
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == f"socperf: {path}: {message}\n"
 
 
 def test_scenario_path_that_looks_like_json_is_a_file(tmp_path, monkeypatch,
@@ -789,14 +795,26 @@ def test_sig4_formatting():
     assert sig4(0.0001234567) == "0.0001235"
     assert sig4(None) == ""
     assert sig4(12) == "12"
+    # A finite value is written as the largest 4-digit text not past it.
+    for value in RANGE_EDGES:
+        assert float(sig4(value)) == math.copysign(1.797e308, value)
+        assert sig4(value) == emit_json(value).decode().strip()
+
+
+# The top of the float range, either sign: 1.7975e308 and the float below it
+# have the 4-digit text 1.797e+308; the float above it and the largest float
+# would have 1.798e+308, which parses to inf.
+RANGE_EDGES = [sign * edge for sign in (1.0, -1.0) for edge in (
+    math.nextafter(1.7975e308, 0.0), 1.7975e308,
+    math.nextafter(1.7975e308, math.inf), sys.float_info.max)]
 
 
 def reference_json(payload) -> bytes:
     """emit_json as it was written before its one-pass writer: a copy of
     the payload with each float rounded, then json.dumps(indent=2)."""
     def rounded(value):
-        if isinstance(value, float):
-            return float(f"{value:.4g}")
+        if isinstance(value, float):  # 1.798e+308 would parse to inf
+            return float(f"{value:.4g}".replace("1.798e+308", "1.797e+308"))
         if isinstance(value, dict):
             return {k: rounded(v) for k, v in value.items()}
         if isinstance(value, (list, tuple)):
@@ -973,37 +991,51 @@ def test_emit_csv_matches_the_row_wise_writer_on_seeded_tables():
     assert emit_json(mixed) == reference_json(mixed)
 
 
-def refusal(write, payload) -> tuple:
-    """The class and text of what write raises on payload."""
+def outcome(write, payload):
+    """What write returns on payload, or the class and text of what it
+    raises."""
     try:
-        write(payload)
+        return write(payload)
     except (ValueError, TypeError, UnsupportedFormat) as exc:
         return type(exc), str(exc)
-    pytest.fail(f"{write.__name__} wrote a table with a bad value")
+
+
+def refusal(write, payload) -> tuple:
+    """The class and text of what write raises on payload."""
+    got = outcome(write, payload)
+    if isinstance(got, bytes):
+        pytest.fail(f"{write.__name__} wrote a table with a bad value")
+    return got
 
 
 def test_a_bad_table_is_refused_at_its_first_bad_value_in_row_order():
-    """NaN, infinities, a float that rounds past the float range, a set and
-    bytes in a table, and then a row whose keys are not the header's, after
-    the first bad cell or before it: both writers raise what the row-wise
-    ones raise."""
+    """NaN, infinities, a set and bytes in a table, and then a row whose
+    keys are not the header's, after the first bad cell or before it: both
+    writers raise what the row-wise ones raise. A finite float whose 4-digit
+    text would parse to inf is drawn among them: both write it as 1.797e+308."""
     rng = random.Random(27)
-    big = 1.7976e308  # finite, but its 4-digit text 1.798e+308 is not: bad in JSON only
+    big = 1.7976e308  # finite, its 4-digit text 1.798e+308 is not: written as 1.797e+308
     bad = [math.nan, math.inf, -math.inf, big, {1}, b"x"]
     str_keys = [key for key in TABLE_KEYS if isinstance(key, str)]
+    written = 0
     for case in range(200):
         keys = rng.sample(str_keys, rng.randint(1, 6))
         table = random_table(rng, keys, nested=False)
         spots = sorted(rng.randrange(len(table)) for _ in range(rng.randint(1, 3)))
         for i in spots:
             table[i][rng.choice(keys)] = rng.choice(bad)
-        assert refusal(emit_json, table) == refusal(reference_json, table)
-        if any(v is b for row in table for v in row.values() for b in bad if b is not big):
-            assert refusal(emit_csv, table) == refusal(reference_csv, table)
+        refused = any(v is b for row in table for v in row.values() for b in bad if b is not big)
+        for write, reference in ((emit_json, reference_json), (emit_csv, reference_csv)):
+            got = outcome(write, table)
+            assert got == outcome(reference, table)
+            if not refused:  # big was the only bad value drawn
+                assert b"1.797e+308" in got
+                written += 1
         at = rng.randint(spots[0] + 1, len(table)) if case % 2 else rng.randint(0, spots[0])
         table.insert(at, {"extra": 1.0})
-        assert refusal(emit_json, table) == refusal(reference_json, table)
+        assert outcome(emit_json, table) == outcome(reference_json, table)
         assert refusal(emit_csv, table) == refusal(reference_csv, table)
+    assert written
 
 
 def test_emit_json_writes_every_float_as_json_dumps_of_the_rounded_float():
@@ -1011,7 +1043,7 @@ def test_emit_json_writes_every_float_as_json_dumps_of_the_rounded_float():
     that text, any other as the repr of the rounded float: both must equal
     reference_json, bare and inside a dict and a list."""
     edges = [9.9995e-05, 1e-4, 9999.4, 9999.5, 1e4, 1234.0, 5.0, 0.0, -0.0,
-             5e-324, 1e16, 1e300]
+             5e-324, 1e16, 1e300] + RANGE_EDGES
     rng = random.Random(20)
     # About 48 floats of either sign in each of the 2,098 binades, the 52
     # subnormal ones included.

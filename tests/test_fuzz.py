@@ -45,7 +45,7 @@ DATA = os.path.join(os.path.dirname(socperf.__file__), "data")
 SCENARIO = {"platform": "exynos5422", "network": "alexnet",
             "components": ["a7", "a15", "t628"], "frames": 200,
             "dispatch_overhead_s": 0.001, "contention": {"a7": 0.5},
-            "host_contention_default": 0.9, "jitter": {"seed": 7, "cv": 0.1}}
+            "jitter": {"seed": 7, "cv": 0.1}}
 EXYNOS_ALEXNET = ["--platform", "exynos5422", "--network", "alexnet"]
 DOCUMENT_COMMANDS = (
     ["simulate", *EXYNOS_ALEXNET, "--components", "a7,a15,t628",
@@ -194,21 +194,28 @@ def test_cli_fuzz_exits_cleanly(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_at_the_float_range_edges_exits_cleanly(tmp_path, capsys):
-    """Two command lines that once ended in a traceback: a subnormal share
-    target made the seed's overhead infinite, and an OI range up to the
-    largest float overflowed 10 ** log10(oi_max)."""
+    """Command lines that once ended in a traceback or an exit 1: a
+    subnormal share target made the seed's overhead infinite, an OI range
+    up to the largest float overflowed 10 ** log10(oi_max), and the largest
+    float's 4-digit text 1.798e+308 parsed to inf in JSON."""
     out = tmp_path / "out"
     assert main(["calibrate", "--platform", "kirin970", "--network", "alexnet",
                  "--components", "a53,npu", "--target-throughput", "30",
                  "--target-composition", "npu=1e-320", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert math.isfinite(strict_json(out.read_bytes())["objective"])
-    assert main(["roofline", "--platform", "kirin970", "--component", "npu",
-                 "--oi-min", "2", "--oi-max", "1.7976931348623157e308",
-                 "--samples", "2", "--format", "csv", "--out", str(out)]) == 0
+    roofline = ["roofline", "--platform", "kirin970", "--component", "npu",
+                "--oi-min", "2", "--oi-max", "1.7976931348623157e308",
+                "--samples", "2", "--out", str(out)]
+    assert main(roofline + ["--format", "csv"]) == 0
     assert capsys.readouterr().err == ""
     rows = out.read_text().splitlines()
-    assert [row.split(",")[0] for row in rows[1:]] == ["2", "225.9", "1.798e+308"]
+    assert [row.split(",")[0] for row in rows[1:]] == ["2", "225.9", "1.797e+308"]
+    assert main(roofline + ["--format", "json"]) == 0
+    assert capsys.readouterr().err == ""
+    table = strict_json(out.read_bytes())
+    assert [row["oi_flops_per_byte"] for row in table] == [2.0, 225.9, 1.797e308]
+    assert not list(non_finite(table))
 
 
 # -- library calls at extreme magnitudes ----------------------------------------
@@ -291,7 +298,7 @@ def test_library_calls_at_extreme_magnitudes_stay_finite():
         scenario = checked(problems, f"{what} Scenario", socperf.Scenario,
                            "synth", "synthnet", engaged, frames,
                            dispatch_overhead_s=overhead,
-                           host_contention_default=derating)
+                           contention={engaged[0]: derating})
         if scenario is not None and checked(
                 problems, f"{what} simulate", socperf.simulate, scenario,
                 platform, network) is not None:

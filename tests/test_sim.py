@@ -129,6 +129,15 @@ def test_effective_rate_explicit_factor():
     rates = effective_rates(scenario, KIRIN, ALEXNET)
     assert rates["a53"] == pytest.approx(1.1)
     assert list(rates) == ["a53", "g72"]  # engagement order
+    explicit = Scenario("kirin970", "alexnet", ("a53", "g72"), 10,
+                        contention={"a53": 0.9})
+    rates = effective_rates(explicit, KIRIN, ALEXNET)
+    assert rates["a53"] == ALEXNET.rate("a53") * 0.9
+    assert rates["g72"] == ALEXNET.rate("g72") * 1.0
+    # Contention is the one way to set a factor.
+    with pytest.raises(TypeError, match="host_contention_default"):
+        Scenario("kirin970", "alexnet", ("a53", "g72"), 10,
+                 host_contention_default=0.5)
 
 
 def test_effective_rate_unsupported_pair():
@@ -139,25 +148,6 @@ def test_effective_rate_unsupported_pair():
     scenario = Scenario("kirin970", "mobilenet", ("npu", "a7"), 10)
     with pytest.raises(UnknownComponent, match="a7"):
         effective_rates(scenario, KIRIN, MOBILENET)
-
-
-def test_host_contention_optin_multiplies_per_accelerator():
-    base = dict(platform_id="kirin970", network_id="alexnet", frame_count=10,
-                host_contention_default=0.5)
-    one = Scenario(engaged=("a53", "g72"), **base)
-    two = Scenario(engaged=("a53", "g72", "npu"), **base)
-    off = Scenario(engaged=("a53", "g72", "npu"), platform_id="kirin970",
-                   network_id="alexnet", frame_count=10)
-    a53, g72 = ALEXNET.rate("a53"), ALEXNET.rate("g72")
-    assert effective_rates(one, KIRIN, ALEXNET)["a53"] == a53 * 0.5
-    assert effective_rates(two, KIRIN, ALEXNET)["a53"] == a53 * 0.25
-    assert effective_rates(two, KIRIN, ALEXNET)["g72"] == g72 * 1.0
-    # defaults stay off
-    assert effective_rates(off, KIRIN, ALEXNET)["a53"] == a53 * 1.0
-    explicit = Scenario(engaged=("a53", "g72"), contention={"a53": 0.9},
-                        platform_id="kirin970", network_id="alexnet",
-                        frame_count=10, host_contention_default=0.5)
-    assert effective_rates(explicit, KIRIN, ALEXNET)["a53"] == a53 * 0.9
 
 
 # -- the simulator against its oracles -----------------------------------------
@@ -995,12 +985,12 @@ def test_engaged_component_not_on_the_platform_rejected():
 
 
 def test_derating_that_underflows_a_rate_is_refused():
-    # 1e-200 ** 2 (a53 hosts g72 and npu) is 0.0 in floats.
-    scenario = Scenario("kirin970", "alexnet", ("a53", "g72", "npu"), 100,
-                        host_contention_default=1e-200)
+    # 0.2 imgs/s * 5e-324 is 0.0 in floats.
+    scenario = Scenario("exynos5422", "resnet50", ("a7", "t628"), 100,
+                        contention={"a7": 5e-324})
     with pytest.raises(MalformedDocument,
-                       match="effective rate: a53 must be finite and > 0"):
-        simulate(scenario, KIRIN, ALEXNET)
+                       match="effective rate: a7 must be finite and > 0"):
+        simulate(scenario)
 
 
 def test_overhead_that_overflows_the_makespan_is_refused():
@@ -1054,19 +1044,6 @@ def test_load_scenario_document(tmp_path):
         load_scenario({"platform": "x"})
 
 
-def test_load_scenario_host_contention_default():
-    engaged = ("a53", "a73", "g72", "npu")
-    doc = {"platform": "kirin970", "network": "alexnet",
-           "components": list(engaged), "frames": 2000,
-           "host_contention_default": 0.5}
-    loaded = simulate(load_scenario(doc))
-    direct = simulate(Scenario("kirin970", "alexnet", engaged, 2000,
-                               host_contention_default=0.5))
-    assert loaded == direct
-    plain = simulate(Scenario("kirin970", "alexnet", engaged, 2000))
-    assert loaded.makespan_s != plain.makespan_s
-
-
 SCENARIO_DOC = {"platform": "exynos5422", "network": "alexnet",
                 "components": ["a7", "t628"], "frames": 120}
 
@@ -1088,8 +1065,10 @@ SCENARIO_DOC = {"platform": "exynos5422", "network": "alexnet",
      "scenario: jitter key must be one of seed, cv, got 'sd'"),
     ({"bogus": 1},
      "scenario key must be one of platform, network, components, frames, "
-     "dispatch_overhead_s, contention, host_contention_default, jitter, "
-     "got 'bogus'"),
+     "dispatch_overhead_s, contention, jitter, got 'bogus'"),
+    ({"host_contention_default": 0.5},
+     "scenario key must be one of platform, network, components, frames, "
+     "dispatch_overhead_s, contention, jitter, got 'host_contention_default'"),
 ])
 def test_load_scenario_refuses_what_it_would_misread(change, message):
     for doc in ({**SCENARIO_DOC, **change},
