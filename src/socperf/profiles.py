@@ -218,6 +218,9 @@ class Platform:
         for comp in self.components:
             if comp.host_cluster is None:
                 continue
+            if comp.is_cpu:
+                raise DanglingHostCluster(
+                    f"{ctx}: CPU cluster {shown(comp.id)} cannot have a host_cluster")
             host = self._by_id.get(comp.host_cluster)
             if host is None:
                 raise DanglingHostCluster(

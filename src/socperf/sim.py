@@ -19,16 +19,15 @@ random.Random(seed).lognormvariate. The event loop draws one per claim,
 makes each claim at the completion it replaces on a heap of the k frames
 in flight, and then drains the heap.
 
-A plain run (no jitter or recorded events, N >= _SUMS_MIN_FRAMES and
-8k^2 <= _WALK_STEPS_PER_FRAME * N for k components) skips the event loop:
-its frame counts, busy times and makespan follow from the running sums
-(_plain_run, which also scores the fit's candidates), and its reorder
-high water from a walk of the components that can set it (_high_water),
-bit for bit (checked by test_plain_run_equals_the_heap_run_field_for_field
-and test_plain_runs_at_extreme_magnitudes_equal_the_heap_run). The sums
-take a few float steps per power of two they pass (_nth_sum), so a run
-costs about the same at any N. The event loop runs every other run, and
-a plain one whose walk needs more than the 4N - 8k^2 steps left.
+A jitter-free run, recorded or not, with N >= _SUMS_MIN_FRAMES and 8k^2
+<= _WALK_STEPS_PER_FRAME * N for k components skips the event loop: the
+running sums give its counts, busy times and makespan (_plain_run, which
+also scores the fit's candidates), a walk its reorder high water
+(_high_water), and a merge of the sums its frame log (_frame_log), bit for
+bit (test_plain_run_equals_the_heap_run_field_for_field and
+test_recorded_plain_run_logs_what_the_heap_run_logs). Unrecorded, it costs
+about the same at any N (_nth_sum). The event loop runs every other run,
+and one whose walk needs more than the 4N - 8k^2 steps left.
 
 The event loop is single threaded; identical scenarios yield bit-identical
 results (test_determinism_bit_identical), and independent scenarios can
@@ -39,8 +38,11 @@ import heapq
 import math
 import random
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, islice, repeat
+from operator import itemgetter
+from struct import pack_into
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -54,10 +56,10 @@ from .profiles import (NetworkProfile, Platform, _set, count, ids, keys, number,
 _MAX_JITTER_CV = 1e154
 # The most frames one run takes, refused before anything is allocated.
 # simulate allocates nothing per frame but a recorded run's log: 9 bytes a
-# frame below 257 engaged components, about 90 MB at the cap. perfbench's
+# frame below 257 engaged components, about 90 MB at the cap. BENCH_33.json's
 # long_stream medians (four kirin970 components, Python 3.11.7, 2 vCPUs)
-# read stream_ns_per_frame 0.33 at 10^6 frames, and at 2*10^5 frames
-# jitter_ns_per_frame 1,140 (11 s at the cap) and events_ns_per_frame 650.
+# read stream_ns_per_frame 0.31 at 10^6 frames, and at 2*10^5 frames
+# jitter_ns_per_frame 1,130 (11 s at the cap) and events_ns_per_frame 256.
 _MAX_FRAMES = 10 ** 7
 # A plain run takes the running sums from this many frames on: for the
 # four kirin970 components they cost as much as the event loop at 200
@@ -66,6 +68,9 @@ _MAX_FRAMES = 10 ** 7
 # quarter of an event-loop frame.
 _SUMS_MIN_FRAMES = 1000
 _WALK_STEPS_PER_FRAME = 4
+# The claims per rank a recorded plain run merges at once: 9.27 bytes a
+# frame at 10^5 kirin970 frames, where 96 takes 9.51 for up to 11% less time.
+_CHUNK_FRAMES = 64
 
 
 @dataclass(frozen=True)
@@ -229,7 +234,7 @@ class SimResult:
     ran each frame and when it completed, in 9 bytes per frame. Iterating
     it yields every claim, completion and release as a SimEvent, in the
     order the run made them. Nothing is cached: each pass derives the
-    events again, in a transient byte per frame and 2.6 to 4.2 times the
+    events again, in a transient byte per frame and 6.5 to 7.1 times the
     time recording took (in process, four kirin970 components, 2*10^5
     frames, medians of 7 in 5 runs, Python 3.11.7 on a 2-vCPU host).
     """
@@ -444,6 +449,37 @@ def _high_water(service: list[float], ran: list[int], busy: list[float],
     return best
 
 
+def _frame_log(service: list[float], ran: list[int], makespan: float,
+               ranks: array, times: array) -> None:
+    """Fill ranks and times as the event loop does, bit for bit, for the
+    jitter-free run in which rank r runs ran[r] frames: rank r claims at 0
+    and at each sum S_r(j) but its last, the c-th claim in (time, rank)
+    order takes frame c, and its rank completes it at its next sum. Chunk
+    by chunk, a stable sort of each rank's sums up to an edge and the first
+    past it (inf after the last), in rank order, puts the claims first, each
+    followed in the list by its rank's next sum, and the k past it last."""
+    done, horizon = 0, makespan / len(times) * _CHUNK_FRAMES * len(service)
+    pending = [([0.0], chain(accumulate(repeat(s, n)), [math.inf]))
+               for s, n in zip(service, ran)]  # sums to merge, then the rest
+    while done < len(times):
+        edge = min(min(p[0] for p, _ in pending) + horizon, makespan)
+        keys, owners = [], []
+        for r, (p, rest) in enumerate(pending):
+            while p[-1] <= edge:
+                p += islice(rest, _CHUNK_FRAMES)
+            cut = bisect_right(p, edge)
+            keys += p[:cut + 1]
+            owners += repeat(r, cut + 1)
+            del p[:cut]
+        get = itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
+        take = min(len(keys) - len(pending), len(times) - done)
+        keys.append(keys.pop(0))  # keys[i] is now the sum after key i
+        pack_into(f"{take}{ranks.typecode}", ranks, done * ranks.itemsize,
+                  *get(owners)[:take])
+        pack_into(f"{take}d", times, done * times.itemsize, *get(keys)[:take])
+        done += take
+
+
 def simulate(scenario: Scenario, platform: Optional[Platform] = None,
              network: Optional[NetworkProfile] = None,
              record_events: bool = False) -> SimResult:
@@ -500,23 +536,23 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
     # k < N.
     budget = _WALK_STEPS_PER_FRAME * n_frames - 8 * len(order) ** 2
     high_water = None
-    if (not jitter and not record_events and n_frames >= _SUMS_MIN_FRAMES
-            and budget >= 0):
+    if record_events:
+        # The frame log: each frame's rank (narrowest unsigned type) and time.
+        code = next(code for code in "BHIQ"
+                    if len(order) <= 256 ** array(code).itemsize)
+        ranks = array(code, [0]) * n_frames
+        times = array("d", [0.0]) * n_frames
+    if not jitter and n_frames >= _SUMS_MIN_FRAMES and budget >= 0:
         frames_done, busy = _plain_run(service, n_frames)
         # Refused before the walk, whose ulp and end caps an infinite
         # makespan leaves meaningless.
         makespan = number(max(busy), "makespan_s", "scenario result")
         high_water = _high_water(service, frames_done, busy, budget)
+        if high_water is not None and record_events:
+            _frame_log(service, frames_done, makespan, ranks, times)
     if high_water is None:
         frames_done = [0] * len(order)
         busy = [0.0] * len(order)
-        if record_events:
-            # The frame log: the rank that ran each frame, in the narrowest
-            # unsigned type that holds every rank, and its completion time.
-            code = next(code for code in "BHIQ"
-                        if len(order) <= 256 ** array(code).itemsize)
-            ranks = array(code, [0]) * n_frames
-            times = array("d", [0.0]) * n_frames
 
         # Rank r claims frame r at time 0, and every later claim replaces
         # the completion that frees its rank: after all time-0 claims, as a

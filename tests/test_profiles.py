@@ -132,6 +132,20 @@ def test_host_cluster_must_be_cpu():
         load_platform(doc)
 
 
+@pytest.mark.parametrize("host", ["cpu0", "cpu1"])
+def test_cpu_cluster_with_a_host_cluster_rejected(host):
+    # Only an accelerator is driven by a host cluster: a CPU cluster that
+    # names itself or another CPU cluster is refused.
+    doc = minimal_platform_doc()
+    doc["platform"]["components"].append(dict(
+        doc["platform"]["components"][0], id="cpu1", kind="small-cpu"))
+    doc["platform"]["components"][0]["host_cluster"] = host
+    with pytest.raises(DanglingHostCluster) as exc:
+        load_platform(doc)
+    assert str(exc.value) == (
+        "platform 'board': CPU cluster 'cpu0' cannot have a host_cluster")
+
+
 def test_malformed_platform_documents():
     with pytest.raises(MalformedDocument):
         load_platform({"nope": {}})

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from bisect import bisect_right
 from collections import deque
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -758,11 +759,21 @@ def test_last_claim_equals_a_heap_walk_on_seeded_stress_cases():
     assert refused >= 10, refused
 
 
-def outcome(scenario, platform, network, record_events):
-    """The run without its frame log, or the refusal's text."""
+@pytest.fixture
+def heap_run(monkeypatch):
+    """simulate held to the event loop: no run has _SUMS_MIN_FRAMES frames
+    once it is past _MAX_FRAMES."""
+    def run(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(SIM, "_SUMS_MIN_FRAMES", _MAX_FRAMES + 1)
+            return simulate(*args, **kwargs)
+    return run
+
+
+def outcome(run, *args, **kwargs):
+    """What run(*args, **kwargs) returns, or the refusal's text."""
     try:
-        return replace(simulate(scenario, platform, network, record_events),
-                       events=None)
+        return run(*args, **kwargs)
     except MalformedDocument as exc:
         return str(exc)
 
@@ -818,13 +829,13 @@ def sums_families():
                 platform, network
 
 
-def test_plain_run_equals_the_heap_run_field_for_field():
-    # A recorded run always takes the heap loop; a plain one takes the
-    # running sums where it can, and must give the same result or refusal.
+def test_plain_run_equals_the_heap_run_field_for_field(heap_run):
+    # A plain run takes the running sums where it can, and must give the
+    # event loop's result or refusal.
     refused = 0
     for name, scenario, platform, network in sums_families():
-        plain = outcome(scenario, platform, network, False)
-        assert plain == outcome(scenario, platform, network, True), (
+        plain = outcome(simulate, scenario, platform, network)
+        assert plain == outcome(heap_run, scenario, platform, network), (
             name, scenario)
         refused += isinstance(plain, str)
     assert refused == 13
@@ -898,7 +909,8 @@ def seeded_rates(k, seed):
 ], ids=["kirin970_at_1e4", "kirin970_at_240", "near_equal_x8_falling",
         "near_equal_x8_rising", "x64_at_1e3", "x25_at_1250", "x25_at_1249",
         "seeded_x64_at_1e4", "seeded_x100_at_1e4", "seeded_x200_at_1e4"])
-def test_each_family_takes_its_path(monkeypatch, rates, frames, path):
+def test_each_family_takes_its_path(monkeypatch, heap_run, rates, frames,
+                                    path):
     if rates == "kirin970":
         run = (Scenario("kirin970", "alexnet", ("a53", "a73", "g72", "npu"),
                         frames), KIRIN, ALEXNET)
@@ -914,10 +926,10 @@ def test_each_family_takes_its_path(monkeypatch, rates, frames, path):
     assert len(calls) == len(claimed)
     assert calls == {"sums": [result.reorder_high_water], "loop": [],
                      "walk over budget": [None]}[path]
-    assert result == replace(simulate(*run, record_events=True), events=None)
+    assert result == heap_run(*run)
 
 
-def test_high_water_bound_keeps_its_rounding_margin():
+def test_high_water_bound_keeps_its_rounding_margin(heap_run):
     # A rate one ulp below twice the other. The fast rank's (c1) rounded
     # sums keep pace with twice the slow rank's: its 16th ties the slow
     # rank's 8th, at 8/3 s, and goes second, and its 18th comes one ulp
@@ -931,7 +943,7 @@ def test_high_water_bound_keeps_its_rounding_margin():
            synthetic_network(rates))
     result = simulate(*run)
     assert result.reorder_high_water == 3
-    assert result == replace(simulate(*run, record_events=True), events=None)
+    assert result == heap_run(*run)
 
 
 def extreme_runs(cases, seed):
@@ -966,16 +978,76 @@ def extreme_runs(cases, seed):
                synthetic_network(rates))
 
 
-def test_plain_runs_at_extreme_magnitudes_equal_the_heap_run(monkeypatch):
+def test_plain_runs_at_extreme_magnitudes_equal_the_heap_run(monkeypatch,
+                                                            heap_run):
     calls, _ = recorded_paths(monkeypatch)
     refused = 0
-    for scenario, platform, network in extreme_runs(300, 26):
-        plain = outcome(scenario, platform, network, False)
-        assert plain == outcome(scenario, platform, network, True), scenario
+    for run in extreme_runs(300, 26):
+        plain = outcome(simulate, *run)
+        assert plain == outcome(heap_run, *run), run[0]
         refused += isinstance(plain, str)
     # Most runs take the sums and walk within budget; some are refused.
     walked = sum(high_water is not None for high_water in calls)
     assert walked >= 150 and refused >= 10, (walked, refused)
+
+
+def test_recorded_plain_run_logs_what_the_heap_run_logs(monkeypatch,
+                                                        heap_run):
+    # Every field and both log columns, or the refusal, bit for bit.
+    merges = []  # one None per run that took the frame log's merge
+    frame_log = SIM._frame_log
+    monkeypatch.setattr(SIM, "_frame_log",
+                        lambda *args: merges.append(frame_log(*args)))
+    runs = [family[1:] for family in sums_families()]
+    for run in [*runs, *extreme_runs(300, 26), *extreme_runs(300, 99)]:
+        recorded = outcome(simulate, *run, record_events=True)
+        assert recorded == outcome(heap_run, *run, record_events=True), run[0]
+    assert len(merges) == 702  # of 1,132 runs
+
+
+@pytest.mark.parametrize("chunk", [1, 64])
+def test_recorded_plain_run_at_a_chunk_edge(monkeypatch, heap_run, chunk):
+    # Two equal ranks complete together at every whole second, and the
+    # last sums of both fall at frames/2 s, c1's after c0's. Some of these
+    # counts put them on a chunk edge, whose sums that chunk takes.
+    edges = set()
+
+    def bisect(sums, edge):
+        edges.add(edge)
+        return bisect_right(sums, edge)
+
+    monkeypatch.setattr(SIM, "_CHUNK_FRAMES", chunk)
+    monkeypatch.setattr(SIM, "bisect_right", bisect)
+    platform = synthetic_platform([(1.0, 1.0)] * 2)
+    network = synthetic_network([1.0] * 2)
+    met = 0
+    for frames in range(2000, 2260, 2):
+        edges.clear()
+        run = (Scenario("synth", "synthnet", ("c0", "c1"), frames), platform,
+               network)
+        assert (simulate(*run, record_events=True)
+                == heap_run(*run, record_events=True)), frames
+        met += frames / 2 in edges
+    assert met >= 2, met
+
+
+@pytest.mark.parametrize("rates,frames", [
+    # One rank 100 times faster than 39 others.
+    ([100.0] + [1.0 + i / 100 for i in range(39)], 10 ** 5),
+    # Ranks past 255 take two bytes each.
+    ([1.0 + i / 1000 for i in range(300)], 2 * 10 ** 5),
+], ids=["one_fast_among_40", "x300"])
+def test_recorded_plain_run_of_many_ranks(monkeypatch, heap_run, rates,
+                                          frames):
+    run = (Scenario("synth", "synthnet",
+                    tuple(f"c{i}" for i in range(len(rates))), frames),
+           synthetic_platform([(r, 1.0) for r in rates]),
+           synthetic_network(rates))
+    calls, _ = recorded_paths(monkeypatch)
+    result = simulate(*run, record_events=True)
+    assert calls == [result.reorder_high_water]  # it took the sums
+    assert result.events.ranks.itemsize == 1 + (len(rates) > 256)
+    assert result == heap_run(*run, record_events=True)
 
 
 def test_engaged_component_not_on_the_platform_rejected():
