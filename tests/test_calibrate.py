@@ -13,7 +13,7 @@ from socperf import (InfeasibleTarget, MalformedDocument, Scenario,
                      platform_by_id, simulate)
 from socperf.calibrate import CalibrationResult, calibrate
 from socperf.cli import _observed
-from test_sim import synthetic_network, synthetic_platform
+from test_sim import heap_run, synthetic_network, synthetic_platform  # noqa: F401
 
 # The module, not the function that the package re-exports under its name.
 CALIBRATE = sys.modules["socperf.calibrate"]
@@ -236,12 +236,12 @@ def test_fit_whose_run_overflows_the_float_range_is_refused():
     assert str(exc.value) == message
 
 
-def record_fits(monkeypatch, fits):
+def record_fits(monkeypatch, heap_run, fits):
     """Run calibrate on each (observation, target scale, frames) and return
     the number of simulate calls of each fit and, for every x that
-    _simulated scored, its result and the jitter-free run of x. The run
-    records its events, so it comes from the heap loop and not from the
-    running sums that _simulated shares with a plain run."""
+    _simulated scored, its result and the jitter-free run of x. The run is
+    heap_run's, so it comes from the event loop and not from the running
+    sums that _simulated shares with a plain run."""
     sims, scored = [], []
     simulate, simulated = CALIBRATE.simulate, CALIBRATE._simulated
 
@@ -266,20 +266,20 @@ def record_fits(monkeypatch, fits):
         sims.append(0)
         calibrate(platform, network, observed, obs.engaged, frames=frames)
         for got, factors, overhead, n in scored:
-            pairs.append((got, simulate(
+            pairs.append((got, heap_run(
                 Scenario(platform.id, network.id, obs.engaged, n, overhead,
-                         factors), platform, network, record_events=True)))
+                         factors), platform, network)))
         scored.clear()
     return sims, pairs
 
 
 @pytest.mark.parametrize("table,total_sims", [(2, 14), (3, 8)])
-def test_calibration_simulates_at_most_twice_per_fit(monkeypatch, table,
-                                                     total_sims):
+def test_calibration_simulates_at_most_twice_per_fit(monkeypatch, heap_run,
+                                                     table, total_sims):
     # The acceptance fits of criteria 3 and 4 use these same targets. The
     # fit simulates where its polish starts and, if it moved, where it ends.
     fits = [(obs, 1.0, 10000) for obs in observations_for_table(table)]
-    sims, _ = record_fits(monkeypatch, fits)
+    sims, _ = record_fits(monkeypatch, heap_run, fits)
     assert max(sims) <= 2
     assert sum(sims) == total_sims
 
@@ -290,10 +290,10 @@ def test_calibration_simulates_at_most_twice_per_fit(monkeypatch, table,
     (20000, (0.9,), (3,)),
 ])
 def test_simulated_equals_simulate_on_every_scored_candidate(
-        monkeypatch, frames, scales, tables):
+        monkeypatch, heap_run, frames, scales, tables):
     fits = [(obs, scale, frames) for table in tables
             for obs in observations_for_table(table) for scale in scales]
-    _, pairs = record_fits(monkeypatch, fits)
+    _, pairs = record_fits(monkeypatch, heap_run, fits)
     assert pairs
     assert [(got, run.throughput, run.composition) for got, run in pairs
             if got != (run.throughput, run.composition)] == []
@@ -302,10 +302,10 @@ def test_simulated_equals_simulate_on_every_scored_candidate(
 @pytest.mark.parametrize("rates", [
     (1.0, 1.0), (3.0, 3.0, 3.0, 3.0), (2.0, 1.0), (1.0, 2.0, 2.0, 1.0),
     (1.0, 2.0, 4.0), (1e-3, 40.0)], ids=repr)
-def test_simulated_equals_simulate_on_ties_and_short_runs(rates):
+def test_simulated_equals_simulate_on_ties_and_short_runs(heap_run, rates):
     # Equal and 2:1 rates complete frames at the same times, so ties pop in
     # id order; N <= k leaves components without a frame, and 1e-3 against
-    # 40 leaves the slow one a single frame. The recorded run is the heap's.
+    # 40 leaves the slow one a single frame. heap_run's run is the loop's.
     k = len(rates)
     engaged = tuple(f"c{i}" for i in reversed(range(k)))
     platform = synthetic_platform([(1.0, 1.0)] * k)
@@ -318,9 +318,9 @@ def test_simulated_equals_simulate_on_ties_and_short_runs(rates):
                             tuple(rng.uniform(0.01, 1.0) for _ in range(k))):
                 x = [overhead, *factors]
                 contention = dict(zip(engaged, factors))
-                run = simulate(Scenario(platform.id, network.id, engaged,
+                run = heap_run(Scenario(platform.id, network.id, engaged,
                                         frames, overhead, contention),
-                               platform, network, record_events=True)
+                               platform, network)
                 assert CALIBRATE._simulated(rates_by_id, x, frames) == (
                     run.throughput, run.composition)
 

@@ -546,9 +546,20 @@ def test_jittered_run_allocates_nothing_per_frame():
 
 def test_recorded_run_keeps_a_small_frame_log():
     # The log holds a rank byte and a completion time per frame, 9 bytes
-    # per frame; the event loop itself keeps nothing per frame.
+    # per frame; the merge that fills it holds one chunk of sums at a time.
     frames = 10 ** 5
     result, peak = traced_run(frames, record_events=True)
+    assert result.events is not None
+    assert peak <= 9.5 * frames
+
+
+@pytest.mark.parametrize("jitter", [{}, {"jitter_seed": 7, "jitter_cv": 0.1}],
+                         ids=["jitter_free", "jittered"])
+def test_recorded_event_loop_run_keeps_a_small_frame_log(monkeypatch, jitter):
+    # The event loop keeps nothing per frame but the log.
+    monkeypatch.setattr(SIM, "_SUMS_MIN_FRAMES", _MAX_FRAMES + 1)
+    frames = 10 ** 5
+    result, peak = traced_run(frames, record_events=True, **jitter)
     assert result.events is not None
     assert peak <= 9.5 * frames
 
