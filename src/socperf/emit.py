@@ -25,6 +25,10 @@ _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 # The 4-significant-digit text of a finite value from about ±1.7975e308 up
 # parses to ±inf; it is written as the largest such text not past the value.
 _PAST_RANGE = {"1.798e+308": "1.797e+308", "-1.798e+308": "-1.797e+308"}
+# The least float whose text that is. The CSV writer writes a float cell
+# strictly between ±_PAST_FROM inline, and hands any other (NaN and ±inf
+# too) to sig4.
+_PAST_FROM = 1.7975000000000001e308
 
 
 def sig4(value) -> str:
@@ -85,9 +89,15 @@ def _json(value, pad: str) -> str:
     if isinstance(value, (list, tuple)) and value:
         keys = tuple(value[0]) if type(value[0]) is dict else ()
         if keys and set(map(type, value)) == {dict} and all(map(keys.__eq__, map(tuple, value))):
-            # A table: cells in document order, so a bad one raises as row by row.
-            cells = (write(v) if (write := get(type(v))) else _json(v, inner + "  ")
-                     for row in value for v in row.values())
+            # A table: cells in document order, so a bad one raises as row by
+            # row. A float with a fixed-point text (never NaN, inf or past
+            # range), None and a str are written inline, any other cell by
+            # its writer.
+            cells = iter([(text if "." in (text := f"{v:.4g}") and "e" not in text
+                           else _float(v)) if type(v) is float
+                          else "null" if v is None else _QUOTE(v) if type(v) is str
+                          else write(v) if (write := get(type(v))) else _json(v, inner + "  ")
+                          for row in value for v in row.values()])
             layout = (f"{inner}{{\n" + ",\n".join(
                 [f"{inner}  {_key(k).replace('%', '%%')}: %s" for k in keys]) + f"\n{inner}}}")
             return ("[\n" + ",\n".join(map(layout.__mod__, zip(*[cells] * len(keys))))
@@ -108,14 +118,17 @@ def emit_csv(rows: Sequence[dict]) -> bytes:
     """CSV of a non-empty list of dict rows that all have the first row's
     keys, which are the header; each cell is sig4 of the row's value. Any
     other list raises UnsupportedFormat, since it is not one table. The
-    cells are written in one pass in row order, so the first bad cell or
-    row raises, and each line is joined from the cells of its row."""
+    cells are written in row order, so the first bad cell or row raises: a
+    float strictly between ±_PAST_FROM, None and a str inline, any other
+    cell by sig4."""
     if not rows:
         raise UnsupportedFormat("a CSV report needs at least one row")
     header = rows[0].keys()
     lines = [",".join(header)]
     size = next((i for i, row in enumerate(rows) if row.keys() != header), len(rows))
-    cells = map(sig4, [row[key] for row in rows[:size] for key in header])
+    cells = iter([f"{v:.4g}" if type(v := row[key]) is float and -_PAST_FROM < v < _PAST_FROM
+                  else "" if v is None else v if type(v) is str else sig4(v)
+                  for row in rows[:size] for key in header])
     lines += map(",".join, zip(*[cells] * len(header)) if header else [()] * size)
     if size < len(rows):
         raise UnsupportedFormat(
@@ -162,7 +175,9 @@ def sim_result_to_csv(result: SimResult) -> bytes:
 
 
 def emit_svg_roofline(rows: Sequence[dict], title: str) -> bytes:
-    """Log-log roofline plot as a standalone SVG."""
+    """Log-log roofline plot as a standalone SVG. Its performance axis runs
+    from half the least value to twice the greatest, so a value whose half
+    is not above 0 or whose double is inf raises UnsupportedFormat."""
     width, height = SVG_WIDTH, SVG_HEIGHT
     line = [(r["oi_flops_per_byte"], r["roofline_gops"])
             for r in rows if r["point_label"] is None]
@@ -175,16 +190,19 @@ def emit_svg_roofline(rows: Sequence[dict], title: str) -> bytes:
     ys = [y for _, y in line] + [p[1] for p in points]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys) * 0.5, max(ys) * 2.0
+    if not lo_y > 0.0:
+        raise UnsupportedFormat(
+            f"roofline SVG: half the least performance must be > 0, got {shown(min(ys))}")
+    if hi_y == math.inf:
+        raise UnsupportedFormat(
+            f"roofline SVG: twice the greatest performance must be finite, got {shown(max(ys))}")
     margin = 56
-    log_lo_x, log_lo_y = math.log10(lo_x), math.log10(lo_y)
-    span_x = math.log10(hi_x) - log_lo_x or 1.0
-    span_y = math.log10(hi_y) - log_lo_y or 1.0
-
-    def px(x: float) -> float:
-        return margin + (math.log10(x) - log_lo_x) / span_x * (width - 2 * margin)
-
-    def py(y: float) -> float:
-        return height - margin - (math.log10(y) - log_lo_y) / span_y * (height - 2 * margin)
+    log10 = math.log10
+    log_lo_x, log_lo_y = log10(lo_x), log10(lo_y)
+    span_x = log10(hi_x) - log_lo_x or 1.0
+    span_y = log10(hi_y) - log_lo_y or 1.0
+    # Each point's pixel x and y are written inline, with no call per point.
+    plot_w, plot_h, bottom = width - 2 * margin, height - 2 * margin, height - margin
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -199,22 +217,21 @@ def emit_svg_roofline(rows: Sequence[dict], title: str) -> bytes:
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 16 {height / 2:.1f})">'
         f'performance (GOPS/s, log)</text>',
-        f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
-        f'height="{height - 2 * margin}" fill="none" stroke="#888"/>',
+        f'<rect x="{margin}" y="{margin}" width="{plot_w}" '
+        f'height="{plot_h}" fill="none" stroke="#888"/>',
     ]
-    path = " ".join(
-        f"{'M' if i == 0 else 'L'}{px(x):.2f},{py(y):.2f}"
-        for i, (x, y) in enumerate(line)
-    )
-    parts.append(f'<path d="{path}" fill="none" stroke="#1f3b99" stroke-width="2"/>')
+    path = " L".join([
+        "%.2f,%.2f" % (margin + (log10(x) - log_lo_x) / span_x * plot_w,
+                       bottom - (log10(y) - log_lo_y) / span_y * plot_h)
+        for x, y in line])
+    parts.append(f'<path d="M{path}" fill="none" stroke="#1f3b99" stroke-width="2"/>')
     for oi, gops, label, bound in points:
+        x = margin + (log10(oi) - log_lo_x) / span_x * plot_w
+        y = bottom - (log10(gops) - log_lo_y) / span_y * plot_h
         color = "#b22222" if bound == "memory" else "#1a7a1a"
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="{color}"/>')
         parts.append(
-            f'<circle cx="{px(oi):.2f}" cy="{py(gops):.2f}" r="4" '
-            f'fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{px(oi) + 6:.2f}" y="{py(gops) - 6:.2f}" '
+            f'<text x="{x + 6:.2f}" y="{y - 6:.2f}" '
             f'font-family="sans-serif" font-size="10">{label.translate(_XML_TEXT)}</text>'
         )
     parts.append("</svg>")

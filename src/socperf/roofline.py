@@ -40,9 +40,12 @@ class RooflineModel:
     ceiling_compute_gops: float
 
     def __post_init__(self):
-        ctx = f"roofline {shown(text(self.component_id, 'component_id', 'roofline'))}"
-        for key in ("roof_bandwidth_gbs", "ceiling_compute_gops"):
-            _set(self, key, number(getattr(self, key), key, ctx))
+        text(self.component_id, "component_id", "roofline")
+        try:  # the refusal names the roofline, so that text is built on a refusal only
+            for key in ("roof_bandwidth_gbs", "ceiling_compute_gops"):
+                _set(self, key, number(getattr(self, key), key, ""))
+        except MalformedDocument as exc:
+            raise MalformedDocument(f"roofline {shown(self.component_id)}: {exc}") from None
 
     @cached_property
     def ridge_oi(self) -> float:
@@ -78,18 +81,21 @@ class RooflinePoint:
             raise MalformedDocument(f"roofline point {shown(self.workload)}: {exc}") from None
 
 
-def _oi(gops: float, nbytes: float, key: str, ctx: str) -> float:
+def _oi(gops: float, nbytes: float, key: str, owner: str, name: str) -> float:
     """gops over nbytes/1e9, giga-ops per giga-byte (FLOPS/byte), which
-    must be finite and > 0: a subnormal byte count scales to 0."""
+    must be finite and > 0: a subnormal byte count scales to 0. A refusal
+    names the owner ("layer" or "network") and its name."""
     gigabytes = nbytes / 1e9
-    return number(gops / gigabytes if gigabytes else math.inf,
-                  f"operational intensity over {key}", ctx)
+    oi = gops / gigabytes if gigabytes else math.inf
+    if 0.0 < oi < math.inf:  # as number() takes a float, with no text built
+        return oi
+    return number(oi, f"operational intensity over {key}", f"{owner} {shown(name)}")
 
 
 def theoretical_oi(layer: LayerProfile) -> float:
     """Operations per byte over all data touched (FLOPS/byte)."""
     return _oi(layer.gops, layer.mem_access_bytes, "mem_access_bytes",
-               f"layer {shown(layer.name)}")
+               "layer", layer.name)
 
 
 def empirical_oi(layer: LayerProfile) -> float:
@@ -99,7 +105,7 @@ def empirical_oi(layer: LayerProfile) -> float:
             f"layer {shown(layer.name)} has no DRAM counters; attach a trace first"
         )
     return _oi(layer.gops, layer.dram_access_bytes, "dram_access_bytes",
-               f"layer {shown(layer.name)}")
+               "layer", layer.name)
 
 
 def attainable(model: RooflineModel, oi: float) -> float:
@@ -118,17 +124,16 @@ def network_oi(profile: NetworkProfile, kind: str = OI_THEORETICAL) -> float:
     This matches plotting one point per network rather than averaging
     per-layer intensities.
     """
-    ctx = f"network {shown(profile.id)}"
     if one_of(kind, OI_KINDS, "kind", "network OI") == OI_THEORETICAL:
         return _oi(profile.total_gops, profile.total_mem_access_bytes,
-                   "mem_access_bytes", ctx)
+                   "mem_access_bytes", "network", profile.id)
     dram = profile.total_dram_access_bytes
     if dram is None:
         raise MissingTrace(
-            f"{ctx} has untraced layers; empirical OI needs DRAM counters "
-            f"on every layer"
+            f"network {shown(profile.id)} has untraced layers; empirical OI "
+            f"needs DRAM counters on every layer"
         )
-    return _oi(profile.total_gops, dram, "dram_access_bytes", ctx)
+    return _oi(profile.total_gops, dram, "dram_access_bytes", "network", profile.id)
 
 
 def achieved_gops(profile: NetworkProfile, component_id: str) -> float:
@@ -182,8 +187,11 @@ def layer_points(profile: NetworkProfile, model: RooflineModel,
 
 
 # The most samples an OI grid takes. Each becomes one table row: in
-# `socperf roofline --format json --samples 100000` about 160 bytes of
-# output, 0.7 KB of peak RSS and 5-9 us of work (2-vCPU x86 host).
+# `socperf roofline --platform kirin970 --component npu --network alexnet
+# --samples 100000`, about 22 (CSV), 163 (JSON) or 15 (SVG) bytes of
+# output, 0.5-0.8 KB of peak RSS over a 97-sample run, and 4-7 us of work
+# over a 1,000-sample one (in process, medians of 7; Python 3.11.7, 2-vCPU
+# x86 host).
 _MAX_SAMPLES = 10 ** 5
 
 
@@ -214,15 +222,17 @@ def roofline_series(model: RooflineModel,
     ridge = model.ridge_oi
     if grid[0] < ridge < grid[-1] and ridge not in grid:
         grid = sorted(grid + [ridge])
+    # attainable() and classify(), written out: one row costs no call.
+    ceiling, bandwidth = model.ceiling_compute_gops, model.roof_bandwidth_gbs
     return [{"oi_flops_per_byte": oi,
-             "roofline_gops": attainable(model, oi),
+             "roofline_gops": min(ceiling, oi * bandwidth),
              "point_label": None,
              "point_oi": None,
              "point_gops": None,
-             "bound": classify(model, oi)}
+             "bound": BOUND_MEMORY if oi < ridge else BOUND_COMPUTE}
             for oi in grid] + [
             {"oi_flops_per_byte": point.oi,
-             "roofline_gops": attainable(model, point.oi),
+             "roofline_gops": min(ceiling, point.oi * bandwidth),
              "point_label": f"{point.workload}[{point.oi_kind}]",
              "point_oi": point.oi,
              "point_gops": point.performance_gops,

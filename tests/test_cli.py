@@ -840,6 +840,70 @@ def reference_csv(rows) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
+
+def reference_svg(rows, title: str) -> bytes:
+    """emit_svg_roofline as it was written before its coordinates were
+    computed inline: px and py called once per point."""
+    width, height = 720, 480
+    line = [(r["oi_flops_per_byte"], r["roofline_gops"])
+            for r in rows if r["point_label"] is None]
+    points = [(r["point_oi"], r["point_gops"], r["point_label"], r["bound"])
+              for r in rows if r["point_label"] is not None]
+    if not line:
+        raise UnsupportedFormat("roofline SVG needs at least the grid rows")
+
+    xs = [x for x, _ in line] + [p[0] for p in points]
+    ys = [y for _, y in line] + [p[1] for p in points]
+    lo_x, hi_x = min(xs), max(xs)
+    lo_y, hi_y = min(ys) * 0.5, max(ys) * 2.0
+    margin = 56
+    log_lo_x, log_lo_y = math.log10(lo_x), math.log10(lo_y)
+    span_x = math.log10(hi_x) - log_lo_x or 1.0
+    span_y = math.log10(hi_y) - log_lo_y or 1.0
+
+    def px(x: float) -> float:
+        return margin + (math.log10(x) - log_lo_x) / span_x * (width - 2 * margin)
+
+    def py(y: float) -> float:
+        return height - margin - (math.log10(y) - log_lo_y) / span_y * (height - 2 * margin)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{title.translate(XML_TEXT)}</text>',
+        f'<text x="{width / 2:.1f}" y="{height - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">'
+        f'operational intensity (FLOPS/byte, log)</text>',
+        f'<text x="16" y="{height / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 16 {height / 2:.1f})">'
+        f'performance (GOPS/s, log)</text>',
+        f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
+        f'height="{height - 2 * margin}" fill="none" stroke="#888"/>',
+    ]
+    path = " ".join(
+        f"{'M' if i == 0 else 'L'}{px(x):.2f},{py(y):.2f}"
+        for i, (x, y) in enumerate(line)
+    )
+    parts.append(f'<path d="{path}" fill="none" stroke="#1f3b99" stroke-width="2"/>')
+    for oi, gops, label, bound in points:
+        color = "#b22222" if bound == "memory" else "#1a7a1a"
+        parts.append(
+            f'<circle cx="{px(oi):.2f}" cy="{py(gops):.2f}" r="4" '
+            f'fill="{color}"/>'
+        )
+        parts.append(
+            f'<text x="{px(oi) + 6:.2f}" y="{py(gops) - 6:.2f}" '
+            f'font-family="sans-serif" font-size="10">{label.translate(XML_TEXT)}</text>'
+        )
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode("utf-8")
+
+
 def cli_invocations(fmt: str):
     """A CLI invocation for each kind of payload the CLI builds in fmt
     (calibrate writes JSON only)."""
@@ -894,6 +958,56 @@ def test_emit_csv_matches_the_row_wise_writer_on_every_cli_payload(tmp_path,
         assert emit_csv(payload) == reference_csv(payload)
 
 
+def test_emit_svg_roofline_matches_the_reference_on_every_cli_roofline(
+        tmp_path, monkeypatch):
+    tables = []
+
+    def recording(rows, title):
+        tables.append((rows, title))
+        return emit_svg_roofline(rows, title)
+    monkeypatch.setattr("socperf.cli.emit_svg_roofline", recording)
+    runs = [args for args in cli_invocations("svg") if args[0] == "roofline"]
+    for args in runs:
+        assert main(args + ["--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out").read_bytes() == reference_svg(*tables[-1])
+    assert len(tables) == len(runs) == 41
+
+
+def test_emit_svg_roofline_matches_the_reference_on_seeded_tables():
+    """Rooflines from subnormal to near the top of the float range, with
+    labels to escape: the same bytes as the reference wherever its log axis
+    can be drawn, and UnsupportedFormat wherever it cannot."""
+    rng = random.Random(34)
+    labels = ["conv1", "a<b>&c", "&amp;", '"q" \u00e9', "<<>>"]
+    drawn, refused = 0, set()
+    for _ in range(300):
+        scale = 10.0 ** rng.choice((-320, -310, -300, -20, 0, 20, 300, 306, 307))
+        model = RooflineModel("c", scale * 10 ** rng.uniform(-3, 1),
+                              scale * 10 ** rng.uniform(-3, 1))
+        lo = 10 ** rng.uniform(-300, 3) if rng.random() < 0.7 else 5e-324
+        # Near 5e-324 the grid's samples round onto the same subnormals.
+        grid = sorted(set(log_spaced(lo, lo * 10 ** rng.uniform(1, 6), rng.randint(2, 40))))
+        points = [RooflinePoint(f"{rng.choice(labels)}{i}", 10 ** rng.uniform(-3, 3),
+                                scale * 10 ** rng.uniform(-3, 1),
+                                rng.choice(("memory", "compute")),
+                                rng.choice(("theoretical", "empirical")))
+                  for i in range(rng.randint(0, 8))]
+        rows = roofline_series(model, points, grid)
+        title = f"{rng.choice(labels)} roofline"
+        ys = [row["point_gops"] if row["point_label"] else row["roofline_gops"]
+              for row in rows]
+        if min(ys) * 0.5 > 0.0 and max(ys) * 2.0 < math.inf:
+            assert emit_svg_roofline(rows, title) == reference_svg(rows, title)
+            drawn += 1
+        else:
+            with pytest.raises(UnsupportedFormat) as exc:
+                emit_svg_roofline(rows, title)
+            refused.add(str(exc.value).split(" must")[0])
+    assert drawn > 150 and refused == {
+        "roofline SVG: half the least performance",
+        "roofline SVG: twice the greatest performance"}
+
+
 def random_json_value(rng: random.Random, depth: int):
     leaves = ["", "plain", "\u00e9t\u00e9 \u2028 \U0001f600", "\x00\x1f\"\\/\t\n",
               -0.0, 0.0, 5e-324, 1e300, -1e300, 2.5, 10**30, -(10**40), 0, 7,
@@ -928,7 +1042,7 @@ DictSub = type("DictSub", (dict,), {"items": lambda self: [*dict.items(self)][::
 
 
 def random_float(rng: random.Random) -> float:
-    return rng.choice((0.0, -0.0, 5e-324, 1234.0, 9999.5, 1e16,
+    return rng.choice((0.0, -0.0, 5e-324, 1234.0, 9999.5, 1e16, *RANGE_EDGES,
                        math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1074, 1023)),
                        10 ** rng.uniform(-5, 5)))
 

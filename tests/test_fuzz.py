@@ -28,6 +28,7 @@ import math
 import os
 import random
 from collections.abc import Mapping
+from importlib import resources
 
 import socperf
 from socperf.cli import main
@@ -193,11 +194,14 @@ def test_cli_fuzz_exits_cleanly(tmp_path, monkeypatch, capsys):
     assert not failures, "\n".join(failures)
 
 
-def test_cli_at_the_float_range_edges_exits_cleanly(tmp_path, capsys):
+def test_cli_at_the_float_range_edges_exits_cleanly(tmp_path, monkeypatch, capsys):
     """Command lines that once ended in a traceback or an exit 1: a
     subnormal share target made the seed's overhead infinite, an OI range
     up to the largest float overflowed 10 ** log10(oi_max), and the largest
-    float's 4-digit text 1.798e+308 parsed to inf in JSON."""
+    float's 4-digit text 1.798e+308 parsed to inf in JSON. An SVG whose log
+    performance axis cannot reach half the least value (it was "math domain
+    error") or twice the greatest (it drew every point at one height)
+    exits 1 naming the value, where CSV and JSON write the table."""
     out = tmp_path / "out"
     assert main(["calibrate", "--platform", "kirin970", "--network", "alexnet",
                  "--components", "a53,npu", "--target-throughput", "30",
@@ -216,6 +220,34 @@ def test_cli_at_the_float_range_edges_exits_cleanly(tmp_path, capsys):
     table = strict_json(out.read_bytes())
     assert [row["oi_flops_per_byte"] for row in table] == [2.0, 225.9, 1.797e308]
     assert not list(non_finite(table))
+    subnormal = ["roofline", "--platform", "exynos5422", "--component", "a7",
+                 "--oi-min", "5e-324", "--oi-max", "1e-323", "--samples", "2",
+                 "--out", str(out)]
+    assert main(subnormal + ["--format", "csv"]) == 0
+    assert out.read_text().splitlines()[1].split(",")[:2] == ["4.941e-324", "0"]
+    assert main(subnormal + ["--format", "svg"]) == 1
+    assert capsys.readouterr().err == (
+        "socperf: roofline SVG: half the least performance must be > 0, got 0.0\n")
+    # A component whose ceiling is 1e308: twice it is inf.
+    data = tmp_path / "data"
+    data.mkdir()
+    for item in (resources.files("socperf") / "data").iterdir():
+        if item.name.endswith(".json"):
+            (data / item.name).write_text(item.read_text())
+    doc = json.loads((data / "kirin970.json").read_text())
+    doc["platform"]["bus_peak_bandwidth_gbs"] = 1e300
+    npu = doc["platform"]["components"][3]
+    npu.update(sustainable_bandwidth_gbs=1e300, peak_compute_gops=1e308)
+    (data / "kirin970.json").write_text(json.dumps(doc))
+    monkeypatch.setenv("SOCPERF_DATA", str(data))
+    huge = ["roofline", "--platform", "kirin970", "--component", "npu",
+            "--oi-min", "0.1", "--oi-max", "1e10", "--samples", "5", "--out", str(out)]
+    assert main(huge + ["--format", "json"]) == 0
+    assert strict_json(out.read_bytes())[-1]["roofline_gops"] == 1e308
+    assert main(huge + ["--format", "svg"]) == 1
+    assert capsys.readouterr().err == (
+        "socperf: roofline SVG: twice the greatest performance must be finite, "
+        "got 1e+308\n")
 
 
 # -- library calls at extreme magnitudes ----------------------------------------

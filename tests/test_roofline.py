@@ -103,6 +103,26 @@ def test_an_unknown_oi_kind_is_refused_as_the_argument():
             f"{ctx}: kind must be one of theoretical, empirical, got 'bogus'")
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: RooflineModel("", 1.0, 2.0),
+     "roofline: component_id must be a non-empty string, got ''"),
+    (lambda: RooflineModel("npu", math.nan, 2.0),
+     "roofline 'npu': roof_bandwidth_gbs must be finite and > 0, got nan"),
+    (lambda: RooflineModel("npu", 1.0, True),
+     "roofline 'npu': ceiling_compute_gops must be finite and > 0, got True"),
+    (lambda: theoretical_oi(layer(1.0, 1e-320, name="conv1")),
+     "layer 'conv1': operational intensity over mem_access_bytes must be "
+     "finite and > 0, got inf"),
+    (lambda: empirical_oi(layer(1e300, 1e9, dram=1e-300, name="fc6")),
+     "layer 'fc6': operational intensity over dram_access_bytes must be "
+     "finite and > 0, got inf"),
+], ids=["component_id", "bandwidth", "ceiling", "theoretical", "empirical"])
+def test_a_refusal_names_the_roofline_or_the_layer(call, message):
+    with pytest.raises(MalformedDocument) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_empirical_at_least_theoretical_for_traced_layers():
     profile = attach_trace(network_by_id("alexnet"), builtin_trace())
     for lyr in profile.layers:
