@@ -15,6 +15,7 @@ All functions here are pure and operate on immutable inputs.
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import lt
 from typing import Iterable, Sequence
 
 from .errors import MalformedDocument, MissingTrace
@@ -197,12 +198,18 @@ _MAX_SAMPLES = 10 ** 5
 
 def log_spaced(lo: float, hi: float, samples: int) -> list[float]:
     """Log-spaced OI grid: lo, then 10**(log10(lo) + i*step) for each inner
-    i (hi once that exponent reaches log10(hi), so none overflows), then hi."""
+    i (hi once that exponent reaches log10(hi), so none overflows), then hi.
+    A range too narrow to hold that many distinct floats is refused."""
     count(samples, "samples", "OI grid", low=2, high=_MAX_SAMPLES)
     hi = number(hi, "oi_max", "OI grid", low=(lo := number(lo, "oi_min", "OI grid")))
     step = ((log_hi := math.log10(hi)) - (log_lo := math.log10(lo))) / (samples - 1)
-    return [lo, *[10 ** e if (e := log_lo + i * step) < log_hi else hi
+    grid = [lo, *[10 ** e if (e := log_lo + i * step) < log_hi else hi
                   for i in range(1, samples - 1)], hi]
+    if all(map(lt, grid, grid[1:])):
+        return grid
+    raise MalformedDocument(
+        f"OI grid: samples must be few enough for a strictly increasing grid "
+        f"from oi_min {shown(lo)} to oi_max {shown(hi)}, got {samples}")
 
 
 def roofline_series(model: RooflineModel,
@@ -216,7 +223,7 @@ def roofline_series(model: RooflineModel,
     the two-segment shape keeps its exact knee.
     """
     grid = [number(oi, "oi_range entry", "roofline series") for oi in oi_range]
-    if not grid or not all(map(float.__lt__, grid, grid[1:])):
+    if not grid or not all(map(lt, grid, grid[1:])):
         raise MalformedDocument(
             "oi_range must be non-empty and strictly increasing")
     ridge = model.ridge_oi

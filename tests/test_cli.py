@@ -681,6 +681,14 @@ def test_scenario_path_that_looks_like_json_is_a_file(tmp_path, monkeypatch,
      "OI grid: samples must be an integer <= 100000, got 100001"),
     (["tables", "--which", "2", "--frames", "100000000000"],
      "scenario: frames must be an integer <= 10000000, got 100000000000"),
+    (["roofline", "--platform", "kirin970", "--component", "npu",
+      "--oi-min", "1", "--oi-max", "1.0000000000000002", "--samples", "5"],
+     "OI grid: samples must be few enough for a strictly increasing grid "
+     "from oi_min 1.0 to oi_max 1.0000000000000002, got 5"),
+    (["roofline", "--platform", "kirin970", "--component", "npu",
+      "--oi-min", "5e-324", "--oi-max", "1e-322", "--samples", "40"],
+     "OI grid: samples must be few enough for a strictly increasing grid "
+     "from oi_min 5e-324 to oi_max 1e-322, got 40"),
 ])
 def test_count_above_its_cap_exits_1(tmp_path, capsys, args, message):
     assert main(args + ["--out", str(tmp_path / "x")]) == 1
@@ -973,6 +981,13 @@ def test_emit_svg_roofline_matches_the_reference_on_every_cli_roofline(
     assert len(tables) == len(runs) == 41
 
 
+def spaced(lo: float, hi: float, samples: int) -> list[float]:
+    """log_spaced's samples, repeats included, for a range too narrow for them."""
+    step = ((log_hi := math.log10(hi)) - (log_lo := math.log10(lo))) / (samples - 1)
+    return [lo, *[10 ** e if (e := log_lo + i * step) < log_hi else hi
+                  for i in range(1, samples - 1)], hi]
+
+
 def test_emit_svg_roofline_matches_the_reference_on_seeded_tables():
     """Rooflines from subnormal to near the top of the float range, with
     labels to escape: the same bytes as the reference wherever its log axis
@@ -985,8 +1000,9 @@ def test_emit_svg_roofline_matches_the_reference_on_seeded_tables():
         model = RooflineModel("c", scale * 10 ** rng.uniform(-3, 1),
                               scale * 10 ** rng.uniform(-3, 1))
         lo = 10 ** rng.uniform(-300, 3) if rng.random() < 0.7 else 5e-324
-        # Near 5e-324 the grid's samples round onto the same subnormals.
-        grid = sorted(set(log_spaced(lo, lo * 10 ** rng.uniform(1, 6), rng.randint(2, 40))))
+        # Near 5e-324 the grid's samples round onto the same subnormals,
+        # which log_spaced refuses: keep each distinct one.
+        grid = sorted(set(spaced(lo, lo * 10 ** rng.uniform(1, 6), rng.randint(2, 40))))
         points = [RooflinePoint(f"{rng.choice(labels)}{i}", 10 ** rng.uniform(-3, 3),
                                 scale * 10 ** rng.uniform(-3, 1),
                                 rng.choice(("memory", "compute")),

@@ -222,6 +222,11 @@ def test_series_point_passthrough_and_errors():
         log_spaced(1.0, 0.1, 5)
     with pytest.raises(ValueError, match="samples must be an integer <= 100000"):
         log_spaced(0.1, 100.0, _MAX_SAMPLES + 1)
+    # A range that holds fewer floats than samples asks for repeats none.
+    assert log_spaced(1.0, 1.0000000000000002, 2) == [1.0, 1.0000000000000002]
+    for lo, hi, samples in ((1.0, 1.0000000000000002, 3), (5e-324, 1e-322, 40)):
+        with pytest.raises(SocPerfError, match=f"samples must be few enough .* got {samples}$"):
+            log_spaced(lo, hi, samples)
 
 
 def test_achieved_points_stay_below_the_roofline():
@@ -276,17 +281,25 @@ def test_point_validation():
 
 def test_log_spaced_takes_each_sample_as_it_always_did():
     """Bit for bit the per-sample expression log_spaced once evaluated, at
-    every inner sample; the endpoints are lo and hi themselves."""
+    every inner sample; the endpoints are lo and hi themselves. Where that
+    grid would repeat a value, the range is refused."""
     rng = random.Random(25)
     cases = [(0.1, 1000.0, 97), (1, 1000, 2), (5e-324, 1e308, 1000), (2.0, math.nextafter(2.0, 3.0), 5)]
     for _ in range(400):
         lo = 10 ** rng.uniform(-300, 290)
         cases.append((lo, lo * 10 ** rng.uniform(0.001, 15), rng.randint(2, 300)))
+    refused = 0
     for lo, hi, samples in cases:
         step = (math.log10(hi) - math.log10(lo)) / (samples - 1)
         old = [10 ** (math.log10(lo) + i * step) for i in range(samples)]
         old[0], old[-1] = float(lo), float(hi)
-        assert list(map(float.hex, log_spaced(lo, hi, samples))) == list(map(float.hex, old))
+        if all(map(float.__lt__, old, old[1:])):
+            assert list(map(float.hex, log_spaced(lo, hi, samples))) == list(map(float.hex, old))
+        else:
+            with pytest.raises(MalformedDocument, match=f"samples must be few enough .* got {samples}$"):
+                log_spaced(lo, hi, samples)
+            refused += 1
+    assert refused == 1
 
 
 def test_log_spaced_ends_at_its_bounds_and_never_overflows():
@@ -300,11 +313,18 @@ def test_log_spaced_ends_at_its_bounds_and_never_overflows():
     for _ in range(200):
         lo = 10 ** rng.uniform(290, 308.25)
         cases.append((lo, rng.uniform(lo, top), rng.randint(2, 2000)))
+    refused = 0
     for lo, hi, samples in cases:
-        grid = log_spaced(lo, hi, samples)
+        try:
+            grid = log_spaced(lo, hi, samples)
+        except MalformedDocument as exc:  # too few floats in [lo, hi]
+            assert str(exc).endswith(f"got {samples}")
+            refused += 1
+            continue
         assert (grid[0], grid[-1], len(grid)) == (lo, hi, samples)
         assert all(map(math.isfinite, grid))
         assert all(oi <= hi for oi in grid)
+    assert refused == 1
 
 
 def test_int_built_models_and_points_emit_like_float_built_ones():
