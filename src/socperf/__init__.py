@@ -21,10 +21,10 @@ _HOME = {name: module for module, names in {
     "dataset": ("CoexecObservation", "COEXEC_OBSERVATIONS", "builtin_dataset",
                 "builtin_trace", "find_observation", "network_by_id",
                 "observations_for_table", "platform_by_id"),
-    "errors": ("BandwidthExceedsBus", "CacheTrafficInflated", "DanglingHostCluster",
-               "DuplicateComponentId", "InfeasibleTarget", "LayerMismatch",
-               "MalformedDocument", "MissingTrace", "SocPerfError",
-               "UnknownComponent", "UnsupportedFormat", "UnsupportedPair"),
+    "errors": ("BandwidthExceedsBus", "CacheTrafficInflated", "DuplicateComponentId",
+               "InfeasibleTarget", "LayerMismatch", "MalformedDocument",
+               "MissingTrace", "SocPerfError", "UnknownComponent",
+               "UnsupportedFormat", "UnsupportedPair"),
     "profiles": ("ComponentSpec", "CounterTrace", "LayerProfile", "NetworkProfile",
                  "Platform", "TraceRecord", "attach_trace", "load_network_profile",
                  "load_platform", "load_trace"),

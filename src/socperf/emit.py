@@ -16,7 +16,6 @@ from typing import Sequence
 
 from .errors import UnsupportedFormat
 from .profiles import shown
-from .sim import SimResult
 
 SVG_WIDTH, SVG_HEIGHT = 720, 480  # roofline plot size, px
 _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
@@ -123,9 +122,13 @@ def emit_csv(rows: Sequence[dict]) -> bytes:
     cell by sig4."""
     if not rows:
         raise UnsupportedFormat("a CSV report needs at least one row")
-    header = rows[0].keys()
+    try:
+        header = rows[0].keys()
+        size = next((i for i, row in enumerate(rows) if row.keys() != header), len(rows))
+    except AttributeError:  # the table ends at the first row that is not a mapping
+        size = next(i for i, row in enumerate(rows) if not hasattr(row, "keys"))
+        header = rows[0].keys() if size else ()
     lines = [",".join(header)]
-    size = next((i for i, row in enumerate(rows) if row.keys() != header), len(rows))
     cells = iter([f"{v:.4g}" if type(v := row[key]) is float and -_PAST_FROM < v < _PAST_FROM
                   else "" if v is None else v if type(v) is str else sig4(v)
                   for row in rows[:size] for key in header])
@@ -133,7 +136,8 @@ def emit_csv(rows: Sequence[dict]) -> bytes:
     if size < len(rows):
         raise UnsupportedFormat(
             f"CSV row {size} has keys {shown(list(rows[size]))}, not the header "
-            f"{shown(list(header))}")
+            f"{shown(list(header))}" if hasattr(rows[size], "keys") else
+            f"CSV row {size} is not a mapping, got {shown(rows[size])}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -141,7 +145,7 @@ def roofline_rows_to_csv(rows: Sequence[dict]) -> bytes:
     return emit_csv(rows)
 
 
-def sim_result_payload(result: SimResult) -> dict:
+def sim_result_payload(result: "SimResult") -> dict:
     scenario = result.scenario
     return {
         "platform": scenario.platform_id,
@@ -161,7 +165,7 @@ def sim_result_payload(result: SimResult) -> dict:
     }
 
 
-def sim_result_to_csv(result: SimResult) -> bytes:
+def sim_result_to_csv(result: "SimResult") -> bytes:
     rows = [{"component": cid,
              "frames": result.frames_per_component[cid],
              "share": result.composition[cid],

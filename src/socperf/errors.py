@@ -18,10 +18,6 @@ class DuplicateComponentId(MalformedDocument):
     """Two components on one platform share an id."""
 
 
-class DanglingHostCluster(MalformedDocument):
-    """host_cluster names a component that does not exist or is not a CPU cluster."""
-
-
 class BandwidthExceedsBus(MalformedDocument):
     """A component claims more sustainable bandwidth than the bus peak."""
 

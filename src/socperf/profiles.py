@@ -28,7 +28,6 @@ from typing import Optional, Union
 from .errors import (
     BandwidthExceedsBus,
     CacheTrafficInflated,
-    DanglingHostCluster,
     DuplicateComponentId,
     LayerMismatch,
     MalformedDocument,
@@ -164,9 +163,9 @@ class ComponentSpec:
     """One processing component of a mobile SoC.
 
     peak_compute_gops is FP32 unless the component natively computes in a
-    narrower format (the NPU peak is its FP16 rating). host_cluster names
-    the CPU cluster that drives this accelerator's runtime: validated board
-    metadata that no computation reads.
+    narrower format (the NPU peak is its FP16 rating). No computation reads
+    a host cluster, so a board document names none: a component that still
+    holds that key is refused as an unknown key.
     """
 
     id: str
@@ -175,7 +174,6 @@ class ComponentSpec:
     sustainable_bandwidth_gbs: float
     active_power_w: float
     frequency_ghz: float
-    host_cluster: Optional[str] = None
 
     def __post_init__(self):
         ctx = f"component {shown(text(self.id, 'id', 'component'))}"
@@ -183,8 +181,6 @@ class ComponentSpec:
         for key in ("peak_compute_gops", "sustainable_bandwidth_gbs",
                     "active_power_w", "frequency_ghz"):
             _set(self, key, number(getattr(self, key), key, ctx))
-        if self.host_cluster is not None:
-            text(self.host_cluster, "host_cluster", ctx)
 
     @property
     def is_cpu(self) -> bool:
@@ -215,23 +211,6 @@ class Platform:
                     f"bus peak {self.bus_peak_bandwidth_gbs} GB/s"
                 )
         _set(self, "_by_id", {c.id: c for c in self.components})
-        for comp in self.components:
-            if comp.host_cluster is None:
-                continue
-            if comp.is_cpu:
-                raise DanglingHostCluster(
-                    f"{ctx}: CPU cluster {shown(comp.id)} cannot have a host_cluster")
-            host = self._by_id.get(comp.host_cluster)
-            if host is None:
-                raise DanglingHostCluster(
-                    f"{ctx}: component {shown(comp.id)} references "
-                    f"missing host cluster {shown(comp.host_cluster)}"
-                )
-            if not host.is_cpu:
-                raise DanglingHostCluster(
-                    f"{ctx}: host cluster {shown(comp.host_cluster)} "
-                    f"of {shown(comp.id)} must be a CPU cluster, got kind {host.kind!r}"
-                )
 
     def component(self, component_id: str) -> ComponentSpec:
         try:
@@ -396,7 +375,7 @@ _PLATFORM_DOC = {"id": None, "bus_peak_bandwidth_gbs": None, "components": None,
                  "notes": ""}
 _COMPONENT_DOC = {"id": None, "kind": None, "peak_compute_gops": None,
                   "cores": DEFAULT_CLUSTER_CORES, "sustainable_bandwidth_gbs": None,
-                  "active_power_w": None, "frequency_ghz": None, "host_cluster": None}
+                  "active_power_w": None, "frequency_ghz": None}
 _NETWORK_DOC = {"id": None, "layers": None, "throughput": None, "op_scale": 1.0,
                 "notes": ""}
 _LAYER_DOC = dict.fromkeys(

@@ -1250,6 +1250,8 @@ def test_emit_csv_layout():
     ([{"a": math.nan}], ValueError, "CSV cells must be finite, got nan"),
     ([{"a": 1.0}, {"a": -math.inf}], ValueError,
      "CSV cells must be finite, got -inf"),
+    ([1, 2], UnsupportedFormat, "CSV row 0 is not a mapping, got 1"),
+    ([{"a": 1}, 5], UnsupportedFormat, "CSV row 1 is not a mapping, got 5"),
 ])
 def test_emit_csv_refuses_what_is_not_one_table(rows, error, message):
     with pytest.raises(error) as exc:

@@ -79,18 +79,6 @@ def test_power_estimates_keep_documented_ratios():
     assert a53 / a7 == pytest.approx(2.0)
 
 
-def test_hosting_relationships():
-    exynos = platform_by_id("exynos5422")
-    kirin = platform_by_id("kirin970")
-    assert exynos.component("t628").host_cluster == "a7"
-    assert kirin.component("g72").host_cluster == "a53"
-    assert kirin.component("npu").host_cluster == "a53"
-    def hosted(cpu_id):
-        return [c.id for c in kirin.components if c.host_cluster == cpu_id]
-    assert hosted("a53") == ["g72", "npu"]
-    assert hosted("a73") == []
-
-
 def test_coexec_observations_golden():
     assert len(COEXEC_OBSERVATIONS) == 14
     assert len(observations_for_table(2)) == 10
@@ -179,6 +167,16 @@ def test_bundled_directory_loads_in_table_order():
     assert [n.id for n in networks] == list(TABLE1_NETWORK_ORDER)
 
 
+def bundled_board_with_a_host_cluster() -> str:
+    """The bundled exynos5422 board whose GPU still names a host cluster,
+    as board documents did before that key was dropped."""
+    path = os.path.join(os.path.dirname(socperf.__file__), "data", "exynos5422.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["platform"]["components"][-1]["host_cluster"] = "a7"
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("content,message", [
     ("{ not json", "not valid JSON"),
     ("[1, 2]", "document must be an object, got [1, 2]"),
@@ -186,6 +184,11 @@ def test_bundled_directory_loads_in_table_order():
      "document kind must be one of platform, network, trace, got 'board'"),
     ('{"platform": {"id": "x"}, "network": {}}',
      "document key must be one of platform, got 'network'"),
+    pytest.param(
+        bundled_board_with_a_host_cluster(),
+        "platform 'exynos5422': component key must be one of id, kind, "
+        "peak_compute_gops, cores, sustainable_bandwidth_gbs, active_power_w, "
+        "frequency_ghz, got 'host_cluster'", id="bundled board with a host_cluster"),
 ])
 def test_data_dir_document_errors_name_the_file(tmp_path, monkeypatch,
                                                 content, message):

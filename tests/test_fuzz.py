@@ -286,9 +286,9 @@ def checked(problems, what, call, *args, **kwargs):
 
 
 def synthetic_board(rng, draw):
-    """A CPU cluster c0 and a second CPU cluster or a GPU hosted by c0,
-    every number drawn. The bus peak is drawn at or above both bandwidths,
-    so the board always loads."""
+    """A CPU cluster c0 and a second CPU cluster or a GPU, every number
+    drawn. The bus peak is drawn at or above both bandwidths, so the board
+    always loads."""
     bandwidths = [draw(), draw()]
     kinds = ("big-cpu", rng.choice(("small-cpu", "gpu")))
     components = [{
@@ -296,8 +296,6 @@ def synthetic_board(rng, draw):
         "sustainable_bandwidth_gbs": bandwidth, "active_power_w": draw(),
         "frequency_ghz": 1.0}
         for i, (kind, bandwidth) in enumerate(zip(kinds, bandwidths))]
-    if kinds[1] == "gpu":
-        components[1]["host_cluster"] = "c0"
     bus = rng.choice([m for m in MAGNITUDES if m >= max(bandwidths)])
     return socperf.load_platform({"platform": {
         "id": "synth", "bus_peak_bandwidth_gbs": bus,

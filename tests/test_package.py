@@ -38,6 +38,13 @@ def test_a_bare_import_loads_no_simulator():
     assert sim_after
 
 
+def test_importing_emit_loads_no_simulator():
+    loaded = run_fresh(
+        "import json, sys, socperf.emit\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('socperf'))))\n")
+    assert "socperf.sim" not in loaded and "socperf.dataset" not in loaded
+
+
 def test_each_public_name_is_its_defining_modules_object():
     for name in socperf.__all__:
         home = importlib.import_module(f"socperf.{socperf._HOME[name]}")

@@ -10,7 +10,6 @@ from socperf import (
     BandwidthExceedsBus,
     CacheTrafficInflated,
     CounterTrace,
-    DanglingHostCluster,
     DuplicateComponentId,
     LayerMismatch,
     LayerProfile,
@@ -71,7 +70,6 @@ def test_load_bundled_exynos_platform():
     platform = platform_by_id("exynos5422")
     assert platform.bus_peak_bandwidth_gbs == 14.9
     assert {c.id for c in platform.components} == {"a7", "a15", "t628"}
-    assert platform.component("t628").host_cluster == "a7"
 
 
 @pytest.mark.parametrize("component_id", ["m4", "A7", ["a7"], {"a7": 1}])
@@ -86,7 +84,6 @@ def test_unknown_component_lookup_is_refused_by_its_id(component_id):
 def test_load_platform_single_component():
     platform = load_platform(minimal_platform_doc())
     assert len(platform.components) == 1
-    assert platform.components[0].host_cluster is None
 
 
 def test_cpu_peak_derived_from_cores_and_frequency():
@@ -111,39 +108,6 @@ def test_duplicate_component_id_rejected():
     doc["platform"]["components"].append(dict(doc["platform"]["components"][0]))
     with pytest.raises(DuplicateComponentId):
         load_platform(doc)
-
-
-def test_dangling_host_cluster_rejected():
-    doc = minimal_platform_doc()
-    doc["platform"]["components"][0]["host_cluster"] = "ghost"
-    with pytest.raises(DanglingHostCluster):
-        load_platform(doc)
-
-
-def test_host_cluster_must_be_cpu():
-    doc = minimal_platform_doc()
-    doc["platform"]["components"].append({
-        "id": "gpu0", "kind": "gpu", "peak_compute_gops": 50.0,
-        "sustainable_bandwidth_gbs": 5.0, "active_power_w": 2.0,
-        "frequency_ghz": 0.6,
-    })
-    doc["platform"]["components"][0]["host_cluster"] = "gpu0"
-    with pytest.raises(DanglingHostCluster):
-        load_platform(doc)
-
-
-@pytest.mark.parametrize("host", ["cpu0", "cpu1"])
-def test_cpu_cluster_with_a_host_cluster_rejected(host):
-    # Only an accelerator is driven by a host cluster: a CPU cluster that
-    # names itself or another CPU cluster is refused.
-    doc = minimal_platform_doc()
-    doc["platform"]["components"].append(dict(
-        doc["platform"]["components"][0], id="cpu1", kind="small-cpu"))
-    doc["platform"]["components"][0]["host_cluster"] = host
-    with pytest.raises(DanglingHostCluster) as exc:
-        load_platform(doc)
-    assert str(exc.value) == (
-        "platform 'board': CPU cluster 'cpu0' cannot have a host_cluster")
 
 
 def test_malformed_platform_documents():
@@ -179,7 +143,7 @@ def platform_with(component_changes=(), **body_changes):
     (platform_with({"bogus": 1}),
      "platform 'board': component key must be one of id, kind, "
      "peak_compute_gops, cores, sustainable_bandwidth_gbs, active_power_w, "
-     "frequency_ghz, host_cluster, got 'bogus'"),
+     "frequency_ghz, got 'bogus'"),
     ({"platform": {}, "bogus": 1},
      "document key must be one of platform, got 'bogus'"),
     (platform_with({"cores": -3}),
@@ -189,6 +153,10 @@ def platform_with(component_changes=(), **body_changes):
                     "cores": "not a number"}),
      "component 'cpu0': cores must be given only by a CPU cluster that omits "
      "peak_compute_gops, got 'not a number'"),
+    (platform_with({"host_cluster": "cpu0"}),
+     "platform 'board': component key must be one of id, kind, "
+     "peak_compute_gops, cores, sustainable_bandwidth_gbs, active_power_w, "
+     "frequency_ghz, got 'host_cluster'"),
 ])
 def test_platform_document_values_are_checked(doc, message):
     with pytest.raises(MalformedDocument) as exc:
@@ -419,8 +387,7 @@ def assert_platform_is_its_document(platform, doc):
         assert_fields(comp, {
             "id": raw["id"], "kind": raw["kind"], "peak_compute_gops": peak,
             **{key: raw[key] for key in ("sustainable_bandwidth_gbs",
-                                         "active_power_w", "frequency_ghz")},
-            "host_cluster": raw.get("host_cluster")})
+                                         "active_power_w", "frequency_ghz")}})
 
 
 def assert_network_is_its_document(profile, doc):
@@ -465,7 +432,7 @@ def test_a_platform_document_with_every_key_is_read_field_by_field():
     doc["platform"]["components"] += [
         {"id": "gpu0", "kind": "gpu", "peak_compute_gops": 100.0,
          "sustainable_bandwidth_gbs": 5.0, "active_power_w": 2.0,
-         "frequency_ghz": 0.8, "host_cluster": "cpu0"},
+         "frequency_ghz": 0.8},
         {"id": "cpu1", "kind": "small-cpu", "cores": 2,
          "sustainable_bandwidth_gbs": 1.0, "active_power_w": 0.5,
          "frequency_ghz": 1.5},
@@ -503,9 +470,7 @@ def test_random_documents_are_read_field_by_field():
                 "active_power_w": rng.uniform(0.1, 8),
                 "frequency_ghz": rng.uniform(0.3, 3),
             })
-            if comps[-1]["kind"] in ("gpu", "npu") and rng.random() < 0.5:
-                comps[-1]["host_cluster"] = "c0"
-            elif comps[-1]["kind"].endswith("cpu") and rng.random() < 0.5:
+            if comps[-1]["kind"].endswith("cpu") and rng.random() < 0.5:
                 del comps[-1]["peak_compute_gops"]
                 if rng.random() < 0.5:
                     comps[-1]["cores"] = rng.randint(1, 8)
