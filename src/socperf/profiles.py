@@ -149,13 +149,16 @@ def unique(names, key: str, ctx: str, error=MalformedDocument) -> None:
         seen.add(name)
 
 
-def keys(body, allowed: dict, key: str, ctx: str) -> dict:
+def keys(body, allowed: dict, key: str, ctx: str, name: str = "") -> dict:
     """body filled from allowed: body must be a JSON object with no key that
-    allowed lacks, and takes allowed's value for each key it lacks."""
+    allowed lacks, and takes allowed's value for each key it lacks. Given
+    name, body is an item of a list in ctx, and an unknown key is refused
+    in the item's own context: key and the item's name value."""
     if obj(body, key, ctx).keys() <= allowed.keys():
         return {**allowed, **body}
     unknown = next(k for k in body if k not in allowed)
-    raise _refusal(ctx, f"{key} key", f"one of {', '.join(allowed)}", unknown)
+    where = (f"{key} {shown(body.get(name))}", "key") if name else (ctx, f"{key} key")
+    raise _refusal(*where, f"one of {', '.join(allowed)}", unknown)
 
 
 @dataclass(frozen=True)
@@ -443,7 +446,7 @@ def load_platform(doc) -> Platform:
     ctx = f"platform {shown(body['id'])}"
     components = []
     for raw in items(body["components"], "components", ctx):
-        spec = keys(raw, _COMPONENT_DOC, "component", ctx)
+        spec = keys(raw, _COMPONENT_DOC, "component", ctx, "id")
         cores = spec.pop("cores")
         cctx = f"component {shown(spec['id'])}"
         if spec["peak_compute_gops"] is None and spec["kind"] in CPU_KINDS:
@@ -464,7 +467,7 @@ def load_network_profile(doc) -> NetworkProfile:
     """Parse and validate a network profile document."""
     body = unwrap(doc, "network", _NETWORK_DOC)
     ctx = f"network {shown(body['id'])}"
-    layers = tuple(LayerProfile(**keys(raw, _LAYER_DOC, "layer", ctx))
+    layers = tuple(LayerProfile(**keys(raw, _LAYER_DOC, "layer", ctx, "name"))
                    for raw in items(body["layers"], "layers", ctx))
     # Only the string "unsupported" marks a pair that cannot run; a null
     # rate is refused like any other non-number.
@@ -484,7 +487,7 @@ def load_trace(doc) -> CounterTrace:
     """Parse and validate a counter-trace document."""
     body = unwrap(doc, "trace", _TRACE_DOC)
     ctx = f"trace {shown(body['component_id'])}"
-    records = tuple(TraceRecord(**keys(raw, _RECORD_DOC, "layer", ctx))
+    records = tuple(TraceRecord(**keys(raw, _RECORD_DOC, "layer", ctx, "name"))
                     for raw in items(body["layers"], "layers", ctx))
     return CounterTrace(body["component_id"], body["cache_line_bytes"], records)
 

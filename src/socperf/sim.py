@@ -19,15 +19,15 @@ random.Random(seed).lognormvariate. The event loop draws one per claim,
 makes each claim at the completion it replaces on a heap of the k frames
 in flight, and then drains the heap.
 
-A jitter-free run, recorded or not, with N >= _SUMS_MIN_FRAMES and 8k^2
-<= _WALK_STEPS_PER_FRAME * N for k components skips the event loop: the
-running sums give its counts, busy times and makespan (_plain_run, which
-also scores the fit's candidates), a walk its reorder high water
-(_high_water), and a merge of the sums its frame log (_frame_log), bit for
-bit (test_plain_run_equals_the_heap_run_field_for_field and
-test_recorded_plain_run_logs_what_the_heap_run_logs). Unrecorded, it costs
-about the same at any N (_nth_sum). The event loop runs every other run,
-and one whose walk needs more than the 4N - 8k^2 steps left.
+A jitter-free run, recorded or not, of N frames on k components with 8k^2
+<= _WALK_STEPS_PER_FRAME * N skips the event loop: the running sums give
+its counts, busy times and makespan (_plain_run, which also scores the
+fit's candidates), a walk its reorder high water (_high_water), and a
+merge of the sums its frame log (_frame_log), bit for bit
+(test_plain_run_equals_the_heap_run_field_for_field and
+test_recorded_plain_run_logs_what_the_heap_run_logs). The event loop runs
+every jittered run, every run with N < 2k^2, and one whose walk needs more
+than the 4N - 8k^2 steps left.
 
 The event loop is single threaded; identical scenarios yield bit-identical
 results (test_determinism_bit_identical), and independent scenarios can
@@ -61,12 +61,8 @@ _MAX_JITTER_CV = 1e154
 # read stream_ns_per_frame 0.31 at 10^6 frames, and at 2*10^5 frames
 # jitter_ns_per_frame 1,130 (11 s at the cap) and events_ns_per_frame 256.
 _MAX_FRAMES = 10 ** 7
-# A plain run takes the running sums from this many frames on: for the
-# four kirin970 components they cost as much as the event loop at 200
-# frames and a quarter of it at 1,000, for 12 seeded rates as much at 800.
-# Its bounds and walk get this many steps per frame, a step being a
-# quarter of an event-loop frame.
-_SUMS_MIN_FRAMES = 1000
+# A plain run's bounds and walk get this many steps per frame, a step
+# being a quarter of an event-loop frame.
 _WALK_STEPS_PER_FRAME = 4
 # The claims per rank a recorded plain run merges at once: 9.27 bytes a
 # frame at 10^5 kirin970 frames, where 96 takes 9.51 for up to 11% less time.
@@ -543,7 +539,7 @@ def simulate(scenario: Scenario, platform: Optional[Platform] = None,
         code = next(c for c in "BHIQ" if len(order) <= 256 ** array(c).itemsize)
         ranks = array(code, [0]) * n_frames
         times = array("d", [0.0]) * n_frames
-    if not jitter and n_frames >= _SUMS_MIN_FRAMES and budget >= 0:
+    if not jitter and budget >= 0:
         frames_done, busy = _plain_run(service, n_frames)
         # Refused before the walk, whose ulp and end caps an infinite
         # makespan leaves meaningless.

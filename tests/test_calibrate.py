@@ -13,7 +13,7 @@ from socperf import (InfeasibleTarget, MalformedDocument, Scenario,
                      platform_by_id, simulate)
 from socperf.calibrate import CalibrationResult, calibrate
 from socperf.cli import _observed
-from test_sim import heap_run, synthetic_network, synthetic_platform  # noqa: F401
+from test_sim import synthetic_network, synthetic_platform
 
 # The module, not the function that the package re-exports under its name.
 CALIBRATE = sys.modules["socperf.calibrate"]

@@ -163,6 +163,61 @@ def test_jittered_simulate_stdout_is_pinned(tmp_path, capsysbinary, source,
     assert (hashlib.sha256(out).hexdigest(), err) == (digest, b"")
 
 
+# The stdout of jitter-free command lines, byte for byte. At 60 and 240
+# frames four components take the running sums, whose results must be the
+# event loop's; the digests were recorded when both runs took the loop.
+KIRIN_X4 = ["--platform", "kirin970", "--network", "alexnet",
+            "--components", "a53,a73,g72,npu"]
+ROOFLINE_NPU = ["roofline", "--platform", "kirin970", "--component", "npu",
+                "--network", "alexnet", "--format"]
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["tables", "--which", "1", "--format", "csv"],
+     "6652de0cc736b1c7f16160a2ddb165869dd808b2fa0815544524d8c5a507dc09"),
+    (["tables", "--which", "1", "--format", "json"],
+     "0344be9ab36f48b8ac70e801c49e7d71762ad3b619c63a377b0fe68b967fb199"),
+    (["tables", "--which", "2", "--format", "csv"],
+     "99af37517a2bdf740447352d0cacdb7f015e21d18c3dd79e2a57e3cb030598e2"),
+    (["tables", "--which", "2", "--format", "json"],
+     "5a516b2bcf3589176e9c3ee4deb5f11c08cbbd2bf0077b8310b333156bc5e755"),
+    (["tables", "--which", "3", "--format", "csv"],
+     "657727303732d3435458a4dca877d6695ed2229e4c0da7b2e9c7a8113d7e0fdd"),
+    (["tables", "--which", "3", "--format", "json"],
+     "fc013d9b5fab895bf9cdee1be4e80444324e35f4ae2a2cd408db71947cdef79a"),
+    (["simulate", *KIRIN_X4, "--frames", "60"],
+     "b370c111984e05051935d227337f898d0f9a071abed149dd1d097bf8175e18d4"),
+    (["simulate", *KIRIN_X4, "--frames", "240"],
+     "5bc361d6b16a0b361b957554fce2ffb3ec50c2ba99fa494d03faa5a208fe5344"),
+    (["simulate", *KIRIN_X4, "--frames", "10000"],
+     "23fa800b9082d5643ded992dba5cde4990363b2b42355978c782509e0fa532d8"),
+    (["simulate", *KIRIN_X4, "--frames", "1000000"],
+     "37c0ffeb1b85fd7ea2da67f91c9f6d700d0a9ebd0f6a127530c8a83fa40af1d7"),
+    (["simulate", *KIRIN_X4, "--frames", "10000",
+      "--contention", "a53=0.8,a73=0.9"],
+     "ceaf0b5c11c6ce88f69aa8c19af3e9e97be32eb65e5cf20380284a00dbdbf83a"),
+    (["simulate", *KIRIN_X4, "--frames", "100000", "--overhead", "0.001",
+      "--format", "csv"],
+     "590c5c2300ad195f61f31d35b12d1392b6bcada8b8dbfc70d0122e7b0fa268eb"),
+    (["calibrate", *KIRIN_X4, "--target-throughput", "60"],
+     "70df2cd47f11651bba96a451ed9fa9a19327b18435aa63ce4ea0b70ef70402ef"),
+    (["calibrate", "--platform", "kirin970", "--network", "googlenet",
+      "--components", "a53,g72", "--target-throughput", "20",
+      "--target-composition", "a53=0.1,g72=0.9"],
+     "62307eee9932bc9102df4e97edec6e6e157154f48a3505aead5e4f50652c0004"),
+    ([*ROOFLINE_NPU, "csv"],
+     "df00998231134fceb7653fee5c3ba8b41aaf5585735f8020a99e90b578d340ae"),
+    ([*ROOFLINE_NPU, "json"],
+     "7925ef1f171e89db135fcd774e16fb342df64b3c88b64504655e4e3e1f8594d6"),
+    ([*ROOFLINE_NPU, "svg"],
+     "176c40ae8ffd658f9567b5291bbd844ba9a98e775ee805a86f034f4210ba4b96"),
+], ids=" ".join)
+def test_jitter_free_stdout_is_pinned(capsysbinary, args, digest):
+    assert main(args) == 0
+    out, err = capsysbinary.readouterr()
+    assert (hashlib.sha256(out).hexdigest(), err) == (digest, b"")
+
+
 def test_simulate_csv_per_component_rows(tmp_path):
     code, payload = run_cli([
         "simulate", "--platform", "exynos5422", "--network", "alexnet",

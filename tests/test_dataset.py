@@ -186,9 +186,9 @@ def bundled_board_with_a_host_cluster() -> str:
      "document key must be one of platform, got 'network'"),
     pytest.param(
         bundled_board_with_a_host_cluster(),
-        "platform 'exynos5422': component key must be one of id, kind, "
-        "peak_compute_gops, cores, sustainable_bandwidth_gbs, active_power_w, "
-        "frequency_ghz, got 'host_cluster'", id="bundled board with a host_cluster"),
+        "component 't628': key must be one of id, kind, peak_compute_gops, "
+        "cores, sustainable_bandwidth_gbs, active_power_w, frequency_ghz, "
+        "got 'host_cluster'", id="bundled board with a host_cluster"),
 ])
 def test_data_dir_document_errors_name_the_file(tmp_path, monkeypatch,
                                                 content, message):

@@ -141,9 +141,9 @@ def platform_with(component_changes=(), **body_changes):
     (platform_with(components="cpu0"),
      "platform 'board': components must be a non-empty list, got 'cpu0'"),
     (platform_with({"bogus": 1}),
-     "platform 'board': component key must be one of id, kind, "
-     "peak_compute_gops, cores, sustainable_bandwidth_gbs, active_power_w, "
-     "frequency_ghz, got 'bogus'"),
+     "component 'cpu0': key must be one of id, kind, peak_compute_gops, "
+     "cores, sustainable_bandwidth_gbs, active_power_w, frequency_ghz, "
+     "got 'bogus'"),
     ({"platform": {}, "bogus": 1},
      "document key must be one of platform, got 'bogus'"),
     (platform_with({"cores": -3}),
@@ -154,9 +154,11 @@ def platform_with(component_changes=(), **body_changes):
      "component 'cpu0': cores must be given only by a CPU cluster that omits "
      "peak_compute_gops, got 'not a number'"),
     (platform_with({"host_cluster": "cpu0"}),
-     "platform 'board': component key must be one of id, kind, "
-     "peak_compute_gops, cores, sustainable_bandwidth_gbs, active_power_w, "
-     "frequency_ghz, got 'host_cluster'"),
+     "component 'cpu0': key must be one of id, kind, peak_compute_gops, "
+     "cores, sustainable_bandwidth_gbs, active_power_w, frequency_ghz, "
+     "got 'host_cluster'"),
+    (platform_with(components=[[1]]),
+     "platform 'board': component must be an object, got [1]"),
 ])
 def test_platform_document_values_are_checked(doc, message):
     with pytest.raises(MalformedDocument) as exc:
@@ -213,6 +215,10 @@ def test_integer_document_numbers_are_stored_as_floats():
     # Only "unsupported" marks a pair that cannot run; null is no rate.
     ({"throughput": {"cpu0": None}},
      "network 'tiny' throughput: cpu0 must be finite and > 0, got None"),
+    ({"layers": [{"name": "l0", "kind": "conv", "gops": 1.0,
+                  "mem_access_bytes": 1.0, "dram_bytes": 1.0}]},
+     "layer 'l0': key must be one of name, kind, gops, mem_access_bytes, "
+     "dram_access_bytes, got 'dram_bytes'"),
 ])
 def test_network_document_values_are_checked(change, message):
     doc = minimal_network_doc()
@@ -653,3 +659,9 @@ def test_load_trace_document():
         load_trace({"trace": {"component_id": "a15", "layers": [
             {"name": "fc6", "refill_lines": 10},
             {"name": "fc6", "refill_lines": 99}]}})
+    with pytest.raises(MalformedDocument) as exc:
+        load_trace({"trace": {"component_id": "a15", "layers": [
+            {"name": "fc6", "refill_line": 10}]}})
+    assert str(exc.value) == (
+        "layer 'fc6': key must be one of name, refill_lines, ext_read_bytes, "
+        "ext_write_bytes, got 'refill_line'")

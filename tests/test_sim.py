@@ -24,8 +24,8 @@ from socperf import (
     simulate,
 )
 import socperf.sim as SIM
-from socperf.sim import (_MAX_FRAMES, _MAX_JITTER_CV, _SUMS_MIN_FRAMES,
-                         EventLog, ReorderBuffer, _nth_sum, _plain_run)
+from socperf.sim import (_MAX_FRAMES, _MAX_JITTER_CV, EventLog,
+                         ReorderBuffer, _nth_sum, _plain_run)
 
 EXYNOS = platform_by_id("exynos5422")
 KIRIN = platform_by_id("kirin970")
@@ -206,26 +206,27 @@ def test_small_instance_exhaustive_oracle():
 def test_greedy_oracle_matches_every_bundled_engagement(overhead):
     platforms, networks = builtin_dataset()
     checked = 0
-    for platform in platforms:
-        for network in networks:
-            usable = [c.id for c in platform.components
-                      if network.supports(c.id)]
-            for r in range(1, len(usable) + 1):
-                for engaged in itertools.combinations(usable, r):
-                    result = simulate(
-                        Scenario(platform.id, network.id, engaged, 3000,
-                                 dispatch_overhead_s=overhead),
-                        platform, network, record_events=True)
-                    *expected, log = greedy_oracle(
-                        {cid: network.rate(cid) for cid in engaged}, 3000,
-                        overhead)
-                    assert [result.frames_per_component, result.makespan_s,
-                            result.busy_time_s] == expected, engaged
-                    # each frame's component and completion time, and
-                    # every claim, bit for bit
-                    assert logged(result.events) == oracle_events(log), engaged
-                    checked += 1
-    assert checked == 102
+    # 60 and 240 frames are the short runs of the benchmark's request mix.
+    for frames, platform, network in itertools.product(
+            (60, 240, 3000), platforms, networks):
+        usable = [c.id for c in platform.components if network.supports(c.id)]
+        for r in range(1, len(usable) + 1):
+            for engaged in itertools.combinations(usable, r):
+                result = simulate(
+                    Scenario(platform.id, network.id, engaged, frames,
+                             dispatch_overhead_s=overhead),
+                    platform, network, record_events=True)
+                *expected, log = greedy_oracle(
+                    {cid: network.rate(cid) for cid in engaged}, frames,
+                    overhead)
+                assert [result.frames_per_component, result.makespan_s,
+                        result.busy_time_s] == expected, (engaged, frames)
+                # each frame's component and completion time, and every
+                # claim, bit for bit
+                assert logged(result.events) == oracle_events(log), (
+                    engaged, frames)
+                checked += 1
+    assert checked == 3 * 102
 
 
 def test_composition_follows_rate_ratios():
@@ -557,7 +558,7 @@ def test_recorded_run_keeps_a_small_frame_log():
                          ids=["jitter_free", "jittered"])
 def test_recorded_event_loop_run_keeps_a_small_frame_log(monkeypatch, jitter):
     # The event loop keeps nothing per frame but the log.
-    monkeypatch.setattr(SIM, "_SUMS_MIN_FRAMES", _MAX_FRAMES + 1)
+    monkeypatch.setattr(SIM, "_WALK_STEPS_PER_FRAME", 0)
     frames = 10 ** 5
     result, peak = traced_run(frames, record_events=True, **jitter)
     assert result.events is not None
@@ -770,17 +771,6 @@ def test_last_claim_equals_a_heap_walk_on_seeded_stress_cases():
     assert refused >= 10, refused
 
 
-@pytest.fixture
-def heap_run(monkeypatch):
-    """simulate held to the event loop: no run has _SUMS_MIN_FRAMES frames
-    once it is past _MAX_FRAMES."""
-    def run(*args, **kwargs):
-        with monkeypatch.context() as patch:
-            patch.setattr(SIM, "_SUMS_MIN_FRAMES", _MAX_FRAMES + 1)
-            return simulate(*args, **kwargs)
-    return run
-
-
 def outcome(run, *args, **kwargs):
     """What run(*args, **kwargs) returns, or the refusal's text."""
     try:
@@ -834,7 +824,8 @@ def sums_families():
         platform = synthetic_platform([(rate, 1.0) for rate in rates])
         network = synthetic_network(rates)
         ids = tuple(f"c{i}" for i in range(k))
-        for frames in sorted({k, k + 1, _SUMS_MIN_FRAMES - 1, _SUMS_MIN_FRAMES,
+        # N = 2k^2 is the fewest frames that take the running sums.
+        for frames in sorted({k, k + 1, 2 * k * k - 1, 2 * k * k, 999, 1000,
                               10 ** 4}):
             yield name, Scenario("synth", "synthnet", ids, frames, overhead), \
                 platform, network
@@ -849,7 +840,7 @@ def test_plain_run_equals_the_heap_run_field_for_field(heap_run):
         assert plain == outcome(heap_run, scenario, platform, network), (
             name, scenario)
         refused += isinstance(plain, str)
-    assert refused == 13
+    assert refused == 15
 
 
 def test_run_past_the_float_range_is_refused_before_its_sums_grow():
@@ -899,7 +890,11 @@ def seeded_rates(k, seed):
 # finds its walk over the budget and then takes the event loop.
 @pytest.mark.parametrize("rates,frames,path", [
     ("kirin970", 10 ** 4, "sums"),
-    ("kirin970", 240, "loop"),
+    ("kirin970", 240, "sums"),
+    # N = 2k^2 = 32 frames is the fewest that four components take the
+    # sums at.
+    ("kirin970", 31, "loop"),
+    ("kirin970", 32, "sums"),
     # Rates 1e-9 apart, falling in id order: the slowest rank is the last,
     # its first completion has c - f = 1, below every other rank's bound,
     # and walking them all would cost more than the heap loop. Rising, the
@@ -917,7 +912,8 @@ def seeded_rates(k, seed):
     (seeded_rates(64, 64), 10 ** 4, "walk over budget"),
     (seeded_rates(100, 100), 10 ** 4, "loop"),
     (seeded_rates(200, 200), 10 ** 4, "loop"),
-], ids=["kirin970_at_1e4", "kirin970_at_240", "near_equal_x8_falling",
+], ids=["kirin970_at_1e4", "kirin970_at_240", "kirin970_at_31",
+        "kirin970_at_32", "near_equal_x8_falling",
         "near_equal_x8_rising", "x64_at_1e3", "x25_at_1250", "x25_at_1249",
         "seeded_x64_at_1e4", "seeded_x100_at_1e4", "seeded_x200_at_1e4"])
 def test_each_family_takes_its_path(monkeypatch, heap_run, rates, frames,
@@ -949,7 +945,7 @@ def test_high_water_bound_keeps_its_rounding_margin(heap_run):
     # by the bare quotient of the service times, one ulp below 2, would
     # report 2.
     rates = [3.0, math.nextafter(6.0, 0.0)]
-    run = (Scenario("synth", "synthnet", ("c0", "c1"), _SUMS_MIN_FRAMES),
+    run = (Scenario("synth", "synthnet", ("c0", "c1"), 1000),
            synthetic_platform([(rate, 1.0) for rate in rates]),
            synthetic_network(rates))
     result = simulate(*run)
@@ -1013,7 +1009,7 @@ def test_recorded_plain_run_logs_what_the_heap_run_logs(monkeypatch,
     for run in [*runs, *extreme_runs(300, 26), *extreme_runs(300, 99)]:
         recorded = outcome(simulate, *run, record_events=True)
         assert recorded == outcome(heap_run, *run, record_events=True), run[0]
-    assert len(merges) == 702  # of 1,132 runs
+    assert len(merges) == 823  # of 1,282 runs
 
 
 @pytest.mark.parametrize("chunk", [1, 64])
