@@ -7,9 +7,10 @@ targets, the factors of the engaged CPU clusters in id order.
 The steady-state behavior of the simulator has a closed form: a component
 with measured rate r, availability factor f, and per-frame overhead h
 contributes 1/(1/(r*f) + h) images/s, and frame shares follow the
-contributed rates. Calibration seeds x from that closed form, runs a
-deterministic coordinate search on it, then polishes x against the
-simulated throughput and shares and reports the simulated residuals.
+contributed rates. Calibration seeds x from that closed form, then runs
+one deterministic coordinate search, _search, on the closed form at the
+target and at an offset-corrected target, and on the simulated throughput
+and shares with finer steps (the polish); it reports the simulated residuals.
 
 One objective scores all three: the worst normalized error of the
 throughput and of each targeted share. Calibration never jitters, and
@@ -43,7 +44,7 @@ minimax form centers it.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import InfeasibleTarget
 from .profiles import (NetworkProfile, Platform, ids, keys, number, obj, one_of,
@@ -93,26 +94,21 @@ def _unit(rates: dict[str, float]) -> float:
     return 2.0 ** (16 * max(-63, min(63, round(exponent / 16))))
 
 
-def _closed_form(rates: dict[str, float],
-                 x: list[float]) -> tuple[float, dict[str, float]]:
-    """Steady-state throughput and shares at x = [overhead, factor of
-    each component of rates, in its order]."""
-    overhead, effective = x[0], {}
-    for (cid, rate), factor in zip(rates.items(), x[1:]):
-        effective[cid] = 1.0 / (1.0 / (rate * factor) + overhead)
-    total = sum(effective.values())
-    return total, {cid: eff / total for cid, eff in effective.items()}
+def _closed_form(rates: dict[str, float], x: list[float]) -> list[float]:
+    """The steady-state images/s of each component of rates, in its order,
+    at x = [overhead, factor of each component of rates, in its order]."""
+    return [1.0 / (1.0 / (rate * factor) + x[0])
+            for rate, factor in zip(rates.values(), x[1:])]
 
 
-def _objective(throughput: float, shares: dict[str, float],
-               target_throughput: float,
-               target_shares: Optional[dict[str, float]]) -> float:
-    """The worst normalized error of the throughput and of each targeted
-    share."""
+def _objective(throughput: float, shares: Iterable[float],
+               target_throughput: float, target_shares: list[float]) -> float:
+    """The worst normalized error of the throughput and of each share
+    against the target share in the same place."""
     worst = (abs(target_throughput - throughput) / target_throughput
              / THROUGHPUT_SCALE)
-    for comp_id, target in (target_shares or {}).items():
-        worst = max(worst, abs(target - shares[comp_id]) / COMPOSITION_SCALE)
+    for share, target in zip(shares, target_shares):
+        worst = max(worst, abs(target - share) / COMPOSITION_SCALE)
     return worst
 
 
@@ -142,12 +138,10 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
     engaged = ids(engaged, "components", "calibrate")
     target = keys(observed, {"throughput": None, "composition": None}, "target", "")
     target_throughput = number(target["throughput"], "target throughput", "")
-    target_shares = target["composition"]
-    if target_shares is not None:
-        target_shares = {
-            one_of(cid, engaged, "component", "target composition"):
-            number(share, cid, "target composition", high=1.0, include_low=True)
-            for cid, share in obj(target_shares, "composition", "target").items()}
+    target_shares = {} if target["composition"] is None else {
+        one_of(cid, engaged, "component", "target composition"):
+        number(share, cid, "target composition", high=1.0, include_low=True)
+        for cid, share in obj(target["composition"], "composition", "target").items()}
 
     base = Scenario(platform.id, network.id, engaged, frames)
     rates = effective_rates(base, platform, network)  # every factor is 1.0
@@ -175,7 +169,7 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
     for (cid, rate), factor in zip(rates.items(), slowest[1:]):
         # Past a subnormal rate the closed form would divide by zero.
         number(1.0 / (rate * factor), cid, "calibrate slowest service time")
-    floor_throughput, _ = _closed_form(rates, slowest)
+    floor_throughput = sum(_closed_form(rates, slowest))
     if target_throughput < floor_throughput:
         raise InfeasibleTarget(
             f"target {target_throughput} imgs/s is below the "
@@ -184,50 +178,49 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
             f"overhead cap; measurements and model disagree"
         )
 
-    x = _search(rates, _seed(rates, coords, target_throughput, target_shares,
-                             unit),
-                coords, target_throughput, target_shares, unit)
-    throughput, shares = _simulated(rates, x, frames)
-    best_score = _objective(throughput, shares, target_throughput,
-                            target_shares)
+    wanted = list(target_shares.values())
+    where = [list(rates).index(cid) for cid in target_shares]
 
-    # The greedy end-of-stream tail puts simulated throughput slightly below
-    # the closed form. Re-run the search against an offset-corrected target,
-    # keeping its point only if it scores strictly lower, so the simulated
-    # residuals, not the closed-form ones, end up centered.
-    offset = _closed_form(rates, x)[0] - throughput
-    trial = _search(rates, x, coords, target_throughput + offset,
-                    target_shares, unit)
-    score = _objective(*_simulated(rates, trial, frames),
-                       target_throughput, target_shares)
-    if score < best_score:
-        best_score, x = score, trial
+    def closed_search(target, x):  # the search on the closed form at target
+        def score(x):
+            contributed = _closed_form(rates, x)
+            total = sum(contributed)
+            return _objective(total, (contributed[i] / total for i in where),
+                              target, wanted)
+        return _search(score, x, coords,
+                       [max(x[0], 1e-3 * unit)] + [0.1] * (len(coords) - 1),
+                       _SEARCH_OVERHEAD_CEILING * unit)[1]
+
+    def simulated(x):  # the score of the simulation of x, without running it
+        throughput, shares = _simulated(rates, x, frames)
+        return _objective(throughput, map(shares.get, target_shares),
+                          target_throughput, wanted)
 
     def run(x):  # the simulation of base at x, CPU factors as contention
         return simulate(replace(base, dispatch_overhead_s=x[0], contention={
             cid: x[1 + engaged.index(cid)] for cid in cpu_ids}), platform, network)
 
-    # Final polish against the simulated score: move one searched coordinate
-    # at a time by -2, -1, 1 or 2 steps within its bounds and keep a move
-    # that scores strictly lower. The start is simulated as well as scored
-    # only because perfbench/test_checks.py asserts two simulations in a fit.
-    start, best = x, run(x)
-    steps = [2e-4 * unit] + [0.01] * (len(coords) - 1)
-    for _ in range(2):
-        for c, step in zip(coords, steps):
-            lo, hi = (0.0, math.inf) if c == 0 else (_MIN_FACTOR, 1.0)
-            for k in (-2, -1, 1, 2):
-                trial = list(x)
-                trial[c] = min(hi, max(lo, x[c] + k * step))
-                if trial[c] == x[c]:
-                    continue
-                score = _objective(*_simulated(rates, trial, frames),
-                                   target_throughput, target_shares)
-                if score < best_score:
-                    best_score, x = score, trial
-        steps = [s * 0.25 for s in steps]
-    if x is not start:
-        best = run(x)
+    x = _seed(rates, coords, target_throughput, target_shares, unit)
+    if target_shares:  # else the seed is the closed form's root already
+        x = closed_search(target_throughput, x)
+    # The greedy end-of-stream tail puts simulated throughput slightly below
+    # the closed form. Re-run the search against an offset-corrected target,
+    # keeping its point only if it scores strictly lower, so the simulated
+    # residuals, not the closed-form ones, end up centered.
+    offset = sum(_closed_form(rates, x)) - _simulated(rates, x, frames)[0]
+    trial = closed_search(target_throughput + offset, x)
+    if simulated(trial) < simulated(x):
+        x = trial
+
+    # Polish on the simulated score with finer steps and no ceiling. The
+    # start is simulated as well as scored only because
+    # perfbench/test_checks.py asserts two simulations in a fit.
+    best = run(x)
+    best_score, polished = _search(simulated, x, coords,
+                                   [2e-4 * unit] + [0.01] * (len(coords) - 1),
+                                   math.inf, rounds=3)
+    if polished != x:
+        best = run(polished)
 
     residual_comp = ({cid: best.composition[cid] - share
                       for cid, share in target_shares.items()}
@@ -241,38 +234,35 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
     )
 
 
-def _search(rates: dict[str, float], x: list[float], coords: list[int],
-            target_throughput: float,
-            target_shares: Optional[dict[str, float]],
-            unit: float) -> list[float]:
-    """Coordinate descent on the closed form, starting from x.
+def _search(score: Callable[[list[float]], float], x: list[float],
+            coords: list[int], steps: list[float], ceiling: float,
+            rounds: int = 7) -> tuple[float, list[float]]:
+    """Coordinate descent on score from x; returns (score, point) at its end.
 
-    Each of 7 rounds moves every searched coordinate in turn to the point
-    of lowest objective, the first of equals, among its current value and
-    the values -3..3 steps away that lie in its bounds; then every step
-    shrinks fourfold.
+    Each round moves every searched coordinate in turn to the lowest-scoring
+    of its current value and the values -3..3 steps away, each clamped to
+    its bounds: [0, ceiling] for the overhead, [_MIN_FACTOR, 1] for a factor.
+    The first of equals wins, so a tie keeps the current value. The current
+    value's score is carried, not taken again, and a candidate clamped onto
+    the current value is not scored. Then every step shrinks fourfold.
     """
     x = list(x)
-    steps = [max(x[0], 1e-3 * unit)] + [0.1] * (len(coords) - 1)
-    for _ in range(7):
+    best = score(x)
+    for _ in range(rounds):
         for c, step in zip(coords, steps):
-            lo, hi = ((0.0, _SEARCH_OVERHEAD_CEILING * unit) if c == 0
-                      else (_MIN_FACTOR, 1.0))
-            values = [x[c]] + [x[c] + k * step for k in (-3, -2, -1, 1, 2, 3)
-                               if lo <= x[c] + k * step <= hi]
-            scores = []
-            for value in values:
-                x[c] = value
-                total, shares = _closed_form(rates, x)
-                scores.append(_objective(total, shares, target_throughput,
-                                         target_shares))
-            x[c] = values[scores.index(min(scores))]
+            lo, hi = (0.0, ceiling) if c == 0 else (_MIN_FACTOR, 1.0)
+            here = pick = x[c]
+            for k in (-3, -2, -1, 1, 2, 3):
+                x[c] = min(hi, max(lo, here + k * step))
+                if x[c] != here and (got := score(x)) < best:
+                    best, pick = got, x[c]
+            x[c] = pick
         steps = [s * 0.25 for s in steps]
-    return x
+    return best, x
 
 
 def _seed(rates: dict[str, float], coords: list[int], target_throughput: float,
-          target_shares: Optional[dict[str, float]], unit: float) -> list[float]:
+          target_shares: dict[str, float], unit: float) -> list[float]:
     """Initial parameters.
 
     With composition targets, the overhead is the least finite overhead
@@ -283,14 +273,16 @@ def _seed(rates: dict[str, float], coords: list[int], target_throughput: float,
     """
     x = [0.0] + [1.0] * len(rates)
     if not target_shares:
-        if target_throughput < _closed_form(rates, x)[0]:
+        if target_throughput < sum(_closed_form(rates, x)):
             lo, hi = 0.0, 1e-3 * unit
             while (hi < _OVERHEAD_CAP * unit
-                   and _closed_form(rates, [hi] + x[1:])[0] > target_throughput):
+                   and sum(_closed_form(rates, [hi] + x[1:])) > target_throughput):
                 hi *= 2.0
-            for _ in range(80):
+            for _ in range(80):  # or until lo and hi are adjacent floats
                 x[0] = 0.5 * (lo + hi)
-                if _closed_form(rates, x)[0] > target_throughput:
+                if x[0] in (lo, hi):
+                    break
+                if sum(_closed_form(rates, x)) > target_throughput:
                     lo = x[0]
                 else:
                     hi = x[0]

@@ -178,13 +178,13 @@ ROOFLINE_NPU = ["roofline", "--platform", "kirin970", "--component", "npu",
     (["tables", "--which", "1", "--format", "json"],
      "0344be9ab36f48b8ac70e801c49e7d71762ad3b619c63a377b0fe68b967fb199"),
     (["tables", "--which", "2", "--format", "csv"],
-     "99af37517a2bdf740447352d0cacdb7f015e21d18c3dd79e2a57e3cb030598e2"),
+     "75bd846ea83bd3ed58c501730a9c66d8f6eccf51a04f139b7a116efb3c0487e6"),
     (["tables", "--which", "2", "--format", "json"],
-     "5a516b2bcf3589176e9c3ee4deb5f11c08cbbd2bf0077b8310b333156bc5e755"),
+     "a2d1b22963233e6e068977ae855b7c042b5c1119535f80e9b76e71331510a655"),
     (["tables", "--which", "3", "--format", "csv"],
-     "657727303732d3435458a4dca877d6695ed2229e4c0da7b2e9c7a8113d7e0fdd"),
+     "3900c3244df49d37cdf3c7f980830b0a022df5f5717852a5b69ef53ca52f9c2a"),
     (["tables", "--which", "3", "--format", "json"],
-     "fc013d9b5fab895bf9cdee1be4e80444324e35f4ae2a2cd408db71947cdef79a"),
+     "2ebcb3cdcdbde67476f8fabe88230a15b614bc1034e32404a28ad42bd71910a0"),
     (["simulate", *KIRIN_X4, "--frames", "60"],
      "b370c111984e05051935d227337f898d0f9a071abed149dd1d097bf8175e18d4"),
     (["simulate", *KIRIN_X4, "--frames", "240"],
@@ -200,7 +200,7 @@ ROOFLINE_NPU = ["roofline", "--platform", "kirin970", "--component", "npu",
       "--format", "csv"],
      "590c5c2300ad195f61f31d35b12d1392b6bcada8b8dbfc70d0122e7b0fa268eb"),
     (["calibrate", *KIRIN_X4, "--target-throughput", "60"],
-     "70df2cd47f11651bba96a451ed9fa9a19327b18435aa63ce4ea0b70ef70402ef"),
+     "d75b535bb0c2fc60b627e830a30cca03a52d883ac795bbd9a53d38ee38dcfc69"),
     (["calibrate", "--platform", "kirin970", "--network", "googlenet",
       "--components", "a53,g72", "--target-throughput", "20",
       "--target-composition", "a53=0.1,g72=0.9"],
