@@ -4,15 +4,7 @@ The fit works on one parameter vector x = [overhead, availability factor
 of each engaged component]; it searches the overhead and, with composition
 targets, the factors of the engaged CPU clusters in id order.
 
-The steady-state behavior of the simulator has a closed form: a component
-with measured rate r, availability factor f, and per-frame overhead h
-contributes 1/(1/(r*f) + h) images/s, and frame shares follow the
-contributed rates. Calibration seeds x from that closed form, then runs
-one deterministic coordinate search, _search, on the closed form at the
-target and at an offset-corrected target, and on the simulated throughput
-and shares with finer steps (the polish); it reports the simulated residuals.
-
-One objective scores all three: the worst normalized error of the
+One objective scores every candidate: the worst normalized error of the
 throughput and of each targeted share. Calibration never jitters, and
 without jitter _simulated computes the throughput and shares of a run
 bit for bit (checked by
@@ -21,14 +13,29 @@ running sums that plain simulate runs take (sim._plain_run), in memory
 that does not grow with N and in time that barely does (the four kirin970
 components take about 0.05 ms at N = 10^4 and 0.08 ms at 10^6: in
 process, medians of 7, Python 3.11.7 on a 2-vCPU x86 host).
-So every candidate is scored without simulating it; simulate runs only
-where the polish starts and, if the polish moved x, where it ends. The
-fit returns the Scenario it simulated last, which holds the fitted
-overhead and CPU factors, with that simulation and the residuals.
+So every candidate is scored without simulating it, and a fit runs
+simulate twice at most. It returns the Scenario it simulated last, which
+holds the fitted overhead and CPU factors, with that simulation and the
+residuals.
+
+A throughput-only fit varies only the overhead, and the simulated
+throughput never rises with it (see calibrate). So it simulates overhead
+0; if that beats the target, it doubles the overhead from 1 ms until the
+throughput is at most the target, bisects down to two adjacent floats,
+and ends on the one of them that scores lower.
+
+A fit with composition targets uses the closed form of the simulator's
+steady state: a component with measured rate r, availability factor f,
+and per-frame overhead h contributes 1/(1/(r*f) + h) images/s, and frame
+shares follow the contributed rates. It seeds x from that closed form,
+then runs one deterministic coordinate search, _search, on the closed form
+at the target and at an offset-corrected target, and on the simulated
+throughput and shares with finer steps (the polish). It simulates where
+the polish starts and, if the polish moved x, where it ends.
 
 A target above the zero-overhead bound, or below the closed-form
-throughput at the seed's overhead cap (about 1049 time units, with the
-searched factors at their floor), indicates inconsistent measurements and
+throughput at the overhead cap (about 1049 time units, with the searched
+factors at their floor), indicates inconsistent measurements and
 raises InfeasibleTarget instead of silently fitting. The bound is the rate
 sum or, if lower, N times the slowest of the first min(k, N) components in
 id order: each holds a frame from time 0 for at least 1/rate. A target
@@ -57,13 +64,14 @@ COMPOSITION_SCALE = 0.03  # one residual unit = 3 points of frame share
 
 _MIN_FACTOR = 1e-3
 # Times below are in units of _unit(rates), 1 s on every bundled board.
-# The largest overhead the seed tries: 1 ms doubled until past 1e3 s.
+# The largest overhead a throughput-only fit tries: 1 ms doubled until
+# past 1e3 s.
 _OVERHEAD_CAP = 1e-3 * 2.0 ** 20
-# The closed-form search keeps the overhead at or below this, so it
-# can only keep a seed above it or move it below. Raising it to
-# _OVERHEAD_CAP leaves tables 2 and 3 byte-identical but moves fits off
-# them both ways (exynos5422/resnet50 at 0.5 imgs/s goes from objective
-# 4.97e-5 to 7.85e-3), so the two stay apart.
+# The closed-form search of a composition fit keeps the overhead at or
+# below this. Raising it to _OVERHEAD_CAP leaves table 3 byte-identical
+# but raises 13 of the 384 composition objectives of tests/fit_corpus.json
+# and lowers none (kirin970/squeezenet on a53+g72+npu at 0.3 s overhead
+# goes from 6.0e-13 to 0.0167), so the two stay apart.
 _SEARCH_OVERHEAD_CEILING = 0.25
 
 
@@ -134,6 +142,33 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
     targets only the overhead is fitted and all factors stay at 1.0; with
     them, availability factors of the engaged CPU clusters join the
     search (accelerator factors stay pinned at 1.0).
+
+    Without composition targets the fit bisects the simulated throughput
+    N/M in the overhead h. It never rises with h, as the makespan M never
+    falls. Service times s_r = 1/rate_r + h and each rank's running sums
+    S_r(j) rise with h. In the run of N >= k frames, rank r runs c_r + 1
+    frames, c_r its completions among the first N - k in (time, rank)
+    order, and M is the largest S_r(c_r + 1); the c_r add up to N - k at
+    every h. Take h < h', primed at h', and r with M = S_r(c_r + 1). If
+    c'_r >= c_r, then M' >= S'_r(c_r + 1) >= M. Else c_r >= 1, and as the
+    totals match, c'_q > c_q for some q; with a = c_r and b = c_q + 1,
+    S_r(a) goes before S_q(b) at h and S'_q(b) before S'_r(a) at h'. Going
+    before implies a time no later, whichever way a tie is broken, so in
+    exact arithmetic, S_r(j) = j*s_r, a*s_r <= b*s_q and b*(s_q + d) <=
+    a*(s_r + d), d = h' - h > 0; subtracting gives b <= a. Then M' >=
+    S'_q(b + 1) > (b + 1)*s_q >= (b + 1)/b * a*s_r >= (a + 1)*s_r = M.
+    With N < k, M is the largest of the first N service times in id order,
+    which rise with h.
+
+    In floats the first case holds as it stands, since float addition is
+    monotone, and so does N < k. The second uses S_r(j) = j*s_r and one d
+    for every rank; in floats the sums carry rounding and s_q and s_r rise
+    by amounts that differ in their last bits, so it is not proven where
+    S_r(a) and S_q(b) lie within rounding of each other.
+    test_simulated_throughput_never_rises_with_the_overhead checks seeded
+    runs instead. The bisection keeps an end above the target and one at
+    or below it in any case; where the throughput is monotone, every
+    other overhead scores no lower than the better of those two.
     """
     engaged = ids(engaged, "components", "calibrate")
     target = keys(observed, {"throughput": None, "composition": None}, "target", "")
@@ -191,43 +226,62 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
                        [max(x[0], 1e-3 * unit)] + [0.1] * (len(coords) - 1),
                        _SEARCH_OVERHEAD_CEILING * unit)[1]
 
-    def simulated(x):  # the score of the simulation of x, without running it
-        throughput, shares = _simulated(rates, x, frames)
+    def objective(throughput, shares):  # the score of a throughput and shares
         return _objective(throughput, map(shares.get, target_shares),
                           target_throughput, wanted)
+
+    def simulated(x):  # the score of the simulation of x, without running it
+        return objective(*_simulated(rates, x, frames))
 
     def run(x):  # the simulation of base at x, CPU factors as contention
         return simulate(replace(base, dispatch_overhead_s=x[0], contention={
             cid: x[1 + engaged.index(cid)] for cid in cpu_ids}), platform, network)
 
-    x = _seed(rates, coords, target_throughput, target_shares, unit)
-    if target_shares:  # else the seed is the closed form's root already
-        x = closed_search(target_throughput, x)
-    # The greedy end-of-stream tail puts simulated throughput slightly below
-    # the closed form. Re-run the search against an offset-corrected target,
-    # keeping its point only if it scores strictly lower, so the simulated
-    # residuals, not the closed-form ones, end up centered.
-    offset = sum(_closed_form(rates, x)) - _simulated(rates, x, frames)[0]
-    trial = closed_search(target_throughput + offset, x)
-    if simulated(trial) < simulated(x):
-        x = trial
+    if target_shares:
+        x = closed_search(target_throughput,
+                          _seed(rates, coords, target_throughput, target_shares))
+        # The greedy end-of-stream tail puts simulated throughput slightly
+        # below the closed form. Re-run the search against an
+        # offset-corrected target, keeping its point only if it scores
+        # strictly lower, so the simulated residuals, not the closed-form
+        # ones, end up centered.
+        offset = sum(_closed_form(rates, x)) - _simulated(rates, x, frames)[0]
+        trial = closed_search(target_throughput + offset, x)
+        if simulated(trial) < simulated(x):
+            x = trial
+        # Polish on the simulated score with finer steps and no ceiling.
+        # Its start is simulated too, which the result needs only if the
+        # polish leaves x where it is.
+        best = run(x)
+        polished = _search(simulated, x, coords,
+                           [2e-4 * unit] + [0.01] * (len(coords) - 1),
+                           math.inf, rounds=3)[1]
+        if polished != x:
+            best = run(polished)
+    else:
+        x = [0.0] + [1.0] * len(rates)
 
-    # Polish on the simulated score with finer steps and no ceiling. The
-    # start is simulated as well as scored only because
-    # perfbench/test_checks.py asserts two simulations in a fit.
-    best = run(x)
-    best_score, polished = _search(simulated, x, coords,
-                                   [2e-4 * unit] + [0.01] * (len(coords) - 1),
-                                   math.inf, rounds=3)
-    if polished != x:
-        best = run(polished)
+        def above(h):  # whether the simulation at overhead h beats the target
+            return _simulated(rates, [h] + x[1:], frames)[0] > target_throughput
+        lo = hi = 0.0
+        if run(x).throughput > target_throughput:
+            hi = 1e-3 * unit
+            while hi < _OVERHEAD_CAP * unit and above(hi):
+                hi *= 2.0
+            for _ in range(80):  # or until lo and hi are adjacent floats
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
+                lo, hi = (mid, hi) if above(mid) else (lo, mid)
+        x[0] = min(lo, hi, key=lambda h: simulated([h] + x[1:]))
+        best = run(x)
 
     residual_comp = ({cid: best.composition[cid] - share
                       for cid, share in target_shares.items()}
                      if target_shares else None)
     return CalibrationResult(
         scenario=best.scenario,
-        objective=best_score,
+        objective=objective(best.throughput, best.composition),
         residual_throughput_rel=(best.throughput - target_throughput) / target_throughput,
         residual_composition=residual_comp,
         result=best,
@@ -262,37 +316,19 @@ def _search(score: Callable[[list[float]], float], x: list[float],
 
 
 def _seed(rates: dict[str, float], coords: list[int], target_throughput: float,
-          target_shares: dict[str, float], unit: float) -> list[float]:
-    """Initial parameters.
+          target_shares: dict[str, float]) -> list[float]:
+    """Initial parameters of a fit with composition targets.
 
-    With composition targets, the overhead is the least finite overhead
-    that a targeted component, CPU cluster or not, implies at factor 1.0
-    (or 0.0 if none does); then each searched factor inverts its
-    component's implied rate at that overhead. Otherwise the overhead
-    bisects the closed-form total, factors all 1.0.
+    The overhead is the least finite overhead that a targeted component,
+    CPU cluster or not, implies at factor 1.0 (or 0.0 if none does); then
+    each searched factor inverts its component's implied rate at that
+    overhead. Unsearched factors are 1.0.
     """
-    x = [0.0] + [1.0] * len(rates)
-    if not target_shares:
-        if target_throughput < sum(_closed_form(rates, x)):
-            lo, hi = 0.0, 1e-3 * unit
-            while (hi < _OVERHEAD_CAP * unit
-                   and sum(_closed_form(rates, [hi] + x[1:])) > target_throughput):
-                hi *= 2.0
-            for _ in range(80):  # or until lo and hi are adjacent floats
-                x[0] = 0.5 * (lo + hi)
-                if x[0] in (lo, hi):
-                    break
-                if sum(_closed_form(rates, x)) > target_throughput:
-                    lo = x[0]
-                else:
-                    hi = x[0]
-            x[0] = 0.5 * (lo + hi)
-        return x
     implied = {cid: target_throughput * share
                for cid, share in target_shares.items()}
     overheads = [1.0 / want - 1.0 / rates[cid]
                  for cid, want in implied.items() if 0 < want < rates[cid]]
-    x[0] = min(filter(math.isfinite, overheads), default=0.0)
+    x = [min(filter(math.isfinite, overheads), default=0.0)] + [1.0] * len(rates)
     ids = list(rates)
     for c in coords[1:]:
         want = implied.get(ids[c - 1])

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import sys
 import tracemalloc
@@ -199,12 +200,130 @@ def test_target_below_overhead_cap_is_infeasible():
 
 
 def test_target_needing_more_than_a_quarter_second_overhead_still_fits():
-    # The closed form at 0.25 s overhead is 2.55 imgs/s here; the seed
-    # reaches past it, so a lower target is fitted, not refused.
+    # The closed form at 0.25 s overhead is 2.55 imgs/s here; the bisection
+    # doubles past it, so a lower target is fitted, not refused.
     fit = calibrate(EXYNOS, network_by_id("resnet50"), {"throughput": 2.32},
                     ("a7", "a15", "t628"))
     assert fit.scenario.dispatch_overhead_s > 0.25
     assert abs(fit.residual_throughput_rel) < 0.02
+    assert off_the_crossing(fit, EXYNOS, network_by_id("resnet50"), 2.32) is None
+
+
+def throughput_at(rates, frames):
+    """The simulated throughput of a throughput-only fit's candidate, as a
+    function of its overhead: every factor is 1.0."""
+    return lambda h: CALIBRATE._simulated(rates, [h] + [1.0] * len(rates),
+                                          frames)[0]
+
+
+def off_the_crossing(fit, platform, network, target):
+    """None if the throughput-only fit ends on one of the two adjacent
+    overheads where the simulated throughput falls from above target to at
+    most target, scoring no worse than the other (the lower on a tie), or
+    on overhead 0 if that already gives at most target; else what is off."""
+    scenario = fit.scenario
+    throughput = throughput_at(effective_rates(scenario, platform, network),
+                               scenario.frame_count)
+
+    def score(h):
+        return CALIBRATE._objective(throughput(h), (), target, [])
+    h = scenario.dispatch_overhead_s
+    if fit.objective != score(h):
+        return "objective", fit.objective, score(h)
+    if h == 0.0 and throughput(h) <= target:
+        return None
+    if throughput(h) > target:  # the lower end
+        lo, hi = h, math.nextafter(h, math.inf)
+        ok = throughput(hi) <= target and score(lo) <= score(hi)
+    else:
+        lo, hi = math.nextafter(h, 0.0), h
+        ok = throughput(lo) > target and score(hi) < score(lo)
+    return None if ok else (scenario, throughput(lo), throughput(hi), target)
+
+
+def table2_engagements():
+    """(observation, platform, network, rates) of each table-2 fit, the
+    rates at factor 1.0, as a throughput-only fit scores them."""
+    for obs in observations_for_table(2):
+        platform = platform_by_id(obs.platform_id)
+        network = network_by_id(obs.network_id)
+        yield obs, platform, network, effective_rates(
+            Scenario(platform.id, network.id, obs.engaged, 1), platform, network)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, "table2"])
+def test_simulated_throughput_never_rises_with_the_overhead(k):
+    # Families: equal, few-valued and seeded rates on k components at N
+    # below k, at 2k^2 and above; the ten table-2 engagements at N = 10^4.
+    # Each is scored at seeded overheads in order and along a run of
+    # adjacent floats.
+    rng = random.Random(repr(k))
+    if k == "table2":
+        families = [(rates, 10000) for *_, rates in table2_engagements()]
+    else:
+        families = []
+        for rates in ([2.0] * k, [rng.choice((1.0, 3.0, 7.5)) for _ in range(k)],
+                      *([rng.uniform(0.3, 60.0) for _ in range(k)]
+                        for _ in range(3))):
+            for frames in (max(1, k - 1), 2 * k * k,
+                           2 * k * k + rng.randint(1, 300), 2000):
+                families.append(({f"c{i}": rate for i, rate in enumerate(rates)},
+                                 frames))
+    rises = []
+    for rates, frames in families:
+        throughput = throughput_at(rates, frames)
+        start = rng.uniform(0.0, 0.05)
+        adjacent = [start]
+        for _ in range(200):
+            adjacent.append(math.nextafter(adjacent[-1], math.inf))
+        for overheads in ([0.0] + sorted(rng.uniform(0.0, 0.5)
+                                         for _ in range(200)), adjacent):
+            got = list(map(throughput, overheads))
+            rises += [(rates, frames, h) for h, before, after
+                      in zip(overheads[1:], got, got[1:]) if after > before]
+    assert rises == []
+
+
+@pytest.mark.parametrize("scale", [0.8, 0.9, 1.0])
+def test_table2_fits_end_where_the_simulated_throughput_crosses_the_target(
+        scale):
+    off = []
+    for obs, platform, network, _ in table2_engagements():
+        target = obs.coexec_imgs_s * scale
+        fit = calibrate(platform, network, {"throughput": target}, obs.engaged)
+        off.append(off_the_crossing(fit, platform, network, target))
+    assert off == [None] * 10
+
+
+def test_throughput_only_corpus_fits_end_where_the_throughput_crosses():
+    off = [off_the_crossing(
+               calibrate(platform, network, target, engaged,
+                         frames=CORPUS_FRAMES),
+               platform, network, target["throughput"])
+           for _, platform, network, engaged, target in corpus_cases()
+           if "composition" not in target]
+    assert len(off) == 408
+    assert [o for o in off if o is not None] == []
+
+
+def test_a_tie_between_the_two_ends_keeps_the_lower_overhead():
+    # A target midway between the throughputs at two adjacent overheads
+    # scores the same at both; seeded overheads give such ties.
+    ties = 0
+    for obs, platform, network, rates in table2_engagements():
+        throughput = throughput_at(rates, 200)
+        rng = random.Random(obs.network_id)
+        for _ in range(100):
+            lo = rng.uniform(0.001, 0.05)
+            high, low = throughput(lo), throughput(math.nextafter(lo, 1.0))
+            target = 0.5 * (high + low)
+            if low < target < high and high - target == target - low:
+                fit = calibrate(platform, network, {"throughput": target},
+                                obs.engaged, frames=200)
+                assert fit.scenario.dispatch_overhead_s == lo
+                ties += 1
+                break
+    assert ties >= 5
 
 
 @pytest.mark.parametrize("observed,engaged,message", [
@@ -273,11 +392,13 @@ def record_fits(monkeypatch, heap_run, fits):
     return sims, pairs
 
 
-@pytest.mark.parametrize("table,total_sims", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("table,total_sims", [(2, 20), (3, 8)])
 def test_calibration_simulates_at_most_twice_per_fit(monkeypatch, heap_run,
                                                      table, total_sims):
-    # The acceptance fits of criteria 3 and 4 use these same targets. The
-    # fit simulates where its polish starts and, if it moved, where it ends.
+    # The acceptance fits of criteria 3 and 4 use these same targets. A
+    # throughput-only fit (table 2) simulates at overhead 0 and where its
+    # bisection ends; a composition fit (table 3) where its polish starts
+    # and, if it moved, where it ends.
     fits = [(obs, 1.0, 10000) for obs in observations_for_table(table)]
     sims, _ = record_fits(monkeypatch, heap_run, fits)
     assert max(sims) <= 2
@@ -384,35 +505,6 @@ def test_search_scores_the_start_once_and_each_candidate_off_it(rounds):
     CALIBRATE._search(counted(lambda x: x[0] - x[1]), [0.0, 1.0], [0, 1],
                       [0.01, 0.01], 1.0, rounds)
     assert len(calls) == 1 + rounds * (6 * 2 - 3 - 3)
-
-
-def test_the_skipped_closed_form_search_returns_the_throughput_only_seed():
-    # A throughput-only fit runs no closed-form search at its target: its
-    # seed bisects the closed form at that target, and the search from the
-    # seed returns it bit for bit. The frame count does not enter the
-    # closed form, so one check covers table 2 at 300 and 10^4 frames.
-    cases = [(platform, network, engaged, target["throughput"])
-             for _, platform, network, engaged, target in corpus_cases()
-             if "composition" not in target]
-    cases += [(platform_by_id(obs.platform_id), network_by_id(obs.network_id),
-               obs.engaged, obs.coexec_imgs_s * scale)
-              for obs in observations_for_table(2) for scale in (0.8, 0.9, 1.0)]
-    assert len(cases) == 408 + 30
-    moved = []
-    for platform, network, engaged, target in cases:
-        rates = effective_rates(Scenario(platform.id, network.id, engaged, 1),
-                                platform, network)
-        unit = CALIBRATE._unit(rates)
-        seed = CALIBRATE._seed(rates, [0], target, {}, unit)
-
-        def score(x):  # the closed form at the target, which fit would search
-            return CALIBRATE._objective(sum(CALIBRATE._closed_form(rates, x)),
-                                        (), target, [])
-        _, x = CALIBRATE._search(score, seed, [0], [max(seed[0], 1e-3 * unit)],
-                                 CALIBRATE._SEARCH_OVERHEAD_CEILING * unit)
-        if list(map(float.hex, x)) != list(map(float.hex, seed)):
-            moved.append((platform.id, network.id, engaged, target, seed, x))
-    assert moved == []
 
 
 # The fit recovery corpus. Each objective in CORPUS was recorded by

@@ -178,9 +178,9 @@ ROOFLINE_NPU = ["roofline", "--platform", "kirin970", "--component", "npu",
     (["tables", "--which", "1", "--format", "json"],
      "0344be9ab36f48b8ac70e801c49e7d71762ad3b619c63a377b0fe68b967fb199"),
     (["tables", "--which", "2", "--format", "csv"],
-     "75bd846ea83bd3ed58c501730a9c66d8f6eccf51a04f139b7a116efb3c0487e6"),
+     "0ca453d6aa97917fecd3e85f17cd5295ce6c41f28f35fd53df99c730fdafeace"),
     (["tables", "--which", "2", "--format", "json"],
-     "a2d1b22963233e6e068977ae855b7c042b5c1119535f80e9b76e71331510a655"),
+     "ead65d1a548a8fa19ee3a6b3d6b866de69b6760a84068aae03c4ac9aad0b1c84"),
     (["tables", "--which", "3", "--format", "csv"],
      "3900c3244df49d37cdf3c7f980830b0a022df5f5717852a5b69ef53ca52f9c2a"),
     (["tables", "--which", "3", "--format", "json"],
@@ -200,7 +200,7 @@ ROOFLINE_NPU = ["roofline", "--platform", "kirin970", "--component", "npu",
       "--format", "csv"],
      "590c5c2300ad195f61f31d35b12d1392b6bcada8b8dbfc70d0122e7b0fa268eb"),
     (["calibrate", *KIRIN_X4, "--target-throughput", "60"],
-     "d75b535bb0c2fc60b627e830a30cca03a52d883ac795bbd9a53d38ee38dcfc69"),
+     "3ec9c8cebd063e19e08574bd9117b7298e1fb4d6f46a77b271a7155581322922"),
     (["calibrate", "--platform", "kirin970", "--network", "googlenet",
       "--components", "a53,g72", "--target-throughput", "20",
       "--target-composition", "a53=0.1,g72=0.9"],

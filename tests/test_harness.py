@@ -6,7 +6,9 @@ pass its check. This is what `python3 perfbench/run.py` does, a few
 seconds of it.
 """
 
+import json
 import os
+import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -30,3 +32,18 @@ def test_events_phase_and_a_mix_block_pass_their_checks():
         mix.run(mix.next_op(), outcomes)
     assert outcomes.attempted == 1 + stages.BLOCK_OPS
     assert (outcomes.failed, outcomes.wrong) == (0, 0), outcomes.reasons
+
+
+def test_binding_loads_every_traced_module():
+    # A traced run reports the metrics of a function whose home module is
+    # not loaded as null, and a result line with a null metric is not a
+    # result. So binding, in a fresh interpreter, must load every traced
+    # function's module, whether or not the run goes on to call it.
+    code = ("import json, sys, stages, tracing; stages.bind(sys.argv[1]); "
+            "print(json.dumps(sorted(name for name, (home, attr, _) "
+            "in tracing.TRACED.items() "
+            "if not callable(getattr(sys.modules.get(home), attr, None)))))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "perfbench"))
+    done = subprocess.run([sys.executable, "-c", code, SRC], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == []
