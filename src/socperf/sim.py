@@ -307,7 +307,7 @@ def _plain_run(service: list[float],
     Rank r completes its j-th frame at S_r(j), the j-fold float sum of its
     service time s_r, whatever the others do, and completions pop in
     (time, rank) order. Each rank's first low_r = max(0, int(start/s_r) -
-    2) are counted at once, start = claims / sum(1/s_r); a merge pops the
+    1) are counted at once, start = claims / sum(1/s_r); a merge pops the
     claims - sum(low_r) after them, drawing sums from S_r(low_r + 1) (by
     _nth_sum) one addition at a time.
 
@@ -316,14 +316,17 @@ def _plain_run(service: list[float],
     rounds by at most 2^-53 of its result, so |S_r(j) - j*s_r| is within
     1% of j(j + 1)/2 * s_r * 2^-53 at most, below s_r/64 for j <= N + 1.
     start/s_r is below claims + 1, so c_r, the count of S_r(j) <= start,
-    is within 1 of floor(start/s_r) and within 2 of int(start/s_r): low_r
-    <= c_r. And c_r - start/s_r is at most 1.01 * c_r(c_r + 1)/2 * 2^-53;
-    as the c_r add up to at most N + 1, these excesses add up to under
-    0.006. The roundings of start and of the rate sum put start*sum(1/s_r)
-    within claims*(k + 3)*2^-53 < 0.012 of claims (k <= N). So the c_r
+    is within 1 of n = floor(start/s_r). The float quotient int(start/s_r)
+    is n, or n + 1 where the quotient rounds up to that integer: then
+    start/s_r >= (n + 1)(1 - 2^-53), so S_r(n) < (n + 1/64)*s_r <= start
+    and c_r >= n. Either way low_r <= c_r <= low_r + 2. And c_r -
+    start/s_r is at most 1.01 * c_r(c_r + 1)/2 * 2^-53; as the c_r add up
+    to at most N + 1, these excesses add up to under 0.006. The roundings
+    of start and of the rate sum put start*sum(1/s_r) within
+    claims*(k + 3)*2^-53 < 0.012 of claims (k <= N). So the c_r
     add up to under claims + 1, to at most claims: the counted ones, all
     up to start, are among the first claims, and the merge pops the rest
-    in order. It pops at most 6k sums, as c_r - low_r <= 4 and the c_r
+    in order. It pops at most 4k sums, as c_r - low_r <= 2 and the c_r
     add up to at least start*sum(1/s_r) - 2k.
 
     A start past the float range is refused as the makespan, which passes
@@ -339,7 +342,7 @@ def _plain_run(service: list[float],
     start = (frames - k) / rate_sum * scale
     if start == math.inf:
         number(start, "makespan_s", "scenario result")
-    ran = [max(0, int(start / s) - 2) + 1 for s in service]  # low_r + 1
+    ran = [max(0, int(start / s) - 1) + 1 for s in service]  # low_r + 1
     next_sum = [accumulate(repeat(s), initial=_nth_sum(s, n)).__next__
                 for s, n in zip(service, ran)]
     heap = [(draw(), r) for r, draw in enumerate(next_sum)]

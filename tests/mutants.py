@@ -52,11 +52,10 @@ REGISTER = [
            "first += q < r", "first += q <= r", SIM_TESTS),
     Mutant("frame-log-edge", SIM,
            "while p[-1] <= edge:", "while p[-1] < edge:", SIM_TESTS),
-    # The proof of _plain_run's window says c_r is within 2 of
-    # int(start/s_r); whether 1 is enough is not known.
-    Mutant("plain-run-window-1", SIM,
-           "int(start / s) - 2", "int(start / s) - 1", SIM_TESTS,
-           survives=True),
+    # The proof of _plain_run's window puts c_r at or above
+    # int(start/s_r) - 1, and int(start/s_r) can pass c_r.
+    Mutant("plain-run-window-0", SIM,
+           "int(start / s) - 1", "int(start / s) - 0", SIM_TESTS),
     # The proof of _high_water's bound needs a margin above 1.5u; whether
     # u is enough is not known.
     Mutant("high-water-margin-1u", SIM,
@@ -88,8 +87,18 @@ REGISTER = [
            "x[0] = min(lo, hi, key=", "x[0] = min(hi, lo, key=",
            CALIBRATE_TESTS),
     Mutant("bisection-capped-at-a-quarter-second", CALIBRATE,
-           "while hi < _OVERHEAD_CAP * unit and above(hi):",
-           "while hi < 0.25 * unit and above(hi):", CALIBRATE_TESTS),
+           "if hi >= _OVERHEAD_CAP * unit:", "if hi >= 0.25 * unit:",
+           CALIBRATE_TESTS),
+    # A throughput-only fit is the simulation, which the closed form at the
+    # cap overestimates by the end-of-stream tail.
+    Mutant("refusal-throughput-only-on-the-closed-form", CALIBRATE,
+           "sum(_closed_form(rates, slowest)) if target_shares else 0.0",
+           "sum(_closed_form(rates, slowest))", CALIBRATE_TESTS),
+    # The run at the cap can pass the float range where the fit's own
+    # runs do not, so only a doubling that reaches the cap simulates it.
+    Mutant("refusal-simulates-the-cap-unconditionally", CALIBRATE,
+           "sum(_closed_form(rates, slowest)) if target_shares else 0.0",
+           "_simulated(rates, slowest, frames)[0]", CALIBRATE_TESTS),
 ]
 
 

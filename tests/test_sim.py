@@ -771,6 +771,32 @@ def test_last_claim_equals_a_heap_walk_on_seeded_stress_cases():
     assert refused >= 10, refused
 
 
+def test_plain_run_counts_at_once_only_sums_up_to_start(monkeypatch):
+    # The window's proof: the first low_r sums of each rank, counted
+    # without a merge, end at or before start = claims / sum(1/s_r). For
+    # s_r = 0.1 and 10^6 claims, start/s_r rounds up to 10^6 while the
+    # 10^6-fold sum is 100000.0000013, past start: there int(start/s_r)
+    # counts one sum too many.
+    drawn = []
+
+    def recorded(s, n):
+        drawn.append((s, n))
+        return _nth_sum(s, n)
+    monkeypatch.setattr(SIM, "_nth_sum", recorded)
+    cases = [([0.1], 10 ** 6), ([0.1, 0.3], 10 ** 6),
+             *last_claim_stress_cases(random.Random(23), 1500)]
+    for service, claims in cases:
+        drawn.clear()
+        try:
+            _plain_run(service, claims + len(service))
+        except MalformedDocument:
+            continue  # the start passes the float range
+        scale = min(service)
+        start = claims / sum(scale / s for s in service) * scale
+        for s, n in drawn:  # n = low_r + 1
+            assert _nth_sum(s, n - 1) <= start, (service, claims, s)
+
+
 def outcome(run, *args, **kwargs):
     """What run(*args, **kwargs) returns, or the refusal's text."""
     try:
