@@ -39,11 +39,12 @@ For a composition fit that is the closed form with the searched factors
 at their floor, as its search is closed-form first. For a throughput-only
 fit it is the simulated throughput, read only once the doubling reaches
 the cap: near the float range the run at the cap can overflow where the
-fit's own runs do not. The bound is the rate sum or, if lower, N times
-the slowest of the first min(k, N) components in id order: each holds a
-frame from time 0 for at least 1/rate. A target throughput must be
-finite and > 0, and a composition target maps engaged components to
-shares in [0, 1].
+fit's own runs do not. A throughput-only target is also refused when its
+run at overhead 0, or one in the doubling, passes the float range first.
+The bound is the rate sum or, if lower, N times the slowest of the first
+min(k, N) components in id order: each holds a frame from time 0 for at
+least 1/rate. A target throughput must be finite and > 0, and a
+composition target maps engaged components to shares in [0, 1].
 
 Residuals are normalized so one unit equals 2% relative throughput error
 or 3 percentage points of composition error, and the search minimizes the
@@ -56,7 +57,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
-from .errors import InfeasibleTarget
+from .errors import InfeasibleTarget, MalformedDocument
 from .profiles import (NetworkProfile, Platform, ids, keys, number, obj, one_of,
                        shown)
 from .sim import (Scenario, SimResult, _plain_run, effective_rates,
@@ -267,18 +268,25 @@ def calibrate(platform: Platform, network: NetworkProfile, observed: dict,
         def above(h):  # whether the simulation at overhead h beats the target
             return _simulated(rates, [h] + x[1:], frames)[0] > target_throughput
         lo = hi = 0.0
-        # Simulated, not scored, as perfbench's trace test wants 2 runs a fit.
-        if run(x).throughput > target_throughput:
-            hi = 1e-3 * unit
-            while above(hi):
-                if hi >= _OVERHEAD_CAP * unit:
-                    raise below(_simulated(rates, [hi] + x[1:], frames)[0])
-                hi *= 2.0
-            for _ in range(80):  # or until lo and hi are adjacent floats
-                mid = 0.5 * (lo + hi)
-                if mid in (lo, hi):
-                    break
-                lo, hi = (mid, hi) if above(mid) else (lo, mid)
+        try:
+            # Simulated, not scored, as perfbench's trace test wants 2 runs a fit.
+            if run(x).throughput > target_throughput:
+                hi = 1e-3 * unit
+                while above(hi):
+                    if hi >= _OVERHEAD_CAP * unit:
+                        raise below(_simulated(rates, [hi] + x[1:], frames)[0])
+                    hi *= 2.0
+        except MalformedDocument:  # the run at hi passes the float range
+            raise InfeasibleTarget(
+                f"target {target_throughput} imgs/s is not reached before the run of "
+                f"{shown(network.id)} on {shown(platform.id)} {shown(engaged)} passes "
+                f"the float range at the {hi:g} s overhead; measurements and model "
+                "disagree") from None
+        for _ in range(80):  # or until lo and hi are adjacent floats
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if above(mid) else (lo, mid)
         x[0] = min(lo, hi, key=lambda h: simulated([h] + x[1:]))
     best = run(x)
 

@@ -9,15 +9,27 @@ the failing check), 2 for I/O failures and usage errors; each failure is
 one stderr line. Identical invocations produce byte-identical output:
 jitter is seeded, with --seed 0 unless given.
 SOCPERF_DATA overrides the bundled dataset directory.
+
+A subcommand runs only the modules it uses. Importing this module puts
+socperf.calibrate, socperf.roofline and socperf.sim into sys.modules as
+modules that run on first attribute use (_deferred), so `tables --which 1`
+runs none of them, roofline runs roofline, simulate runs sim, and
+calibrate and tables 2 and 3 run calibrate and sim. The deferral goes
+through sys.modules, not through imports inside the handlers, because
+the benchmark in perfbench/ reads those entries right after importing
+this module (ROADMAP item 11). Before Python 3.12 a deferred load is not
+thread-safe, so the first use of each deferred module should not race
+across threads. `import socperf` alone installs no deferred module.
 """
 
 import argparse
+import importlib.util
 import sys
 from pathlib import Path
+from types import ModuleType
 from typing import Optional
 
 from . import dataset
-from .calibrate import calibrate
 from .emit import (
     emit_csv,
     emit_json,
@@ -26,14 +38,30 @@ from .emit import (
     sim_result_to_csv,
 )
 from .errors import SocPerfError, UnknownComponent
-from .roofline import (
-    RooflineModel,
-    layer_points,
-    log_spaced,
-    network_point,
-    roofline_series,
-)
-from .sim import Scenario, load_scenario, simulate
+
+
+def _deferred(name: str) -> ModuleType:
+    """The submodule socperf.<name> from sys.modules, put there first, if
+    it is not imported yet, as a module that runs on first attribute use.
+
+    The entry, not an import inside each handler, is what defers it: the
+    benchmark in perfbench/ reads sys.modules["socperf.roofline"] and
+    ["socperf.calibrate"] right after importing this module (ROADMAP item
+    11). Before Python 3.12, importlib.util.LazyLoader is not thread-safe,
+    so the first use of a deferred module should not race across threads.
+    """
+    qualified = f"{__package__}.{name}"
+    module = sys.modules.get(qualified)
+    if module is None:
+        spec = importlib.util.find_spec(qualified)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[qualified] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+# Only the handler that needs one of these runs it.
+calibrate, roofline, sim = map(_deferred, ("calibrate", "roofline", "sim"))
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -74,14 +102,14 @@ def _write(payload: bytes, output: Optional[str]) -> None:
 
 def _cmd_roofline(args) -> bytes:
     platform = dataset.platform_by_id(args.platform)
-    model = RooflineModel.for_component(platform.component(args.component))
+    model = roofline.RooflineModel.for_component(platform.component(args.component))
     points = []
     if args.network:
         profile = dataset.network_by_id(args.network)
-        points.extend(layer_points(profile, model))
-        points.append(network_point(profile, model))
-    rows = roofline_series(
-        model, points, log_spaced(args.oi_min, args.oi_max, args.samples))
+        points.extend(roofline.layer_points(profile, model))
+        points.append(roofline.network_point(profile, model))
+    rows = roofline.roofline_series(
+        model, points, roofline.log_spaced(args.oi_min, args.oi_max, args.samples))
     if args.format == "csv":
         return emit_csv(rows)
     if args.format == "json":
@@ -95,14 +123,14 @@ _SCENARIO_FLAGS = {"platform": None, "network": None, "components": None,
                    "seed": 0, "cv": 0.0}
 
 
-def _scenario_from_args(args) -> Scenario:
+def _scenario_from_args(args) -> "sim.Scenario":
     given = {name: value for name in _SCENARIO_FLAGS
              if (value := getattr(args, name)) is not None}
     if args.scenario:
         if given:
             raise SocPerfError("simulate takes --scenario or scenario flags, "
                                f"not both (given: --{', --'.join(given)})")
-        return load_scenario(Path(args.scenario))
+        return sim.load_scenario(Path(args.scenario))
     flags = {**_SCENARIO_FLAGS, **given}
     missing = [name for name in ("platform", "network", "components")
                if not flags[name]]
@@ -111,7 +139,7 @@ def _scenario_from_args(args) -> Scenario:
             f"simulate needs --scenario or --platform/--network/--components "
             f"(missing: {', '.join(missing)})"
         )
-    return Scenario(
+    return sim.Scenario(
         platform_id=flags["platform"],
         network_id=flags["network"],
         engaged=tuple(flags["components"].split(",")),
@@ -125,7 +153,7 @@ def _scenario_from_args(args) -> Scenario:
 
 
 def _cmd_simulate(args) -> bytes:
-    result = simulate(_scenario_from_args(args))
+    result = sim.simulate(_scenario_from_args(args))
     if args.format == "csv":
         return sim_result_to_csv(result)
     return emit_json(sim_result_payload(result))
@@ -161,7 +189,7 @@ def _cmd_calibrate(args) -> bytes:
                 f"{args.platform!r} with {engaged}; pass --target-throughput"
             )
         observed = _observed(obs)
-    fit = calibrate(platform, network, observed, engaged, frames=args.frames)
+    fit = calibrate.calibrate(platform, network, observed, engaged, frames=args.frames)
     payload = {
         "platform": fit.scenario.platform_id,
         "network": fit.scenario.network_id,
@@ -207,8 +235,8 @@ def _coexec_table_rows(which: int, frames: int) -> list[dict]:
     for obs in dataset.observations_for_table(which):
         platform = dataset.platform_by_id(obs.platform_id)
         network = dataset.network_by_id(obs.network_id)
-        fit = calibrate(platform, network, _observed(obs), obs.engaged,
-                        frames=frames)
+        fit = calibrate.calibrate(platform, network, _observed(obs), obs.engaged,
+                                  frames=frames)
         best = network.rate(obs.best_single_id)
         gain_sim = 100.0 * (fit.result.throughput - best) / best
         row = {

@@ -99,6 +99,11 @@ REGISTER = [
     Mutant("refusal-simulates-the-cap-unconditionally", CALIBRATE,
            "sum(_closed_form(rates, slowest)) if target_shares else 0.0",
            "_simulated(rates, slowest, frames)[0]", CALIBRATE_TESTS),
+    # A throughput-only run past the float range refuses the target, not
+    # the makespan.
+    Mutant("float-range-refusal-dropped", CALIBRATE,
+           "except MalformedDocument:", "except ZeroDivisionError:",
+           CALIBRATE_TESTS),
 ]
 
 

@@ -291,6 +291,30 @@ def test_targets_below_the_cap_floor_near_the_float_range_fit_or_are_refused(
                     assert "\n" not in str(exc)
 
 
+@pytest.mark.parametrize("rate, frames, scale, overhead", [
+    (3e-306, 200, None, "2.87631e+306"),  # at the cap of the doubling
+    (1e-305, 10 ** 4, 0.5, "0"),
+], ids=repr)
+def test_a_throughput_only_run_past_the_float_range_refuses_the_target(
+        rate, frames, scale, overhead):
+    # A target that is not met before the fit's run passes the float range,
+    # in the doubling or at overhead 0, is refused on one line that names
+    # it and the engagement, as a target below the run at the cap is.
+    platform = synthetic_platform([(1.0, 1.0)] * 2)
+    network = synthetic_network([rate] * 2)
+    named = {"c0": rate, "c1": rate}
+    cap = CALIBRATE._OVERHEAD_CAP * CALIBRATE._unit(named)
+    target = (0.1 * 2 * rate if scale is None else
+              scale * sum(CALIBRATE._closed_form(named, [cap, 1.0, 1.0])))
+    with pytest.raises(InfeasibleTarget) as exc:
+        calibrate(platform, network, {"throughput": target}, ("c0", "c1"),
+                  frames=frames)
+    assert str(exc.value) == (
+        f"target {target} imgs/s is not reached before the run of 'synthnet' "
+        f"on 'synth' ('c0', 'c1') passes the float range at the {overhead} s "
+        "overhead; measurements and model disagree")
+
+
 def throughput_at(rates, frames):
     """The simulated throughput of a throughput-only fit's candidate, as a
     function of its overhead: every factor is 1.0."""
@@ -425,16 +449,20 @@ def test_calibrate_refuses_malformed_input(observed, engaged, message):
 def test_fit_whose_run_overflows_the_float_range_is_refused():
     # At 1e-306 imgs/s, 10^4 frames take some 10^310 s: the running sums
     # pass the float range, as the jitter-free run of the same scenario does.
+    # The fit refuses its target; the run refuses its makespan.
     platform = synthetic_platform([(1.0, 1.0)] * 2)
     network = synthetic_network([1.1e-306, 3.1e-306])
-    message = "scenario result: makespan_s must be finite and > 0, got inf"
-    with pytest.raises(MalformedDocument) as exc:
+    with pytest.raises(InfeasibleTarget) as exc:
         calibrate(platform, network, {"throughput": 1e-306}, ("c0", "c1"))
-    assert str(exc.value) == message
+    assert str(exc.value) == (
+        "target 1e-306 imgs/s is not reached before the run of 'synthnet' on "
+        "'synth' ('c0', 'c1') passes the float range at the 0 s overhead; "
+        "measurements and model disagree")
     with pytest.raises(MalformedDocument) as exc:
         simulate(Scenario(platform.id, network.id, ("c0", "c1"), 10000),
                  platform, network)
-    assert str(exc.value) == message
+    assert str(exc.value) == (
+        "scenario result: makespan_s must be finite and > 0, got inf")
 
 
 def record_fits(monkeypatch, heap_run, fits):

@@ -35,6 +35,7 @@ from socperf.emit import (
     sim_result_payload,
     sim_result_to_csv,
 )
+from test_package import run_fresh
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -557,10 +558,15 @@ def test_subnormal_document_values_exit_1_with_one_line(
     assert capsys.readouterr().err == f"socperf: {message}\n"
 
 
-@pytest.mark.parametrize("command", [
-    ["calibrate", "--target-throughput", "1e-306"], ["simulate"]])
+@pytest.mark.parametrize("command, message", [
+    (["calibrate", "--target-throughput", "1e-306"],
+     "target 1e-306 imgs/s is not reached before the run of 'alexnet' on "
+     "'exynos5422' ('a7', 'a15') passes the float range at the 0 s overhead; "
+     "measurements and model disagree"),
+    (["simulate"], "scenario result: makespan_s must be finite and > 0, got inf"),
+], ids=["command0", "command1"])
 def test_run_past_the_float_range_exits_1_with_one_line(
-        tmp_path, monkeypatch, capsys, command):
+        tmp_path, monkeypatch, capsys, command, message):
     # Rates of about 1e-306 imgs/s put 10^4 frames past the float range.
     data = resources.files("socperf") / "data"
     for item in data.iterdir():
@@ -575,9 +581,7 @@ def test_run_past_the_float_range_exits_1_with_one_line(
     args = command[:1] + ["--platform", "exynos5422", "--network", "alexnet",
                           "--components", "a7,a15"] + command[1:]
     assert main(args + ["--out", str(tmp_path / "x")]) == 1
-    assert capsys.readouterr().err == (
-        "socperf: scenario result: makespan_s must be finite and > 0, "
-        "got inf\n")
+    assert capsys.readouterr().err == f"socperf: {message}\n"
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -772,6 +776,46 @@ def test_console_entry_point_runs():
         capture_output=True, timeout=60)
     assert proc.returncode == 0
     assert b"alexnet,1.1,3.1,7.8" in proc.stdout
+
+
+# -- deferred modules ---------------------------------------------------------------
+
+DEFERRED = ("calibrate", "roofline", "sim")
+# Whether a deferred module's top-level code ran, read without loading it.
+RAN = (f"[n for n in {DEFERRED!r} if '__builtins__' in "
+       "object.__getattribute__(sys.modules['socperf.' + n], '__dict__')]")
+
+
+@pytest.mark.parametrize("args, ran", [
+    (["tables", "--which", "1"], []),
+    (["tables", "--which", "2", "--frames", "200"], ["calibrate", "sim"]),
+    (["tables", "--which", "3", "--frames", "200"], ["calibrate", "sim"]),
+    ([*ROOFLINE_NPU, "svg"], ["roofline"]),
+    (["simulate", *KIRIN_X4, "--frames", "60"], ["sim"]),
+    (["calibrate", *KIRIN_X4, "--target-throughput", "60", "--frames", "200"],
+     ["calibrate", "sim"]),
+], ids=" ".join)
+def test_a_subcommand_runs_only_the_deferred_modules_it_uses(args, ran):
+    assert run_fresh(
+        "import io, json, sys\n"
+        "import socperf.cli\n"
+        f"before = {RAN}\n"
+        "sys.stdout = io.TextIOWrapper(io.BytesIO())\n"
+        f"code = socperf.cli.main({args!r})\n"
+        "sys.stdout = sys.__stdout__\n"
+        f"print(json.dumps([before, code, {RAN}]))\n") == [[], 0, ran]
+
+
+def test_importing_the_cli_puts_every_deferred_module_in_sys_modules():
+    # perfbench/ reads these entries, and calibrate's binding of simulate,
+    # right after `import socperf.cli`.
+    here, same = run_fresh(
+        "import json, sys, socperf.cli\n"
+        f"here = [f'socperf.{{n}}' in sys.modules for n in {DEFERRED!r}]\n"
+        "same = (sys.modules['socperf.calibrate'].simulate\n"
+        "        is sys.modules['socperf.sim'].simulate)\n"
+        "print(json.dumps([here, same]))\n")
+    assert here == [True] * len(DEFERRED) and same
 
 
 # -- emit -------------------------------------------------------------------------
