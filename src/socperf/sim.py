@@ -128,9 +128,10 @@ def load_scenario(doc) -> Scenario:
 class ReorderBuffer:
     """Holds out-of-order completions, releases the sequence 0,1,2,...
 
-    simulate does not use it: it takes the high water from the completion
-    count. The class is kept only for the benchmark's replay probe and goes
-    with that probe (ROADMAP item 4). Occupancy is counted with the
+    Iterating an EventLog releases the log's frames through it, and the
+    benchmark's replay probe replays completions through it; simulate takes
+    the high water from the completion count instead. It goes together
+    with EventLog.__iter__ (ROADMAP item 4). Occupancy is counted with the
     just-arrived frame included, so a frame passing straight through still
     registers. high_water is the largest occupancy seen; with components of
     very different speeds it grows well beyond the component count while a
@@ -180,8 +181,9 @@ class EventLog:
     i-th completion lets its component claim frame k + i at once, so it
     completes the frame that component ran before frame k + i, and the
     last k completions follow in (time, rank) order, the order the heap
-    pops them. A completion of the lowest unreleased frame releases it and
-    every completed frame after it.
+    pops them. Each completion passes through a ReorderBuffer, which
+    releases the lowest unreleased frame and every completed frame after
+    it when that frame completes.
     """
 
     ids: tuple[str, ...]
@@ -204,19 +206,12 @@ class EventLog:
             for frame in sorted(running, key=lambda f: (times[f], ranks[f])):
                 yield frame, None
 
-        done = bytearray(n_frames + 1)  # a spare 0 stops the release scan
-        next_expected = 0
+        release = ReorderBuffer().push
         for frame, claim in completions():
             now, cid = times[frame], ids[ranks[frame]]
             yield event(SimEvent, (now, "complete", cid, frame))
-            if frame == next_expected:
-                next_expected += 1
-                while done[next_expected]:
-                    next_expected += 1
-                for seq in range(frame, next_expected):
-                    yield event(SimEvent, (now, "release", cid, seq))
-            else:
-                done[frame] = 1
+            for seq in release(frame):
+                yield event(SimEvent, (now, "release", cid, seq))
             if claim is not None:
                 yield event(SimEvent, (now, "claim", cid, claim))
 
@@ -230,9 +225,10 @@ class SimResult:
     ran each frame and when it completed, in 9 bytes per frame. Iterating
     it yields every claim, completion and release as a SimEvent, in the
     order the run made them. Nothing is cached: each pass derives the
-    events again, in a transient byte per frame and 6.5 to 7.1 times the
-    time recording took (in process, four kirin970 components, 2*10^5
-    frames, medians of 7 in 5 runs, Python 3.11.7 on a 2-vCPU host).
+    events again, holding only the frames that wait for release, in 7.0 to
+    8.0 times the time recording took (in process, four kirin970
+    components, 2*10^5 frames, medians of 7 in 10 runs, Python 3.11.7 on a
+    2-vCPU host).
     """
 
     scenario: Scenario
@@ -397,9 +393,12 @@ def _high_water(service: list[float], ran: list[int], busy: list[float],
     claimed at its (j-1)-th, at position c', frame c' + k - 1, so c - f is
     the gap c - c' less k - 1; its first completes frame r, as if c' were
     r - k + 1. A gap is 1 plus the other ranks' completions in between.
-    The first completion of the slowest rank gives the best so far. Then,
-    slowest first, only ranks whose bound beats it are walked, rank r in
-    up to N additions and ran[r] rounds of k - 1 rank visits, four each.
+    The first completion of the slowest rank gives the best so far. Then
+    the ranks go slowest first, and a rank is charged to the budget and
+    walked only if its bound beats the best gap found by that first
+    completion and the walks before it. Rank r's walk takes up to N
+    additions and ran[r] rounds of k - 1 rank visits, four steps each; the
+    first charge that passes the budget gives None.
 
     The bound. Every time is at most the makespan M, so each sum rounds
     by at most u/2, u = ulp(M): rank q's m-th completion is at least
@@ -432,18 +431,12 @@ def _high_water(service: list[float], ran: list[int], busy: list[float],
         return max(first, later)
 
     slowest = sorted(range(k), key=service.__getitem__, reverse=True)
-    best, todo = _gaps(service, busy, slowest[0], 1), []
-    # Charged rank by rank up to the first overrun: taking every bound
-    # first made a 64-rank run over budget about 1.5 times slower.
+    best = _gaps(service, busy, slowest[0], 1)
     for r in slowest:
-        most = bound(r)
-        if most > best:
+        if bound(r) > best:
             budget -= frames + 4 * k * ran[r]
             if budget < 0:
                 return None
-            todo.append((r, most))
-    for r, most in todo:
-        if most > best:
             best = max(best, _gaps(service, busy, r, ran[r]))
     return best
 

@@ -63,6 +63,14 @@ REGISTER = [
            SIM_TESTS, survives=True),
     Mutant("high-water-margin-dropped", SIM,
            "(s + 2 * ulp) / (sq - 2 * ulp)", "s / sq", SIM_TESTS),
+    # A rank whose bound does not beat the best gap walked so far is not
+    # charged; charging it sends runs that fit the budget to the loop.
+    Mutant("high-water-charges-every-rank", SIM,
+           "if bound(r) > best:", "if True:", SIM_TESTS),
+    # The frame log's releases come from one buffer over the whole pass.
+    Mutant("event-log-buffer-per-completion", SIM,
+           "for seq in release(frame):",
+           "for seq in ReorderBuffer().push(frame):", SIM_TESTS),
     Mutant("search-no-clamp", CALIBRATE,
            "x[c] = min(hi, max(lo, here + k * step))", "x[c] = here + k * step",
            CALIBRATE_TESTS),

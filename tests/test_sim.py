@@ -554,6 +554,20 @@ def test_recorded_run_keeps_a_small_frame_log():
     assert peak <= 9.5 * frames
 
 
+def test_iterating_the_frame_log_allocates_nothing_per_frame():
+    # A pass holds only the frames that wait for release, never one flag
+    # per frame.
+    result, _ = traced_run(10 ** 5, record_events=True)
+    tracemalloc.start()
+    try:
+        releases = sum(event.kind == "release" for event in result.events)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert releases == 10 ** 5
+    assert peak < 16 * 1024
+
+
 @pytest.mark.parametrize("jitter", [{}, {"jitter_seed": 7, "jitter_cv": 0.1}],
                          ids=["jitter_free", "jittered"])
 def test_recorded_event_loop_run_keeps_a_small_frame_log(monkeypatch, jitter):
@@ -936,12 +950,17 @@ def seeded_rates(k, seed):
     ([3.0 * (1 + i * 1e-9) for i in range(25)], 1250, "sums"),
     ([3.0 * (1 + i * 1e-9) for i in range(25)], 1249, "loop"),
     (seeded_rates(64, 64), 10 ** 4, "walk over budget"),
+    # Exact ties: c1's walk raises the best gap from its first
+    # completion's 12 to 13, which no other rank's bound beats, so only c1
+    # is charged. Charging c3 as well would pass the budget.
+    ([6.0, 1.0, 6.0, 1.0], 10 ** 4, "sums"),
     (seeded_rates(100, 100), 10 ** 4, "loop"),
     (seeded_rates(200, 200), 10 ** 4, "loop"),
 ], ids=["kirin970_at_1e4", "kirin970_at_240", "kirin970_at_31",
         "kirin970_at_32", "near_equal_x8_falling",
         "near_equal_x8_rising", "x64_at_1e3", "x25_at_1250", "x25_at_1249",
-        "seeded_x64_at_1e4", "seeded_x100_at_1e4", "seeded_x200_at_1e4"])
+        "seeded_x64_at_1e4", "exact_ties_at_1e4", "seeded_x100_at_1e4",
+        "seeded_x200_at_1e4"])
 def test_each_family_takes_its_path(monkeypatch, heap_run, rates, frames,
                                     path):
     if rates == "kirin970":
@@ -1035,7 +1054,9 @@ def test_recorded_plain_run_logs_what_the_heap_run_logs(monkeypatch,
     for run in [*runs, *extreme_runs(300, 26), *extreme_runs(300, 99)]:
         recorded = outcome(simulate, *run, record_events=True)
         assert recorded == outcome(heap_run, *run, record_events=True), run[0]
-    assert len(merges) == 823  # of 1,282 runs
+    # The others take the event loop: at once, or where walking a rank
+    # whose bound beats the best gap walked so far would pass the budget.
+    assert len(merges) == 863  # of 1,282 runs
 
 
 @pytest.mark.parametrize("chunk", [1, 64])
